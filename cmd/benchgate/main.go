@@ -350,6 +350,7 @@ func measureRepair(out io.Writer, n, batch, phases int, seed int64, eps float64,
 	if err != nil {
 		return nil, err
 	}
+	defer eng.Close()
 	trace := compactroute.DeletionTrace(g, 0.10, seed+1)
 	if batch < 1 {
 		batch = 1
@@ -408,14 +409,14 @@ func measureRepair(out io.Writer, n, batch, phases int, seed int64, eps float64,
 // With auditRate > 0 the loop runs with a shadow auditor attached; the
 // returned auditLine summarizes its census ("" when auditing is off).
 func serveRecord(s compactroute.Scheme, queries, batch, workers int, seed int64, auditRate float64) (rec record, auditLine string, err error) {
-	opts := compactroute.ServeOptions{Workers: workers, PinWorkers: true}
+	opts := compactroute.LiveServeOptions{Workers: workers, PinWorkers: true}
 	var aud *compactroute.RouteAuditor
 	if auditRate > 0 {
 		aud = compactroute.NewRouteAuditor(auditRate, 1, 8192)
 		defer aud.Close()
 		opts.Audit = aud
 	}
-	eng, err := compactroute.NewServeEngine(s, opts)
+	eng, err := compactroute.ServeLive(s, opts)
 	if err != nil {
 		return record{}, "", err
 	}
@@ -428,7 +429,7 @@ func serveRecord(s compactroute.Scheme, queries, batch, workers int, seed int64,
 	if len(pairs) == 0 {
 		return record{}, "", fmt.Errorf("graph too small to sample pairs")
 	}
-	outBuf := make([]compactroute.ServeResult, min(batch, len(pairs)))
+	outBuf := make([]compactroute.LiveResult, min(batch, len(pairs)))
 	for lo := 0; lo < len(pairs) && lo < 4*batch; lo += batch { // warm packet scratch and stats chunks
 		eng.Query(pairs[lo:min(lo+batch, len(pairs))], outBuf)
 	}
@@ -502,7 +503,7 @@ func writeRecords(path string, pr int, recs []record, loads []loadRecord, sizes 
 		"pr":        pr,
 		"date":      time.Now().Format("2006-01-02"),
 		"go":        runtime.Version(),
-		"method":    "cmd/benchgate measure mode: routebench workload (GNM n/4n, seed 2015), batched Engine.Query closed loop, allocs from runtime Mallocs delta; snapshot load paths timed on a freshly saved file",
+		"method":    "cmd/benchgate measure mode: routebench workload (GNM n/4n, seed 2015), batched LiveEngine.Query closed loop, allocs from runtime Mallocs delta; snapshot load paths timed on a freshly saved file",
 		"qps_sweep": recs,
 	}
 	if len(loads) > 0 {

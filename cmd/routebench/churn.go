@@ -141,6 +141,7 @@ func runChurn(out io.Writer, cfg churnConfig) error {
 	if err != nil {
 		return err
 	}
+	defer eng.Close()
 	pairs := compactroute.SamplePairs(cfg.n, cfg.pairs, cfg.seed)
 	fmt.Fprintf(out, "# E14 churn replay: %s on G(n=%d, m=%d), %d workers, %d pairs/phase, verify=%s, build %s\n",
 		scheme.Name(), g.N(), g.M(), eng.Workers(), len(pairs), cfg.verifyModeName(), buildTime.Round(time.Millisecond))
@@ -299,13 +300,12 @@ func runChurn(out io.Writer, cfg churnConfig) error {
 	if err != nil {
 		return err
 	}
-	refEng, err := compactroute.NewServeEngine(ref, compactroute.ServeOptions{
-		Workers: cfg.workers, Verify: true, VerifyBidi: cfg.verifyBidi,
-		Paths: compactroute.NewLazyAPSP(churned, int64(cfg.budgetMiB)<<20),
-	})
+	refEng, err := compactroute.ServeLive(ref, compactroute.LiveServeOptions{
+		Workers: cfg.workers, Verify: true, VerifyBidi: cfg.verifyBidi})
 	if err != nil {
 		return err
 	}
+	defer refEng.Close()
 	for _, r := range refEng.Query(pairs, nil) {
 		if r.Err != nil {
 			return fmt.Errorf("churn: from-scratch reference: %w", r.Err)
@@ -375,6 +375,7 @@ func runChurnRepair(out io.Writer, cfg churnConfig) error {
 	if err != nil {
 		return err
 	}
+	defer eng.Close()
 	trace := compactroute.DeletionTrace(g, cfg.frac, cfg.churnSeed)
 	batch := max(cfg.batch, 1)
 	phases := cfg.phases

@@ -103,10 +103,8 @@ func (s *server) health() healthReply {
 		Fingerprint: fmt.Sprintf("%016x", g.Fingerprint()),
 		Vertices:    g.N(),
 		Edges:       g.M(),
-		Live:        s.live != nil,
-	}
-	if s.live != nil {
-		h.Generation = s.live.Generation()
+		Live:        s.live,
+		Generation:  s.eng.Generation(),
 	}
 	return h
 }

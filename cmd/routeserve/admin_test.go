@@ -218,6 +218,42 @@ func TestAdminSurface(t *testing.T) {
 	}
 }
 
+// TestAdminSurfaceLive: a -live server loads its snapshot through the same
+// mapped path as a static one, so the snapshot-load gauges report the
+// mapping instead of reading 0.
+func TestAdminSurfaceLive(t *testing.T) {
+	snap, _ := writeSnapshot(t)
+	h := startAdminHarness(t, []string{
+		"-snapshot", snap, "-live", "-workers", "2",
+		"-listen", "127.0.0.1:0", "-admin-addr", "127.0.0.1:0",
+	}, true)
+	exposition := h.get(t, "/metrics")
+	if got := metricValue(t, exposition, "compactroute_snapshot_mapped"); got != 1 {
+		t.Fatalf("compactroute_snapshot_mapped %v, want 1", got)
+	}
+	if metricValue(t, exposition, "compactroute_snapshot_bytes") <= 0 {
+		t.Fatal("snapshot load gauge not populated")
+	}
+	var health healthReply
+	if err := json.Unmarshal([]byte(h.get(t, "/healthz")), &health); err != nil {
+		t.Fatal(err)
+	}
+	if !health.Live {
+		t.Fatalf("unexpected health %+v", health)
+	}
+	if err := syscall.Kill(os.Getpid(), syscall.SIGINT); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-h.done:
+		if err != nil {
+			t.Fatalf("graceful shutdown returned %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("server did not shut down")
+	}
+}
+
 // TestAuditSurface drives the online route auditor end to end through the
 // CLI: -audit-sample must sample deterministically, shadow-verify off the
 // hot path, surface its counters on /metrics and as the stats line's audit

@@ -6,8 +6,9 @@
 // Usage:
 //
 //	routeserve -snapshot thm11.snap [-workers 0] [-verify] [-json]
-//	           [-mem-budget 256] [-listen addr]
-//	routeserve -snapshot thm11.snap -live [-eps 0.5] [-tz-k 2] ...
+//	           [-listen addr]
+//	routeserve -snapshot thm11.snap -live [-eps 0.5] [-tz-k 2]
+//	           [-mem-budget 256] ...
 //	routeserve -snapshot thm11.snap -loadgen [-queries 100000] [-batch 4096]
 //	           [-seed 2015] [-workers 0] [-verify] [-json]
 //
@@ -20,9 +21,10 @@
 //	trace [N]    dump the last N sampled route traces as JSON (-trace-sample)
 //	quit         close the session
 //
-// With -live the snapshot is served through the churn-tolerant live engine
-// (a snapshot carrying an overlay journal, written by SaveLiveState,
-// restores its churned state), and the protocol gains admin commands:
+// Every mode serves the memory-mapped snapshot through the same engine (a
+// snapshot carrying an overlay journal, written by SaveLiveState, restores
+// its churned state). With -live the protocol gains admin commands and the
+// stats line its churn counters:
 //
 //	addedge U V W   insert the edge {U, V} with weight W
 //	deledge U V     delete the edge {U, V}
@@ -102,33 +104,27 @@ func main() {
 	}
 }
 
-// server bundles the loaded scheme, the query engine and the lazy distance
-// source one serving process holds. In -live mode the plain engine is
-// replaced by the churn-tolerant live engine.
+// server bundles the serving engine and the observability instruments one
+// serving process holds. -live only unlocks
+// the admin commands and the live stats line; both modes serve through the
+// same engine.
 type server struct {
-	scheme   compactroute.Scheme // static mode; live mode reads currentScheme
-	eng      *compactroute.ServeEngine
-	live     *compactroute.LiveEngine
-	paths    compactroute.PathSource
+	eng      *compactroute.LiveEngine
 	reg      *compactroute.MetricsRegistry
 	sink     *compactroute.TraceSink
 	audit    *compactroute.RouteAuditor
 	flight   *compactroute.FlightRecorder
+	live     bool
 	verify   bool
 	jsonMode bool
 	snapSize int64
 }
 
-// currentScheme returns the scheme being served. In live mode it is read
-// through the engine's generation pointer on every call: a rebuild on one
-// connection hot-swaps it while other connections keep serving, so the
-// server must never cache it in a plain field.
-func (s *server) currentScheme() compactroute.Scheme {
-	if s.live != nil {
-		return s.live.Scheme()
-	}
-	return s.scheme
-}
+// currentScheme returns the scheme being served. It is read through the
+// engine's generation pointer on every call: a rebuild on one connection
+// hot-swaps it while other connections keep serving, so the server must
+// never cache it in a plain field.
+func (s *server) currentScheme() compactroute.Scheme { return s.eng.Scheme() }
 
 func run(args []string, in io.Reader, out io.Writer) error {
 	fs := flag.NewFlagSet("routeserve", flag.ContinueOnError)
@@ -137,7 +133,7 @@ func run(args []string, in io.Reader, out io.Writer) error {
 		workers  = fs.Int("workers", 0, "serving shards (0 = all cores)")
 		verify   = fs.Bool("verify", false, "verify every delivery against the proved stretch bound")
 		jsonMode = fs.Bool("json", false, "emit JSON responses and summaries")
-		budget   = fs.Int("mem-budget", 256, "distance row-cache budget in MiB (dist command, -verify, rebuilds)")
+		budget   = fs.Int("mem-budget", 256, "live: distance row-cache budget in MiB of the rebuild constructor")
 		listen   = fs.String("listen", "", "serve the line protocol on this TCP address instead of stdin")
 		liveMode = fs.Bool("live", false, "serve through the live engine: admin commands (addedge/deledge/setw/rebuild), staleness-aware stats")
 		eps      = fs.Float64("eps", 0.5, "live: epsilon of the rebuild constructor")
@@ -173,7 +169,7 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	// statistics on it, the stats command formats from it, and -admin-addr
 	// exposes it. The load observer goes in before the snapshot load below so
 	// the startup load lands in the snapshot gauges.
-	srv := &server{verify: *verify, jsonMode: *jsonMode, snapSize: st.Size()}
+	srv := &server{live: *liveMode, verify: *verify, jsonMode: *jsonMode, snapSize: st.Size()}
 	srv.reg = compactroute.NewMetricsRegistry()
 	srv.sink = compactroute.NewTraceSink(*traceRate, *traceBuf)
 	srv.sink.Register(srv.reg)
@@ -192,9 +188,9 @@ func run(args []string, in io.Reader, out io.Writer) error {
 		defer srv.audit.Close()
 	}
 	defer registerLoadMetrics(srv.reg)()
+	opts := compactroute.LiveServeOptions{Workers: *workers, Verify: *verify,
+		Obs: srv.reg, Trace: srv.sink, Audit: srv.audit, FlightRec: srv.flight}
 	if *liveMode {
-		opts := compactroute.LiveServeOptions{Workers: *workers, Verify: *verify,
-			Obs: srv.reg, Trace: srv.sink, Audit: srv.audit, FlightRec: srv.flight}
 		// The rebuild recipe is derived from the snapshot kind; a kind
 		// without one only disables the rebuild command.
 		kind, err := compactroute.PeekSnapshotKind(*snapshot)
@@ -210,30 +206,16 @@ func run(args []string, in io.Reader, out io.Writer) error {
 		} else if build, err := compactroute.RebuildFuncFor(kind, schemeOpts, *budget); err == nil {
 			opts.Build = build
 		}
-		l, err := compactroute.LoadLiveStateFile(*snapshot, opts)
-		if err != nil {
-			return err
-		}
-		srv.live = l
-		srv.paths = l.Distances()
-	} else {
-		scheme, err := compactroute.LoadSchemeFile(*snapshot)
-		if err != nil {
-			return err
-		}
-		paths := compactroute.NewLazyAPSP(scheme.Graph(), int64(*budget)<<20)
-		opts := compactroute.ServeOptions{Workers: *workers, Verify: *verify,
-			Obs: srv.reg, Trace: srv.sink, Audit: srv.audit, FlightRec: srv.flight}
-		if *verify {
-			opts.Paths = paths
-		}
-		eng, err := compactroute.NewServeEngine(scheme, opts)
-		if err != nil {
-			return err
-		}
-		defer eng.Close()
-		srv.scheme, srv.eng, srv.paths = scheme, eng, paths
 	}
+	// Both modes serve straight off the mapped snapshot; a live rebuild
+	// swaps in a heap generation and the mapping is released once the
+	// mapped one drains.
+	eng, err := compactroute.OpenLiveStateFile(*snapshot, opts)
+	if err != nil {
+		return err
+	}
+	defer eng.Close()
+	srv.eng = eng
 	if *adminAddr != "" {
 		addr, stop, err := srv.startAdmin(*adminAddr)
 		if err != nil {
@@ -273,23 +255,16 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	}
 }
 
-func (s *server) workers() int {
-	if s.live != nil {
-		return s.live.Workers()
-	}
-	return s.eng.Workers()
-}
-
 func (s *server) banner(out io.Writer) {
 	scheme := s.currentScheme()
 	g := scheme.Graph()
 	mode := "static"
-	if s.live != nil {
+	if s.live {
 		mode = "live"
 	}
 	fmt.Fprintf(out, "# serving %s (kind %s, %s) on G(n=%d, m=%d): %d workers, %d snapshot bytes, verify=%v\n",
 		scheme.Name(), compactroute.SnapshotKind(scheme), mode, g.N(), g.M(),
-		s.workers(), s.snapSize, s.verify)
+		s.eng.Workers(), s.snapSize, s.verify)
 }
 
 // finalStats flushes the shutdown stats line.
@@ -453,7 +428,7 @@ func (s *server) serveCommand(w *bufio.Writer, enc *json.Encoder, fields []strin
 			s.errLine(w, enc, cmd, err)
 			break
 		}
-		d := s.paths.Dist(u, v)
+		d := s.eng.Distances().Dist(u, v)
 		if s.jsonMode {
 			// JSON has no +Inf; an unreachable pair is reported as
 			// dist -1 with an explicit marker (encoding Inf would
@@ -468,7 +443,7 @@ func (s *server) serveCommand(w *bufio.Writer, enc *json.Encoder, fields []strin
 			fmt.Fprintf(w, "dist %d %d %g\n", u, v, d)
 		}
 	case "addedge", "deledge", "setw", "rebuild", "repair", "refresh":
-		if s.live == nil {
+		if !s.live {
 			s.errLine(w, enc, cmd, errors.New("admin commands need -live"))
 			break
 		}
@@ -480,33 +455,19 @@ func (s *server) serveCommand(w *bufio.Writer, enc *json.Encoder, fields []strin
 }
 
 func (s *server) serveRoute(w *bufio.Writer, enc *json.Encoder, u, v compactroute.Vertex) {
-	var rep routeReply
-	if s.live != nil {
-		res := s.live.Route(u, v)
-		if res.Err != nil {
-			s.errLine(w, enc, "route", res.Err)
-			return
-		}
-		rep = routeReply{Op: "route", Src: int(u), Dst: int(v), Hops: res.Hops,
-			Weight: res.Weight, Header: res.HeaderWords,
-			Stale: res.Stale(), Detours: res.Detours, Fallback: res.Fallback}
-		if s.verify {
-			rep.Dist = s.paths.Dist(u, v)
-		}
-	} else {
-		res := s.eng.Route(u, v)
-		if res.Err != nil {
-			s.errLine(w, enc, "route", res.Err)
-			return
-		}
-		rep = routeReply{Op: "route", Src: int(u), Dst: int(v), Hops: res.Hops,
-			Weight: res.Weight, Header: res.HeaderWords}
-		if s.verify {
-			rep.Dist = res.Dist
-		}
+	res := s.eng.Route(u, v)
+	if res.Err != nil {
+		s.errLine(w, enc, "route", res.Err)
+		return
 	}
-	if s.verify && rep.Dist > 0 {
-		rep.Stretch = rep.Weight / rep.Dist
+	rep := routeReply{Op: "route", Src: int(u), Dst: int(v), Hops: res.Hops,
+		Weight: res.Weight, Header: res.HeaderWords,
+		Stale: res.Stale(), Detours: res.Detours, Fallback: res.Fallback}
+	if s.verify {
+		rep.Dist = s.eng.Distances().Dist(u, v)
+		if rep.Dist > 0 {
+			rep.Stretch = rep.Weight / rep.Dist
+		}
 	}
 	if s.jsonMode {
 		_ = enc.Encode(rep)
@@ -530,12 +491,12 @@ func (s *server) serveAdmin(w *bufio.Writer, enc *json.Encoder, cmd string, fiel
 	n := s.currentScheme().Graph().N()
 	switch cmd {
 	case "rebuild", "repair", "refresh":
-		run := s.live.Rebuild
+		run := s.eng.Rebuild
 		switch cmd {
 		case "repair":
-			run = s.live.Repair
+			run = s.eng.Repair
 		case "refresh":
-			run = s.live.Refresh
+			run = s.eng.Refresh
 		}
 		start := time.Now()
 		if err := run(); err != nil {
@@ -544,9 +505,9 @@ func (s *server) serveAdmin(w *bufio.Writer, enc *json.Encoder, cmd string, fiel
 		}
 		took := time.Since(start)
 		if s.jsonMode {
-			_ = enc.Encode(adminReply{Op: cmd, Generation: s.live.Generation(), TookSec: took.Seconds()})
+			_ = enc.Encode(adminReply{Op: cmd, Generation: s.eng.Generation(), TookSec: took.Seconds()})
 		} else {
-			fmt.Fprintf(w, "ok %s gen=%d took=%s\n", cmd, s.live.Generation(), took.Round(time.Millisecond))
+			fmt.Fprintf(w, "ok %s gen=%d took=%s\n", cmd, s.eng.Generation(), took.Round(time.Millisecond))
 		}
 	case "addedge", "setw":
 		u, v, wt, err := parseEdgeWeight(fields, n)
@@ -570,11 +531,11 @@ func (s *server) serveAdmin(w *bufio.Writer, enc *json.Encoder, cmd string, fiel
 }
 
 func (s *server) applyAdmin(w *bufio.Writer, enc *json.Encoder, cmd string, up compactroute.EdgeUpdate) {
-	if err := s.live.ApplyUpdates([]compactroute.EdgeUpdate{up}); err != nil {
+	if err := s.eng.ApplyUpdates([]compactroute.EdgeUpdate{up}); err != nil {
 		s.errLine(w, enc, cmd, err)
 		return
 	}
-	version := s.live.Overlay().Version()
+	version := s.eng.Overlay().Version()
 	if s.jsonMode {
 		_ = enc.Encode(adminReply{Op: cmd, Version: version})
 	} else {
@@ -582,10 +543,6 @@ func (s *server) applyAdmin(w *bufio.Writer, enc *json.Encoder, cmd string, up c
 	}
 }
 
-// writeStats formats the stats reply from the obs registry - the same
-// collect pass /metrics scrapes - so the line protocol and the admin surface
-// are one source of truth. The line formats are part of the protocol and
-// unchanged from the pre-registry implementation.
 // auditSegment formats the stats-line audit suffix and the JSON audit block
 // from a registry collect pass; both are empty/nil when no auditor is
 // attached, so the pinned pre-audit line formats are unchanged.
@@ -609,6 +566,10 @@ func (s *server) auditSegment(v map[string]float64) (string, *auditStatsReply) {
 	return seg, rep
 }
 
+// writeStats formats the stats reply from the obs registry - the same
+// collect pass /metrics scrapes - so the line protocol and the admin surface
+// are one source of truth. The line formats are part of the protocol and
+// unchanged from the pre-registry implementation.
 func (s *server) writeStats(w *bufio.Writer, enc *json.Encoder) {
 	v := s.reg.Values()
 	auditSeg, auditRep := s.auditSegment(v)
@@ -623,7 +584,7 @@ func (s *server) writeStats(w *bufio.Writer, enc *json.Encoder) {
 		MaxStretch: v["compactroute_stretch_max"],
 		Audit:      auditRep,
 	}
-	if s.live != nil {
+	if s.live {
 		rep := liveStatsReply{
 			statsReply:     base,
 			Generation:     uint64(v["compactroute_live_generation"]),
@@ -795,7 +756,8 @@ type liveStatsReply struct {
 // exit) on any routing error or stretch-bound violation, so CI runs double
 // as a correctness check.
 func (s *server) runLoadgen(out io.Writer, queries, batch int, seed int64) error {
-	g := s.scheme.Graph()
+	scheme := s.eng.Scheme()
+	g := scheme.Graph()
 	if batch < 1 {
 		batch = 1
 	}
@@ -803,7 +765,7 @@ func (s *server) runLoadgen(out io.Writer, queries, batch int, seed int64) error
 	if len(pairs) == 0 {
 		return fmt.Errorf("graph too small to sample pairs")
 	}
-	buf := make([]compactroute.ServeResult, min(batch, len(pairs)))
+	buf := make([]compactroute.LiveResult, min(batch, len(pairs)))
 	s.eng.ResetStats()
 	start := time.Now()
 	for lo := 0; lo < len(pairs); lo += batch {
@@ -818,10 +780,10 @@ func (s *server) runLoadgen(out io.Writer, queries, batch int, seed int64) error
 	st := s.eng.Stats()
 	var tableWords int64
 	for v := 0; v < g.N(); v++ {
-		tableWords += int64(s.scheme.TableWords(compactroute.Vertex(v)))
+		tableWords += int64(scheme.TableWords(compactroute.Vertex(v)))
 	}
 	sum := loadgenSummary{
-		Scheme: s.scheme.Name(), Kind: compactroute.SnapshotKind(s.scheme),
+		Scheme: scheme.Name(), Kind: compactroute.SnapshotKind(scheme),
 		N: g.N(), M: g.M(), Workers: s.eng.Workers(), Verify: s.verify,
 		Queries: st.Queries, Errors: st.Errors,
 		ElapsedSec: elapsed.Seconds(), QPS: float64(st.Queries) / elapsed.Seconds(),

@@ -36,8 +36,9 @@
 //
 //	_ = compactroute.SaveSchemeFile("thm11.snap", scheme)     // build process
 //
-//	scheme, _ = compactroute.LoadSchemeFile("thm11.snap")     // serving process
-//	eng, _ := compactroute.NewServeEngine(scheme, compactroute.ServeOptions{Workers: 8})
+//	eng, _ := compactroute.OpenLiveStateFile("thm11.snap",    // serving process
+//		compactroute.LiveServeOptions{Workers: 8})
+//	defer eng.Close()
 //	out := eng.Query(compactroute.SamplePairs(1000, 4096, 7), nil)
 //	fmt.Println(out[0].Hops, eng.Stats().QPS)
 //
@@ -45,8 +46,8 @@
 // rows; cmd/routeserve serves a snapshot over a line/JSON protocol and
 // contains the closed-loop load generator behind experiment E13.
 //
-// Live serving under churn: ServeLive wraps a scheme in an engine that
-// keeps answering while the graph changes underneath it. Edge updates
+// Live serving under churn: the same engine (ServeLive wraps an in-memory
+// scheme) keeps answering while the graph changes underneath it. Edge updates
 // (ApplyUpdates) accumulate in a delta overlay; routes detour around dead
 // edges with bounded local search (falling back to one exact search) and
 // report measured staleness stretch; Rebuild preprocesses a fresh scheme

@@ -81,22 +81,22 @@ func Evaluate(s Scheme, paths PathSource, pairs [][2]Vertex) (Evaluation, error)
 }
 
 // EvaluateBatched is the batched evaluation engine, built as a client of
-// the serving engine (internal/serve): pairs are served as one verified
+// the serving engine (internal/serve): pairs are served as one fail-fast
 // batch across opts.Workers shards - each shard owning its slots of the
 // result slice - and the per-pair outcomes are merged deterministically in
 // pair order, the order the sequential path uses, so the returned
 // Evaluation is identical to Evaluate for every worker count. A routing
 // failure aborts the evaluation with the error of the lowest failing pair
-// index. The true distance of every pair is looked up in the parallel
-// phase: against a LazyAPSP it may cost a shortest-path search, which must
-// not serialize inside the merge loop.
+// index. The true distance of every pair is looked up in a parallel pass:
+// against a LazyAPSP it may cost a shortest-path search, which must not
+// serialize inside the merge loop.
 func EvaluateBatched(s Scheme, paths PathSource, pairs [][2]Vertex, opts EvalOptions) (Evaluation, error) {
 	ev := Evaluation{Scheme: s.Name(), Pairs: len(pairs)}
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = parallel.Workers()
 	}
-	eng, err := serve.New(s, serve.Options{Workers: workers, Verify: true, Paths: paths, FailFast: true})
+	eng, err := serve.NewLive(s, serve.LiveOptions{Workers: workers, FailFast: true})
 	if err != nil {
 		return ev, fmt.Errorf("evaluate %s: %w", s.Name(), err)
 	}
@@ -121,13 +121,16 @@ func EvaluateBatched(s Scheme, paths PathSource, pairs [][2]Vertex, opts EvalOpt
 		// rather than aggregate a partial batch.
 		return ev, fmt.Errorf("evaluate %s: %w", s.Name(), aborted)
 	}
+	dist := make([]float64, len(pairs))
+	parallel.ForN(workers, len(pairs), func(i int) {
+		dist[i] = paths.Dist(pairs[i][0], pairs[i][1])
+	})
 	// Deterministic merge in pair order.
 	var stretchSum float64
 	var stretchCnt int
 	var hopsSum int
 	for i := range pairs {
-		o := outcomes[i]
-		d := o.Dist
+		o, d := outcomes[i], dist[i]
 		if o.Weight > s.StretchBound(d)+1e-9 {
 			ev.BoundViolations++
 		}

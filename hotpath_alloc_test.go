@@ -8,10 +8,11 @@ import (
 
 // TestQueryHotPathAllocs pins the serving hot path at zero steady-state
 // allocations (the serving counterpart of the search kernels'
-// TestSearchKernelAllocsSteadyState): once the engine's workers have warmed
-// their scratch packets and the result buffer is preallocated, neither the
-// batched Query path nor the single-query Route path may allocate, for the
-// headline scheme (thm11), the Thorup-Zwick baseline and the exact baseline.
+// TestSearchKernelAllocsSteadyState): on an empty overlay, once the engine's
+// workers have warmed their scratch packets and the result buffer is
+// preallocated, neither the batched Query path nor the single-query Route
+// path may allocate, for the headline scheme (thm11), the Thorup-Zwick
+// baseline and the exact baseline.
 func TestQueryHotPathAllocs(t *testing.T) {
 	g, err := compactroute.GNM(96, 384, 3, true, 8)
 	if err != nil {
@@ -36,7 +37,7 @@ func TestQueryHotPathAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng, err := compactroute.NewServeEngine(s, compactroute.ServeOptions{Workers: 2})
+			eng, err := compactroute.ServeLive(s, compactroute.LiveServeOptions{Workers: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -50,7 +51,7 @@ func TestQueryHotPathAllocs(t *testing.T) {
 					compactroute.Vertex((i*13 + 1) % n),
 				}
 			}
-			out := make([]compactroute.ServeResult, len(pairs))
+			out := make([]compactroute.LiveResult, len(pairs))
 
 			// Warm up: workers allocate their scratch packets (and, for
 			// thm11, the retained inter state) on the first batches.
@@ -60,7 +61,7 @@ func TestQueryHotPathAllocs(t *testing.T) {
 			if allocs := testing.AllocsPerRun(20, func() {
 				eng.Query(pairs, out)
 			}); allocs != 0 {
-				t.Errorf("Engine.Query (warm, preallocated out): %v allocs/op, want 0", allocs)
+				t.Errorf("Query (warm, preallocated out): %v allocs/op, want 0", allocs)
 			}
 			for i := range out {
 				if out[i].Err != nil {
@@ -68,7 +69,7 @@ func TestQueryHotPathAllocs(t *testing.T) {
 				}
 			}
 
-			// The single-query path pools its scratch packet per engine.
+			// The single-query path pools its scratch packets per generation.
 			for i := 0; i < 32; i++ {
 				eng.Route(pairs[i][0], pairs[i][1])
 			}
@@ -77,7 +78,7 @@ func TestQueryHotPathAllocs(t *testing.T) {
 				eng.Route(pairs[i%len(pairs)][0], pairs[i%len(pairs)][1])
 				i++
 			}); allocs != 0 {
-				t.Errorf("Engine.Route (warm): %v allocs/op, want 0", allocs)
+				t.Errorf("Route (warm): %v allocs/op, want 0", allocs)
 			}
 		})
 	}

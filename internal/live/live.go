@@ -25,6 +25,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"compactroute/internal/graph"
 )
@@ -107,7 +108,9 @@ type halfAdd struct {
 
 // Overlay records edge churn on top of an immutable base graph. All methods
 // are safe for concurrent use: reads take a shared lock, updates and Rebase
-// an exclusive one. The zero value is not usable; construct with NewOverlay.
+// an exclusive one, and the version and entry count are also published
+// lock-free (see State). The zero value is not usable; construct with
+// NewOverlay.
 type Overlay struct {
 	mu      sync.RWMutex
 	base    *graph.Graph
@@ -118,6 +121,19 @@ type Overlay struct {
 	// effective graph is unweighted exactly when it is zero, which decides
 	// BFS vs Dijkstra in the effective searches (mirroring graph.Graph.Unit).
 	effNonUnit int
+	// pub is the (version, entry count) pair republished under mu by every
+	// mutation, so per-query readers load both with one atomic read.
+	pub atomic.Pointer[overlayStamp]
+}
+
+type overlayStamp struct {
+	version uint64
+	entries int
+}
+
+// publish republishes the version and entry count; callers hold mu.
+func (ov *Overlay) publish() {
+	ov.pub.Store(&overlayStamp{version: ov.version, entries: len(ov.states)})
 }
 
 // NewOverlay starts an empty overlay over base: the effective graph equals
@@ -129,6 +145,7 @@ func NewOverlay(base *graph.Graph) *Overlay {
 		added:  make(map[graph.Vertex][]halfAdd),
 	}
 	ov.effNonUnit = baseNonUnit(base)
+	ov.publish()
 	return ov
 }
 
@@ -160,21 +177,23 @@ func (ov *Overlay) Base() *graph.Graph {
 // N returns the vertex count (churn never adds or removes vertices).
 func (ov *Overlay) N() int { return ov.Base().N() }
 
+// State returns the version and the entry count as one consistent pair,
+// without taking the lock. The version only grows, and at a fixed version
+// the entry count only shrinks (Rebase prunes), so a reader that sees the
+// same version before and after some work knows an overlay it saw empty
+// stayed empty throughout.
+func (ov *Overlay) State() (version uint64, entries int) {
+	st := ov.pub.Load()
+	return st.version, st.entries
+}
+
 // Version returns the number of updates applied so far. It increases by one
 // per successful Apply and is the cache-invalidation clock of Distances.
-func (ov *Overlay) Version() uint64 {
-	ov.mu.RLock()
-	defer ov.mu.RUnlock()
-	return ov.version
-}
+func (ov *Overlay) Version() uint64 { return ov.pub.Load().version }
 
 // Len returns the number of edges whose current state differs from the base
 // graph. Len() == 0 means the effective graph is exactly the base graph.
-func (ov *Overlay) Len() int {
-	ov.mu.RLock()
-	defer ov.mu.RUnlock()
-	return len(ov.states)
-}
+func (ov *Overlay) Len() int { return ov.pub.Load().entries }
 
 // Empty reports whether the effective graph equals the base graph.
 func (ov *Overlay) Empty() bool { return ov.Len() == 0 }
@@ -278,6 +297,7 @@ func (ov *Overlay) Apply(up Update) error {
 		return fmt.Errorf("live: unknown op %d", up.Op)
 	}
 	ov.version++
+	ov.publish()
 	return nil
 }
 
@@ -532,6 +552,7 @@ func (ov *Overlay) Rebase(newBase *graph.Graph) error {
 		}
 		ov.effNonUnit += contribution(st.alive, st.w) - before
 	}
+	ov.publish()
 	return nil
 }
 
@@ -604,5 +625,6 @@ func (ov *Overlay) RestoreEntries(entries []Entry, version uint64) error {
 		}
 	}
 	ov.version = version
+	ov.publish()
 	return nil
 }

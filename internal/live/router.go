@@ -50,7 +50,8 @@ func (r Result) Stale() bool { return r.DeadHits > 0 || r.Fallback }
 // overlay it consults is shared and live.
 type Router struct {
 	scheme  simnet.Scheme
-	phaser  simnet.PhaseReporter // non-nil when scheme reports routing phases
+	reuse   simnet.ReusableScheme // non-nil when scheme supports packet reuse
+	phaser  simnet.PhaseReporter  // non-nil when scheme reports routing phases
 	g       *graph.Graph
 	ov      *Overlay
 	budget  int
@@ -73,6 +74,7 @@ func NewRouter(s simnet.Scheme, ov *Overlay, budget, maxHops int) (*Router, erro
 		maxHops = 8*g.N() + 64
 	}
 	r := &Router{scheme: s, g: g, ov: ov, budget: budget, maxHops: maxHops}
+	r.reuse, _ = s.(simnet.ReusableScheme)
 	r.phaser, _ = s.(simnet.PhaseReporter)
 	return r, nil
 }
@@ -80,30 +82,43 @@ func NewRouter(s simnet.Scheme, ov *Overlay, budget, maxHops int) (*Router, erro
 // Scheme returns the preprocessed scheme being patched.
 func (r *Router) Scheme() simnet.Scheme { return r.scheme }
 
-// Route serves one query. Every returned route is a real walk in the
-// effective graph with its current weights; when the scheme alone cannot
-// produce one, the route is completed by detour or fallback and the Result
-// says so. Err is non-nil only for invalid pairs, truly unreachable
-// destinations, or a scheme that misbehaves beyond repair.
+// Route serves one query with a fresh packet and no trace.
 func (r *Router) Route(src, dst graph.Vertex) Result {
-	return r.RouteTraced(src, dst, nil)
+	res, _ := r.RouteInto(nil, src, dst, nil)
+	return res
 }
 
-// RouteTraced is Route with an optional trace recorder: each hop records the
-// scheme phase about to act (via the scheme's PhaseReporter, if implemented),
-// and overlay interventions record PhaseDetour / PhaseFallback steps. A nil
-// tr takes the exact untraced path.
-func (r *Router) RouteTraced(src, dst graph.Vertex, tr *obs.Trace) Result {
+// RouteInto serves one query. scratch is a packet returned by an earlier
+// RouteInto on this router (or nil); with a simnet.ReusableScheme the route
+// prepares into it, and the packet used is returned for the caller to pass
+// back in. tr, when non-nil, records the scheme phase about to act at each
+// hop and the overlay's detour and fallback steps.
+//
+// When the overlay is empty at route start the effective graph is the
+// scheme's own graph: the walk reads base weights, never takes the overlay
+// lock, and a scheme failure (Prepare/Next error, bad port, hop limit) is
+// the routing error simnet.Network reports. Over a non-empty overlay every
+// returned route is a real walk in the effective graph with its current
+// weights; when the scheme alone cannot produce one, the route is completed
+// by detour or exact fallback and the Result says so, and Err is non-nil
+// only for invalid pairs, unreachable destinations or a delivery at the
+// wrong vertex.
+func (r *Router) RouteInto(scratch simnet.Packet, src, dst graph.Vertex, tr *obs.Trace) (Result, simnet.Packet) {
 	res := Result{Src: src, Dst: dst}
 	if n := graph.Vertex(r.g.N()); src < 0 || src >= n || dst < 0 || dst >= n {
 		res.Err = fmt.Errorf("live: pair (%d, %d) out of range [0, %d)", src, dst, n)
-		return res
+		return res, scratch
 	}
-	pkt, err := r.scheme.Prepare(src, dst)
+	patched := !r.ov.Empty()
+	var pkt simnet.Packet
+	var err error
+	if r.reuse != nil {
+		pkt, err = r.reuse.PrepareInto(scratch, src, dst)
+	} else {
+		pkt, err = r.scheme.Prepare(src, dst)
+	}
 	if err != nil {
-		// A scheme that cannot even prepare (should not happen on its own
-		// graph) still gets the query answered exactly.
-		return r.fallbackTraced(res, src, dst, tr)
+		return r.abandon(res, patched, src, tr, fmt.Errorf("prepare %d->%d: %w", src, dst, err)), pkt
 	}
 	res.HeaderWords = r.scheme.HeaderWords(pkt)
 	at := src
@@ -117,7 +132,7 @@ func (r *Router) RouteTraced(src, dst graph.Vertex, tr *obs.Trace) Result {
 		}
 		d, err := r.scheme.Next(at, pkt)
 		if err != nil {
-			return r.fallbackTraced(res, at, dst, tr)
+			return r.abandon(res, patched, at, tr, fmt.Errorf("next at %d (%d->%d, hop %d): %w", at, src, dst, res.Hops, err)), pkt
 		}
 		if hw := r.scheme.HeaderWords(pkt); hw > res.HeaderWords {
 			res.HeaderWords = hw
@@ -126,16 +141,19 @@ func (r *Router) RouteTraced(src, dst graph.Vertex, tr *obs.Trace) Result {
 			if at != dst {
 				res.Err = fmt.Errorf("live: packet %d->%d delivered at wrong vertex %d", src, dst, at)
 			}
-			return res
+			return res, pkt
 		}
 		if d.Port < 0 || int(d.Port) >= r.g.Degree(at) {
-			return r.fallbackTraced(res, at, dst, tr)
+			return r.abandon(res, patched, at, tr, fmt.Errorf("live: invalid port %d at vertex %d (degree %d)", d.Port, at, r.g.Degree(at))), pkt
 		}
-		next, baseW, _ := r.g.Endpoint(at, d.Port)
-		ew, alive := r.ov.EffectiveWeight(at, next, baseW)
+		next, w, _ := r.g.Endpoint(at, d.Port)
+		alive := true
+		if patched {
+			w, alive = r.ov.EffectiveWeight(at, next, w)
+		}
 		if alive {
 			res.Hops++
-			res.Weight += ew
+			res.Weight += w
 			at = next
 		} else {
 			res.DeadHits++
@@ -144,7 +162,7 @@ func (r *Router) RouteTraced(src, dst graph.Vertex, tr *obs.Trace) Result {
 			}
 			path, pw, ok := r.ov.detour(at, next, r.budget, false)
 			if !ok {
-				return r.fallbackTraced(res, at, dst, tr)
+				return r.fallbackTraced(res, at, dst, tr), pkt
 			}
 			res.Detours++
 			res.DetourHops += len(path) - 1
@@ -153,9 +171,20 @@ func (r *Router) RouteTraced(src, dst graph.Vertex, tr *obs.Trace) Result {
 			at = next
 		}
 		if res.Hops > r.maxHops {
-			return r.fallbackTraced(res, at, dst, tr)
+			return r.abandon(res, patched, at, tr, fmt.Errorf("routing %d->%d: %w (limit %d)", src, dst, simnet.ErrHopLimit, r.maxHops)), pkt
 		}
 	}
+}
+
+// abandon ends a route the scheme could not complete on its own: over a
+// patched overlay the exact fallback finishes it from at; on the scheme's
+// own graph the failure is the route's error.
+func (r *Router) abandon(res Result, patched bool, at graph.Vertex, tr *obs.Trace, err error) Result {
+	if !patched {
+		res.Err = err
+		return res
+	}
+	return r.fallbackTraced(res, at, res.Dst, tr)
 }
 
 // fallbackTraced completes the route from the packet's current position with

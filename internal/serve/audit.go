@@ -8,7 +8,6 @@ import (
 
 	"compactroute/internal/graph"
 	"compactroute/internal/obs"
-	"compactroute/internal/simnet"
 )
 
 // The online route auditor: continuous, sampled, asynchronous shadow
@@ -66,49 +65,10 @@ type auditBackend struct {
 	fr       *obs.FlightRecorder
 }
 
-// staticAuditBackend audits an immutable-scheme Engine: the graph never
-// changes, so every record verifies against the base kernel and none are
-// stale.
-func staticAuditBackend(s simnet.Scheme, fr *obs.FlightRecorder) auditBackend {
-	g := s.Graph()
-	return auditBackend{
-		fr: fr,
-		check: func(rec auditRecord) auditVerdict {
-			d := g.BoundedBidiDist(graph.Vertex(rec.src), graph.Vertex(rec.dst), rec.weight)
-			v := auditVerdict{kind: auditVerified, dist: d, bound: s.StretchBound(d)}
-			if rec.weight > v.bound+1e-9 {
-				v.kind = auditViolation
-			}
-			return v
-		},
-		describe: func(rec auditRecord, v auditVerdict) obs.FlightEvent {
-			return describeViolation(simnet.NewNetwork(s), rec, v)
-		},
-	}
-}
-
-// describeViolation re-routes the offending query through a private network
-// handle with a local trace attached, so the flight-recorder event carries
-// the full route and per-hop decisions. Violations are rare by theorem, so
-// the throwaway network and trace are fine here.
-func describeViolation(nw *simnet.Network, rec auditRecord, v auditVerdict) obs.FlightEvent {
-	tr := &obs.Trace{ID: rec.id, Src: rec.src, Dst: rec.dst}
-	r, _, err := nw.RouteTraced(graph.Vertex(rec.src), graph.Vertex(rec.dst), nil, tr)
-	tr.Hops = r.Hops
-	tr.Err = err != nil
-	return obs.FlightEvent{
-		Kind:   "audit_violation",
-		Detail: fmt.Sprintf("routed weight %g exceeds proved bound %g (dist %g)", rec.weight, v.bound, v.dist),
-		Src:    rec.src, Dst: rec.dst, Gen: rec.gen,
-		Weight: rec.weight, Dist: v.dist, Bound: v.bound,
-		Trace: tr,
-	}
-}
-
 // Auditor is the background shadow-verification pool. Build one with
-// NewAuditor, hand it to an engine via Options.Audit / LiveOptions.Audit
-// (the engine starts the workers against its own verification backend), and
-// Close it when the engine is done. One auditor serves exactly one engine.
+// NewAuditor, hand it to an engine via LiveOptions.Audit (the engine starts
+// the workers against its own verification backend), and Close it when the
+// engine is done. One auditor serves exactly one engine.
 type Auditor struct {
 	thresh  uint64
 	workers int

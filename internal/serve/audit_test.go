@@ -37,10 +37,11 @@ func TestAuditorDeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers int) AuditStats {
 		a := NewAuditor(0.5, workers, 4096)
 		defer a.Close()
-		eng, err := New(s, Options{Workers: 2, Audit: a})
+		eng, err := NewLive(s, LiveOptions{Workers: 2, Audit: a})
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer eng.Close()
 		eng.Query(pairs, nil)
 		for _, p := range pairs[:32] {
 			eng.Route(p[0], p[1])
@@ -63,7 +64,7 @@ func TestAuditorDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatalf("verdicts diverge: %+v vs %+v", one, four)
 	}
 	if one.Verified != one.Sampled {
-		t.Fatalf("static engine: verified %d != sampled %d", one.Verified, one.Sampled)
+		t.Fatalf("empty overlay: verified %d != sampled %d", one.Verified, one.Sampled)
 	}
 	if one.MinHeadroom <= 0 || one.Drift < 1 {
 		t.Fatalf("headroom/drift not fed: %+v", one)
@@ -89,7 +90,12 @@ func TestAuditorDropCounting(t *testing.T) {
 	if st.Sampled != 10 || st.Dropped != 9 || st.Backlog != 1 {
 		t.Fatalf("sampled=%d dropped=%d backlog=%d, want 10/9/1", st.Sampled, st.Dropped, st.Backlog)
 	}
-	a.start(staticAuditBackend(s, nil))
+	l, err := NewLive(s, LiveOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	a.start(l.auditBackend())
 	a.Flush()
 	st = a.Stats()
 	if st.Verified+st.Violations != 1 || st.Backlog != 0 {
@@ -106,15 +112,17 @@ func TestAuditorDoubleAttachPanics(t *testing.T) {
 	}
 	a := NewAuditor(1, 1, 16)
 	defer a.Close()
-	if _, err := New(s, Options{Workers: 1, Audit: a}); err != nil {
+	eng, err := NewLive(s, LiveOptions{Workers: 1, Audit: a})
+	if err != nil {
 		t.Fatal(err)
 	}
+	defer eng.Close()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("attaching one auditor to a second engine did not panic")
 		}
 	}()
-	New(s, Options{Workers: 1, Audit: a})
+	NewLive(s, LiveOptions{Workers: 1, Audit: a})
 }
 
 // TestAuditViolationTripsFlightRecorder is the end-to-end anomaly drill: a
@@ -135,10 +143,11 @@ func TestAuditViolationTripsFlightRecorder(t *testing.T) {
 
 	a := NewAuditor(1, 2, 4096)
 	defer a.Close()
-	eng, err := New(s, Options{Workers: 2, Audit: a, FlightRec: fr})
+	eng, err := NewLive(s, LiveOptions{Workers: 2, Audit: a, FlightRec: fr})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer eng.Close()
 	eng.Query(samplePairs(g.N(), 64, 9), nil)
 	a.Flush()
 
@@ -194,6 +203,7 @@ func TestLiveAuditAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer l.Close()
 	res := l.Route(0, 1)
 	if res.Err != nil {
 		t.Fatal(res.Err)
@@ -247,6 +257,7 @@ func TestLiveAuditSmokeUnderChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer l.Close()
 	pairs := samplePairs(g.N(), 200, 13)
 	l.Query(pairs, nil)
 	if err := l.ApplyUpdates(live.ChurnTrace(g, 10, 21, 16)); err != nil {

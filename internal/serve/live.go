@@ -3,7 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -68,66 +68,6 @@ func (p RepairPolicy) filled() RepairPolicy {
 	return p
 }
 
-// LiveOptions configures a live (churn-tolerant) serving engine.
-type LiveOptions struct {
-	// Workers is the number of serving shards; <= 0 selects the package
-	// parallelism default.
-	Workers int
-	// Verify measures every delivery against the true distance in the
-	// *effective* (churned) graph. Deliveries served clean (no overlay
-	// entries, no detours) are checked against the scheme's proved stretch
-	// bound exactly like Engine does; degraded deliveries are reported as
-	// measured staleness stretch instead - the bound is not a promise the
-	// preprocessed scheme ever made about a different graph.
-	Verify bool
-	// DetourBudget bounds the local search around one dead edge (finalized
-	// vertices); <= 0 selects live.DefaultDetourBudget.
-	DetourBudget int
-	// MaxHops overrides the scheme-walk hop budget (0 keeps 8n+64).
-	MaxHops int
-	// Build rebuilds a scheme for the materialized effective graph; nil
-	// disables Rebuild.
-	Build BuildFunc
-	// Repair incrementally repairs the serving scheme for the effective
-	// graph; nil disables Repair (Refresh always rebuilds).
-	Repair RepairFunc
-	// Policy governs Refresh's repair-vs-rebuild decision; the zero value
-	// selects DefaultRepairPolicy.
-	Policy RepairPolicy
-	// Obs, when non-nil, registers the live engine's serving statistics and
-	// churn/repair lifecycle on the registry (see Options.Obs).
-	Obs *obs.Registry
-	// Trace, when non-nil, samples per-query route traces, including the
-	// overlay's detour and fallback decisions (see Options.Trace).
-	Trace *obs.TraceSink
-	// Retire, when non-nil, runs exactly once after the initially-supplied
-	// scheme's generation has been swapped out by a rebuild AND every
-	// in-flight query on it has drained. It is how a scheme served straight
-	// off an mmap'd snapshot releases its mapping: the RCU generation
-	// refcount guarantees no query can still touch the aliased tables when
-	// the hook (typically munmap) fires. Rebuilt generations own ordinary
-	// heap schemes and carry no hook.
-	Retire func()
-	// VerifyBidi makes Verify prove true effective-graph distances with the
-	// overlay-aware bounded bidirectional kernel instead of the Distances
-	// row cache - bit-identical statistics (integer weights), no row
-	// rebuilds when the overlay version moves. The Distances source remains
-	// the fallback for the rare raced walk whose recorded weight undercuts
-	// the current effective distance.
-	VerifyBidi bool
-	// Audit, when non-nil, shadow-verifies a deterministic sample of
-	// delivered queries off the hot path. Records carry the generation id
-	// and overlay version observed at route time; the audit re-validates
-	// both, so a violation is only ever charged to a provably-clean route -
-	// anything that raced churn is attributed to staleness, never
-	// double-counted.
-	Audit *Auditor
-	// FlightRec, when non-nil, receives the live lifecycle as flight events:
-	// edge updates, rebuild/repair/swap transitions, escalations, generation
-	// retires, and audited violations with route and trace.
-	FlightRec *obs.FlightRecorder
-}
-
 // ErrRebuildInFlight is returned by Rebuild while a rebuild is running.
 var ErrRebuildInFlight = errors.New("serve: a rebuild is already in flight")
 
@@ -144,6 +84,9 @@ type generation struct {
 	router *live.Router
 	refs   atomic.Int64
 	retire func()
+	// pkts recycles the scratch packets of single-query Route calls on this
+	// generation (see worker.pktGen for why packets never cross one).
+	pkts sync.Pool
 }
 
 // tryAcquire takes a query reference unless the generation has already
@@ -169,36 +112,9 @@ func (g *generation) release() {
 	}
 }
 
-// acquireGen pins the current generation for one query.
-func (l *Live) acquireGen() *generation {
-	for {
-		g := l.gen.Load()
-		if g.tryAcquire() {
-			return g
-		}
-	}
-}
-
-// liveExtras is the churn-specific half of one shard's statistics.
-type liveExtras struct {
-	deadHits   uint64
-	detours    uint64
-	detourHops uint64
-	fallbacks  uint64
-	stale      uint64 // deliveries served degraded (detour/fallback) or over a non-empty overlay
-	staleHist  [StretchBuckets + 1]uint64
-	maxStale   float64
-}
-
-// liveShard is one worker lane of the live engine.
-type liveShard struct {
-	mu sync.Mutex
-	st counters
-	lv liveExtras
-}
-
-// Live serves route queries while the graph churns underneath the scheme:
-// an RCU-style generation manager over overlay-patched routing.
+// Live serves route queries for a preprocessed scheme while the graph
+// churns underneath it: an RCU-style generation manager over
+// overlay-patched routing.
 //
 // Queries are served from the current generation through a live.Router
 // (scheme decisions patched against the shared edge-delta overlay);
@@ -208,13 +124,9 @@ type liveShard struct {
 // rebuild, and the statistics are owned by the engine - not a generation -
 // so nothing is lost across a swap.
 type Live struct {
-	opts   LiveOptions
-	ov     *live.Overlay
-	dist   *live.Distances
-	gen    atomic.Pointer[generation]
-	shards []*liveShard
-	rr     atomic.Uint64
-	start  atomic.Int64
+	*core
+	rr    atomic.Uint64
+	start atomic.Int64
 
 	// The lifecycle counters are obs instruments (atomic underneath) so a
 	// registry can export them directly; they work unregistered exactly the
@@ -235,11 +147,10 @@ type Live struct {
 	lastInfoMu     sync.Mutex
 	lastInfo       RepairInfo
 
-	// obsCnt/obsLv/obsStats/obsInfo are the merged snapshot behind the
-	// registry's func-backed instruments (refreshed by the collect hook and
-	// read under the registry lock; see registerObs).
+	// obsCnt/obsStats/obsInfo are the merged snapshot behind the registry's
+	// func-backed instruments (refreshed by the collect hook and read under
+	// the registry lock; see registerObs).
 	obsCnt   counters
-	obsLv    liveExtras
 	obsStats Stats
 	obsInfo  RepairInfo
 
@@ -255,7 +166,10 @@ type Live struct {
 	pending   []live.Update
 }
 
-// NewLive builds a live engine serving s over a fresh (empty) overlay.
+// NewLive builds an engine serving s over a fresh (empty) overlay and starts
+// one worker goroutine per shard. Callers that create engines in a loop
+// should Close them; an engine dropped without Close releases its workers
+// when the garbage collector collects it.
 func NewLive(s simnet.Scheme, o LiveOptions) (*Live, error) {
 	return NewLiveWithOverlay(s, live.NewOverlay(s.Graph()), o)
 }
@@ -274,13 +188,16 @@ func NewLiveWithOverlay(s simnet.Scheme, ov *live.Overlay, o LiveOptions) (*Live
 	if err != nil {
 		return nil, err
 	}
-	l := &Live{opts: o, ov: ov, dist: live.NewDistances(ov), shards: make([]*liveShard, o.Workers)}
-	for i := range l.shards {
-		l.shards[i] = &liveShard{}
-	}
-	gen0 := &generation{id: 0, router: router, retire: l.retireHook(0, o.Retire)}
+	c := &core{opts: o, ov: ov, dist: live.NewDistances(ov), shards: make([]*shard, o.Workers),
+		cl: &closer{quit: make(chan struct{})}}
+	gen0 := &generation{id: 0, router: router, retire: c.retireHook(0, o.Retire)}
 	gen0.refs.Store(1) // owner reference, released by the first swap
-	l.gen.Store(gen0)
+	c.gen.Store(gen0)
+	for i := range c.shards {
+		c.shards[i] = &shard{jobs: make(chan batchJob, 8)}
+		go (&worker{c: c, sh: c.shards[i]}).loop()
+	}
+	l := &Live{core: c}
 	now := time.Now().UnixNano()
 	l.start.Store(now)
 	l.lastFullAt.Store(now)
@@ -288,16 +205,20 @@ func NewLiveWithOverlay(s simnet.Scheme, ov *live.Overlay, o LiveOptions) (*Live
 		l.registerObs(o.Obs)
 	}
 	if o.Audit != nil {
-		o.Audit.start(l.auditBackend())
+		o.Audit.start(c.auditBackend())
 	}
+	// Safety net for engines dropped without Close: the workers reference
+	// only the core, never the handle, so the handle becomes unreachable
+	// while they are parked and the cleanup can stop them.
+	runtime.AddCleanup(l, func(cl *closer) { cl.close() }, c.cl)
 	return l, nil
 }
 
 // retireHook chains a generation's retire callback with the flight-recorder
 // retire event, so the recorder captures the munmap-after-drain point of
 // every displaced generation.
-func (l *Live) retireHook(id uint64, retire func()) func() {
-	fr := l.opts.FlightRec
+func (c *core) retireHook(id uint64, retire func()) func() {
+	fr := c.opts.FlightRec
 	if fr == nil {
 		return retire
 	}
@@ -315,26 +236,26 @@ func (l *Live) retireHook(id uint64, retire func()) func() {
 // the bounded bidirectional search. Everything else is churn-attributed
 // (audit_stale), mirroring the hot path's staleness accounting so a
 // violation is never double-counted across the two classifications.
-func (l *Live) auditBackend() auditBackend {
+func (c *core) auditBackend() auditBackend {
 	return auditBackend{
-		fr: l.opts.FlightRec,
+		fr: c.opts.FlightRec,
 		check: func(rec auditRecord) auditVerdict {
 			if !rec.clean {
 				return auditVerdict{kind: auditStale}
 			}
-			gen := l.gen.Load()
+			gen := c.gen.Load()
 			if gen.id != rec.gen || !gen.tryAcquire() {
 				return auditVerdict{kind: auditStale}
 			}
 			defer gen.release()
-			if l.ov.Version() != rec.version {
+			if c.ov.Version() != rec.version {
 				return auditVerdict{kind: auditStale}
 			}
 			// Clean + version unchanged means the overlay is still empty, so
 			// the effective graph IS the generation's base graph and the
 			// proved bound applies.
-			d := l.ov.BoundedBidiDist(graph.Vertex(rec.src), graph.Vertex(rec.dst), rec.weight)
-			if l.ov.Version() != rec.version || l.gen.Load() != gen {
+			d := c.ov.BoundedBidiDist(graph.Vertex(rec.src), graph.Vertex(rec.dst), rec.weight)
+			if c.ov.Version() != rec.version || c.gen.Load() != gen {
 				return auditVerdict{kind: auditStale} // churn raced the audit search
 			}
 			v := auditVerdict{kind: auditVerified, dist: d, bound: gen.router.Scheme().StretchBound(d)}
@@ -350,14 +271,14 @@ func (l *Live) auditBackend() auditBackend {
 				Src:    rec.src, Dst: rec.dst, Gen: rec.gen,
 				Weight: rec.weight, Dist: v.dist, Bound: v.bound,
 			}
-			gen := l.gen.Load()
+			gen := c.gen.Load()
 			if gen.id != rec.gen || !gen.tryAcquire() {
 				ev.Detail += "; generation moved before the route could be re-traced"
 				return ev
 			}
 			defer gen.release()
 			tr := &obs.Trace{ID: rec.id, Src: rec.src, Dst: rec.dst}
-			res := gen.router.RouteTraced(graph.Vertex(rec.src), graph.Vertex(rec.dst), tr)
+			res, _ := gen.router.RouteInto(nil, graph.Vertex(rec.src), graph.Vertex(rec.dst), tr)
 			tr.Hops = res.Hops
 			tr.Err = res.Err != nil
 			tr.Stale = res.Stale()
@@ -381,9 +302,6 @@ func (l *Live) Overlay() *live.Overlay { return l.ov }
 // Distances returns the effective-graph distance source the engine
 // verifies against.
 func (l *Live) Distances() *live.Distances { return l.dist }
-
-// Workers returns the number of serving shards.
-func (l *Live) Workers() int { return len(l.shards) }
 
 // ApplyUpdates applies edge updates in order. On the first invalid update
 // it stops and returns the error; earlier updates stay applied (each update
@@ -436,137 +354,6 @@ func (l *Live) endQuiesce() {
 	}
 	l.pending = nil
 	l.quiescing = false
-}
-
-// routeOn serves one query on the given shard.
-func (l *Live) routeOn(sh *liveShard, src, dst graph.Vertex) live.Result {
-	// A route is bound-checked against the proved stretch bound only when
-	// it provably ran clean: the overlay was empty before routing, no
-	// update arrived while it ran (version unchanged), no generation swap
-	// raced it, and the route itself crossed nothing patched. Every other
-	// route - including the rare one that merely *races* churn - is
-	// conservatively accounted as staleness, never as a false violation.
-	emptyBefore := l.ov.Empty()
-	vBefore := l.ov.Version()
-	gen := l.acquireGen()
-	defer gen.release()
-	tr := l.opts.Trace.Sample(int32(src), int32(dst))
-	id := obs.QueryID(int32(src), int32(dst))
-	timed := id&latSampleBit == 0
-	var t0 int64
-	if timed {
-		t0 = time.Now().UnixNano()
-	}
-	res := gen.router.RouteTraced(src, dst, tr)
-	var dt int64
-	if timed {
-		dt = time.Now().UnixNano() - t0
-	}
-	if tr != nil {
-		tr.Hops = res.Hops
-		tr.Err = res.Err != nil
-		tr.Stale = res.Stale()
-		l.opts.Trace.Done(tr)
-	}
-	clean := !res.Stale() && emptyBefore && l.ov.Version() == vBefore && l.gen.Load() == gen
-	sr := Result{Src: src, Dst: dst, Hops: res.Hops, HeaderWords: res.HeaderWords,
-		Weight: res.Weight, Dist: -1, Err: res.Err}
-	if l.opts.Verify && res.Err == nil {
-		if l.opts.VerifyBidi {
-			d := l.ov.BoundedBidiDist(src, dst, res.Weight)
-			if math.IsInf(d, 1) {
-				// The recorded weight undercuts the current effective
-				// distance - only possible for a walk that raced churn; the
-				// row cache answers, exactly like PathSource mode.
-				d = l.dist.Dist(src, dst)
-			}
-			sr.Dist = d
-		} else {
-			sr.Dist = l.dist.Dist(src, dst)
-		}
-	}
-	sh.mu.Lock()
-	delivered := sh.st.recordBase(&sr)
-	if delivered {
-		switch {
-		case !l.opts.Verify:
-			sh.st.unverified++
-		case clean:
-			sh.st.recordVerified(gen.router.Scheme(), &sr)
-		default:
-			sh.lv.stale++
-			if sr.Dist > 0 {
-				str := sr.Weight / sr.Dist
-				if str > sh.lv.maxStale {
-					sh.lv.maxStale = str
-				}
-				sh.lv.staleHist[stretchBucket(str)]++
-			}
-		}
-	}
-	sh.lv.deadHits += uint64(res.DeadHits)
-	sh.lv.detours += uint64(res.Detours)
-	sh.lv.detourHops += uint64(res.DetourHops)
-	if res.Fallback {
-		sh.lv.fallbacks++
-	}
-	if timed {
-		sh.st.recordLatency(dt)
-	}
-	sh.mu.Unlock()
-	if res.Err == nil {
-		l.opts.Audit.offer(id, int32(src), int32(dst), res.Weight, gen.id, vBefore, clean)
-	}
-	return res
-}
-
-// Route serves a single query on the next shard (round robin).
-func (l *Live) Route(src, dst graph.Vertex) live.Result {
-	sh := l.shards[l.rr.Add(1)%uint64(len(l.shards))]
-	return l.routeOn(sh, src, dst)
-}
-
-// Query serves a batch: contiguous blocks of pairs, one per shard, exactly
-// like Engine.Query. out is allocated when nil or too short.
-func (l *Live) Query(pairs [][2]graph.Vertex, out []live.Result) []live.Result {
-	if len(out) < len(pairs) {
-		out = make([]live.Result, len(pairs))
-	}
-	out = out[:len(pairs)]
-	w := len(l.shards)
-	if w > len(pairs) {
-		w = len(pairs)
-	}
-	if w <= 1 {
-		if len(l.shards) > 0 {
-			sh := l.shards[0]
-			for i, p := range pairs {
-				out[i] = l.routeOn(sh, p[0], p[1])
-			}
-		}
-		return out
-	}
-	chunk := (len(pairs) + w - 1) / w
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		lo := i * chunk
-		hi := lo + chunk
-		if hi > len(pairs) {
-			hi = len(pairs)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(sh *liveShard, lo, hi int) {
-			defer wg.Done()
-			for j := lo; j < hi; j++ {
-				out[j] = l.routeOn(sh, pairs[j][0], pairs[j][1])
-			}
-		}(l.shards[i], lo, hi)
-	}
-	wg.Wait()
-	return out
 }
 
 // Rebuild materializes the effective graph, preprocesses a fresh scheme for
@@ -634,7 +421,7 @@ func (l *Live) swapTo(s simnet.Scheme, g *graph.Graph) error {
 	// still holds the absolute states both generations patch against; once
 	// pruned, an in-flight query that pinned the *old* generation may
 	// route a one-swap-stale walk (old base weights, possibly crossing a
-	// just-removed edge) - bounded RCU staleness that routeOn's clean
+	// just-removed edge) - bounded RCU staleness that route's clean
 	// check (generation re-read after routing) keeps out of the
 	// bound-verified statistics.
 	old := l.gen.Load()
@@ -712,7 +499,7 @@ func (l *Live) staleTotal() uint64 {
 	var total uint64
 	for _, sh := range l.shards {
 		sh.mu.Lock()
-		total += sh.lv.stale
+		total += sh.st.stale
 		sh.mu.Unlock()
 	}
 	return total
@@ -780,9 +567,8 @@ func (l *Live) RebuildAsync() <-chan error {
 func (l *Live) Rebuilding() bool { return l.rebuilding.Load() }
 
 // LiveStats extends the serving statistics with the churn-specific
-// counters. The embedded Stats fields carry the same meaning as on Engine;
-// BoundViolations counts only clean-state deliveries (degraded deliveries
-// land in the staleness fields instead).
+// counters. BoundViolations counts only clean deliveries (degraded
+// deliveries land in the staleness fields instead).
 type LiveStats struct {
 	Stats
 	Generation     uint64
@@ -793,7 +579,7 @@ type LiveStats struct {
 	DetourHops     uint64
 	Fallbacks      uint64
 	// StaleServed counts deliveries answered degraded: through a detour or
-	// fallback, or over a non-empty overlay.
+	// fallback, over a non-empty overlay, or racing an update or swap.
 	StaleServed uint64
 	// MaxStaleStretch / StaleHist measure routed weight over the true
 	// effective distance for degraded deliveries (Verify only) - the
@@ -818,44 +604,21 @@ type LiveStats struct {
 	LastRepairInfo RepairInfo
 }
 
-// merged folds every shard's counters and churn extras into one block each.
-func (l *Live) merged() (counters, liveExtras) {
-	var m counters
-	var lv liveExtras
-	for _, sh := range l.shards {
-		sh.mu.Lock()
-		m.mergeFrom(&sh.st)
-		lv.deadHits += sh.lv.deadHits
-		lv.detours += sh.lv.detours
-		lv.detourHops += sh.lv.detourHops
-		lv.fallbacks += sh.lv.fallbacks
-		lv.stale += sh.lv.stale
-		if sh.lv.maxStale > lv.maxStale {
-			lv.maxStale = sh.lv.maxStale
-		}
-		for i := range sh.lv.staleHist {
-			lv.staleHist[i] += sh.lv.staleHist[i]
-		}
-		sh.mu.Unlock()
-	}
-	return m, lv
-}
-
 // Stats merges the shard counters into one snapshot.
 func (l *Live) Stats() LiveStats {
-	m, lv := l.merged()
+	m := l.merged()
 	st := LiveStats{
 		Stats:           m.finalize(l.start.Load()),
 		Generation:      l.Generation(),
 		OverlayVersion:  l.ov.Version(),
 		Overlay:         l.ov.Breakdown(),
-		DeadEdgeHits:    lv.deadHits,
-		Detours:         lv.detours,
-		DetourHops:      lv.detourHops,
-		Fallbacks:       lv.fallbacks,
-		StaleServed:     lv.stale,
-		MaxStaleStretch: lv.maxStale,
-		StaleHist:       lv.staleHist,
+		DeadEdgeHits:    m.deadHits,
+		Detours:         m.detours,
+		DetourHops:      m.detourHops,
+		Fallbacks:       m.fallbacks,
+		StaleServed:     m.stale,
+		MaxStaleStretch: m.maxStale,
+		StaleHist:       m.staleHist,
 		Rebuilds:        l.rebuilds.Value(),
 		RebuildErrors:   l.rebuildErrs.Value(),
 		Swaps:           l.swaps.Value(),
@@ -871,16 +634,4 @@ func (l *Live) Stats() LiveStats {
 	st.LastRepairInfo = l.lastInfo
 	l.lastInfoMu.Unlock()
 	return st
-}
-
-// ResetStats zeroes every shard's counters and restarts the QPS clock (the
-// rebuild/swap counters are engine-lifetime and survive).
-func (l *Live) ResetStats() {
-	for _, sh := range l.shards {
-		sh.mu.Lock()
-		sh.st = counters{}
-		sh.lv = liveExtras{}
-		sh.mu.Unlock()
-	}
-	l.start.Store(time.Now().UnixNano())
 }

@@ -1,10 +1,12 @@
 package serve_test
 
 import (
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"compactroute/internal/gen"
 	"compactroute/internal/graph"
@@ -110,18 +112,18 @@ func TestLiveServesThroughChurnAndSwap(t *testing.T) {
 	}
 
 	// From-scratch reference: build on the churned graph directly and serve
-	// the same pairs through the plain engine. Histograms must match bit
-	// for bit.
+	// the same pairs through a fresh engine. Histograms must match bit for
+	// bit.
 	churned := l.Scheme().Graph()
 	ref, err := buildThm11(seed)(churned)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := serve.New(ref, serve.Options{Workers: 4, Verify: true,
-		Paths: graph.NewLazyAPSP(churned, graph.LazyConfig{})})
+	eng, err := serve.NewLive(ref, serve.LiveOptions{Workers: 4, Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer eng.Close()
 	for _, r := range eng.Query(pairs, nil) {
 		if r.Err != nil {
 			t.Fatal(r.Err)
@@ -465,5 +467,125 @@ func TestLiveUpdateErrors(t *testing.T) {
 	}
 	if r := l.Route(1, 2); r.Err != nil {
 		t.Fatalf("serving broken after rejected update: %v", r.Err)
+	}
+}
+
+// TestLiveStaleServedWithoutVerify: staleness accounting does not depend on
+// Verify. Deliveries that cross dead edges count as stale on an engine that
+// never looks up a distance, so the MaxStaleServed policy still turns
+// Refresh into a full rebuild.
+func TestLiveStaleServedWithoutVerify(t *testing.T) {
+	const n, seed = 160, 2015
+	g := testutil.MustGNM(t, n, 4*n, seed, gen.UniformInt)
+	build, repair := repairPair(seed)
+	s, err := build(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := serve.NewLive(s, serve.LiveOptions{Workers: 2, Build: build, Repair: repair,
+		Policy: serve.RepairPolicy{MaxRepairEntries: 1 << 20, MaxStaleServed: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if err := l.ApplyUpdates(live.DeletionTrace(g, 0.05, 17)); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range l.Query(testutil.Pairs(n, 7, 11), nil) {
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+	}
+	st := l.Stats()
+	if st.DeadEdgeHits == 0 {
+		t.Fatal("no route crossed a dead edge")
+	}
+	if st.StaleServed == 0 || st.Unverified+st.StaleServed != st.Queries {
+		t.Fatalf("stale=%d unverified=%d queries=%d: every delivery over a non-empty overlay is stale",
+			st.StaleServed, st.Unverified, st.Queries)
+	}
+	if err := l.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	if st = l.Stats(); st.Rebuilds != 1 || st.Repairs != 0 || st.Escalations != 0 {
+		t.Fatalf("rebuilds=%d repairs=%d escalations=%d, want the stale-served limit to force 1/0/0",
+			st.Rebuilds, st.Repairs, st.Escalations)
+	}
+}
+
+// TestLiveQueryDeterministicAcrossWorkers: over a churned overlay - detours,
+// fallbacks, staleness stretch - the per-pair results and every counter of
+// the merged statistics are independent of the worker count.
+func TestLiveQueryDeterministicAcrossWorkers(t *testing.T) {
+	const n, seed = 200, 5
+	g := testutil.MustGNM(t, n, 4*n, seed, gen.UniformInt)
+	s, err := buildThm11(seed)(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace := live.DeletionTrace(g, 0.05, 9)
+	pairs := testutil.Pairs(n, 5, 3)
+	run := func(workers int) ([]live.Result, serve.LiveStats) {
+		l, err := serve.NewLive(s, serve.LiveOptions{Workers: workers, Verify: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		if err := l.ApplyUpdates(trace); err != nil {
+			t.Fatal(err)
+		}
+		out := l.Query(pairs, nil)
+		st := l.Stats()
+		// Wall-clock fields are not part of the contract.
+		st.Elapsed, st.QPS = 0, 0
+		st.LatencySamples, st.P50Latency, st.P99Latency = 0, 0, 0
+		return out, st
+	}
+	want, wantSt := run(1)
+	if wantSt.StaleServed == 0 || wantSt.Detours == 0 {
+		t.Fatalf("5%% deletions served nothing degraded: %+v", wantSt)
+	}
+	for _, workers := range []int{2, 4} {
+		got, gotSt := run(workers)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: results differ from workers=1", workers)
+		}
+		if gotSt != wantSt {
+			t.Fatalf("workers=%d: stats differ from workers=1:\n got %+v\nwant %+v", workers, gotSt, wantSt)
+		}
+	}
+}
+
+// TestLiveDroppedEngineReleasesWorkers: an engine dropped without Close
+// stops its shard workers once the garbage collector collects it - the
+// workers reach only the engine core, never the handle the cleanup watches.
+func TestLiveDroppedEngineReleasesWorkers(t *testing.T) {
+	const n, seed = 80, 3
+	g := testutil.MustGNM(t, n, 4*n, seed, gen.UniformInt)
+	s, err := buildThm11(seed)(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := serve.NewAuditor(1, 1, 64)
+	defer a.Close()
+	baseline := runtime.NumGoroutine()
+	func() {
+		l, err := serve.NewLive(s, serve.LiveOptions{Workers: 4, Audit: a})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.Query(testutil.Pairs(n, 2, 1), nil)
+		a.Flush()
+	}()
+	// The auditor's own worker started with the engine and is not the
+	// engine's to stop.
+	baseline++
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after dropping the engine, baseline %d", runtime.NumGoroutine(), baseline)
+		}
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"compactroute/internal/obs"
-	"compactroute/internal/simnet"
 )
 
 // This file is the bridge between the engine's sharded statistics and the
@@ -13,76 +12,6 @@ import (
 // metric is a func-backed instrument reading that snapshot. The hook and the
 // instrument reads both run under the registry lock, so a scrape observes
 // one coherent merge.
-
-// registerObs exposes the engine on reg. Called once from New.
-func (e *Engine) registerObs(reg *obs.Registry) {
-	reg.OnCollect(func() {
-		e.obsCnt = e.merged()
-		e.obsStats = e.obsCnt.finalize(e.start.Load())
-	})
-	registerBase(reg, e.scheme, len(e.shards), &e.obsCnt, &e.obsStats)
-}
-
-// registerBase registers the metric families shared by Engine and Live,
-// reading from the caller's collect-refreshed snapshot.
-func registerBase(reg *obs.Registry, s simnet.Scheme, workers int, c *counters, st *Stats) {
-	reg.CounterFunc("compactroute_queries_total",
-		"Queries served (including failures).",
-		func() float64 { return float64(c.queries) })
-	reg.CounterFunc("compactroute_route_errors_total",
-		"Routing failures.",
-		func() float64 { return float64(c.errors) })
-	reg.CounterFunc("compactroute_delivered_total",
-		"Queries delivered at their destination.",
-		func() float64 { return float64(c.delivered) })
-	reg.CounterFunc("compactroute_unverified_total",
-		"Deliveries served without distance verification.",
-		func() float64 { return float64(c.unverified) })
-	reg.CounterFunc("compactroute_bound_violations_total",
-		"Deliveries whose routed weight exceeded the scheme's proved stretch bound.",
-		func() float64 { return float64(c.violations) })
-	reg.GaugeFunc("compactroute_qps",
-		"Queries per second since start or stats reset.",
-		func() float64 { return st.QPS })
-	reg.GaugeFunc("compactroute_hops_mean",
-		"Mean hops over deliveries.",
-		func() float64 { return st.MeanHops })
-	reg.GaugeFunc("compactroute_hops_p50",
-		"Median hops over deliveries.",
-		func() float64 { return float64(st.P50Hops) })
-	reg.GaugeFunc("compactroute_hops_p99",
-		"99th-percentile hops over deliveries.",
-		func() float64 { return float64(st.P99Hops) })
-	reg.GaugeFunc("compactroute_stretch_max",
-		"Maximum observed stretch over verified deliveries.",
-		func() float64 { return st.MaxStretch })
-	reg.GaugeFunc("compactroute_route_latency_p50_seconds",
-		"Median route latency over the sampled subset (conservative: bucket upper bound).",
-		func() float64 { return st.P50Latency.Seconds() })
-	reg.GaugeFunc("compactroute_route_latency_p99_seconds",
-		"99th-percentile route latency over the sampled subset (conservative: bucket upper bound).",
-		func() float64 { return st.P99Latency.Seconds() })
-	reg.HistogramFunc("compactroute_hops",
-		"Route length in hops over deliveries (power-of-two buckets).",
-		func() obs.HistSnapshot { return hopSnapshot(c) })
-	reg.HistogramFunc("compactroute_stretch",
-		"Stretch of verified deliveries at positive distance (bucket width 0.25 from 1.0; sum not tracked).",
-		func() obs.HistSnapshot { return stretchSnapshot(&c.stretchHist) })
-	reg.HistogramFunc("compactroute_route_latency_seconds",
-		"Route latency over a deterministic 1-in-8 sample of queries.",
-		func() obs.HistSnapshot { return latSnapshot(c) })
-	reg.GaugeFunc("compactroute_workers",
-		"Serving shards (worker lanes).",
-		func() float64 { return float64(workers) })
-	g := s.Graph()
-	n, m := float64(g.N()), float64(g.M())
-	reg.GaugeFunc("compactroute_graph_vertices",
-		"Vertices of the preprocessed graph.",
-		func() float64 { return n })
-	reg.GaugeFunc("compactroute_graph_edges",
-		"Edges of the preprocessed graph.",
-		func() float64 { return m })
-}
 
 // hopCoarseBounds are the exposition buckets of the hop histogram: the fine
 // 1025-bucket internal histogram keeps quantiles exact, the exposition sums
@@ -153,18 +82,73 @@ func latSnapshot(c *counters) obs.HistSnapshot {
 	return s
 }
 
-// registerObs exposes the live engine on reg: the shared base families plus
-// the churn/repair/generation lifecycle. Called once from NewLiveWithOverlay.
+// registerObs exposes the engine on reg: the serving families plus the
+// churn/repair/generation lifecycle. Called once from NewLiveWithOverlay.
 func (l *Live) registerObs(reg *obs.Registry) {
 	reg.OnCollect(func() {
-		l.obsCnt, l.obsLv = l.merged()
+		l.obsCnt = l.merged()
 		l.obsStats = l.obsCnt.finalize(l.start.Load())
 		l.lastInfoMu.Lock()
 		l.obsInfo = l.lastInfo
 		l.lastInfoMu.Unlock()
 	})
-	registerBase(reg, l.Scheme(), len(l.shards), &l.obsCnt, &l.obsStats)
-	lv := &l.obsLv
+	c, st, workers := &l.obsCnt, &l.obsStats, len(l.shards)
+	reg.CounterFunc("compactroute_queries_total",
+		"Queries served (including failures).",
+		func() float64 { return float64(c.queries) })
+	reg.CounterFunc("compactroute_route_errors_total",
+		"Routing failures.",
+		func() float64 { return float64(c.errors) })
+	reg.CounterFunc("compactroute_delivered_total",
+		"Queries delivered at their destination.",
+		func() float64 { return float64(c.delivered) })
+	reg.CounterFunc("compactroute_unverified_total",
+		"Clean deliveries served without distance verification.",
+		func() float64 { return float64(c.unverified) })
+	reg.CounterFunc("compactroute_bound_violations_total",
+		"Clean deliveries whose routed weight exceeded the scheme's proved stretch bound.",
+		func() float64 { return float64(c.violations) })
+	reg.GaugeFunc("compactroute_qps",
+		"Queries per second since start or stats reset.",
+		func() float64 { return st.QPS })
+	reg.GaugeFunc("compactroute_hops_mean",
+		"Mean hops over deliveries.",
+		func() float64 { return st.MeanHops })
+	reg.GaugeFunc("compactroute_hops_p50",
+		"Median hops over deliveries.",
+		func() float64 { return float64(st.P50Hops) })
+	reg.GaugeFunc("compactroute_hops_p99",
+		"99th-percentile hops over deliveries.",
+		func() float64 { return float64(st.P99Hops) })
+	reg.GaugeFunc("compactroute_stretch_max",
+		"Maximum observed stretch over verified deliveries.",
+		func() float64 { return st.MaxStretch })
+	reg.GaugeFunc("compactroute_route_latency_p50_seconds",
+		"Median route latency over the sampled subset (conservative: bucket upper bound).",
+		func() float64 { return st.P50Latency.Seconds() })
+	reg.GaugeFunc("compactroute_route_latency_p99_seconds",
+		"99th-percentile route latency over the sampled subset (conservative: bucket upper bound).",
+		func() float64 { return st.P99Latency.Seconds() })
+	reg.HistogramFunc("compactroute_hops",
+		"Route length in hops over deliveries (power-of-two buckets).",
+		func() obs.HistSnapshot { return hopSnapshot(c) })
+	reg.HistogramFunc("compactroute_stretch",
+		"Stretch of verified deliveries at positive distance (bucket width 0.25 from 1.0; sum not tracked).",
+		func() obs.HistSnapshot { return stretchSnapshot(&c.stretchHist) })
+	reg.HistogramFunc("compactroute_route_latency_seconds",
+		"Route latency over a deterministic 1-in-8 sample of queries.",
+		func() obs.HistSnapshot { return latSnapshot(c) })
+	reg.GaugeFunc("compactroute_workers",
+		"Serving shards (worker lanes).",
+		func() float64 { return float64(workers) })
+	g := l.Scheme().Graph()
+	n, m := float64(g.N()), float64(g.M())
+	reg.GaugeFunc("compactroute_graph_vertices",
+		"Vertices of the preprocessed graph.",
+		func() float64 { return n })
+	reg.GaugeFunc("compactroute_graph_edges",
+		"Edges of the preprocessed graph.",
+		func() float64 { return m })
 
 	reg.GaugeFunc("compactroute_live_generation",
 		"Id of the serving generation (0 until the first swap).",
@@ -192,25 +176,25 @@ func (l *Live) registerObs(reg *obs.Registry) {
 
 	reg.CounterFunc("compactroute_live_dead_edge_hits_total",
 		"Scheme decisions that chose a dead edge.",
-		func() float64 { return float64(lv.deadHits) })
+		func() float64 { return float64(c.deadHits) })
 	reg.CounterFunc("compactroute_live_detours_total",
 		"Dead edges bypassed by bounded local search.",
-		func() float64 { return float64(lv.detours) })
+		func() float64 { return float64(c.detours) })
 	reg.CounterFunc("compactroute_live_detour_hops_total",
 		"Total length of detour bypasses.",
-		func() float64 { return float64(lv.detourHops) })
+		func() float64 { return float64(c.detourHops) })
 	reg.CounterFunc("compactroute_live_fallbacks_total",
 		"Routes completed by a per-query exact search.",
-		func() float64 { return float64(lv.fallbacks) })
+		func() float64 { return float64(c.fallbacks) })
 	reg.CounterFunc("compactroute_live_stale_served_total",
-		"Deliveries served degraded (detour/fallback or non-empty overlay).",
-		func() float64 { return float64(lv.stale) })
+		"Deliveries served degraded (detour/fallback, non-empty overlay, or racing an update or swap).",
+		func() float64 { return float64(c.stale) })
 	reg.GaugeFunc("compactroute_live_stale_stretch_max",
 		"Maximum measured staleness stretch over degraded deliveries.",
-		func() float64 { return lv.maxStale })
+		func() float64 { return c.maxStale })
 	reg.HistogramFunc("compactroute_live_stale_stretch",
 		"Measured staleness stretch of degraded deliveries (bucket width 0.25 from 1.0; sum not tracked).",
-		func() obs.HistSnapshot { return stretchSnapshot(&lv.staleHist) })
+		func() obs.HistSnapshot { return stretchSnapshot(&c.staleHist) })
 
 	reg.CounterVar(&l.rebuilds, "compactroute_live_rebuilds_total",
 		"Successful full rebuilds.")

@@ -12,7 +12,7 @@ import (
 )
 
 // TestEngineObsRegistry checks that an engine built with a registry exposes
-// its serving statistics through it, consistent with Engine.Stats.
+// its serving statistics through it, consistent with Stats.
 func TestEngineObsRegistry(t *testing.T) {
 	g := testGraph(t, 64, 5)
 	s, err := tzroute.New(g, tzroute.Params{K: 2, Seed: 5})
@@ -22,8 +22,7 @@ func TestEngineObsRegistry(t *testing.T) {
 	reg := obs.NewRegistry()
 	sink := obs.NewTraceSink(1, 32)
 	sink.Register(reg)
-	eng, err := New(s, Options{Workers: 2, Verify: true, Paths: graph.AllPairs(g),
-		Obs: reg, Trace: sink})
+	eng, err := NewLive(s, LiveOptions{Workers: 2, Verify: true, Obs: reg, Trace: sink})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,6 +94,7 @@ func TestLiveObsRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer lv.Close()
 
 	pairs := samplePairs(g.N(), 200, 13)
 	lv.Query(pairs, nil)

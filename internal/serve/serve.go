@@ -1,18 +1,27 @@
 // Package serve is the concurrent route-serving engine: it answers
-// route(u, v) queries against one preprocessed (typically snapshot-loaded)
-// scheme from many workers at once, and keeps live serving statistics.
+// route(u, v) queries against a preprocessed (typically snapshot-loaded)
+// scheme from many workers at once, keeps serving statistics, and keeps
+// answering while the graph churns underneath the scheme.
 //
-// A preprocessed Scheme is read-only at query time (simnet.Scheme requires
+// One engine, Live, serves both static and churned schemes: a static scheme
+// is a live one whose overlay never changes. Queries run through a
+// live.Router over the current generation; while the edge-delta overlay is
+// empty the router walks the scheme's own graph without taking the overlay
+// lock, so a static deployment pays a couple of atomic loads per query for
+// the churn machinery. ApplyUpdates mutates the overlay, and Rebuild, Repair
+// and Refresh hot-swap a fresh generation with an RCU-style pointer flip.
+//
+// A preprocessed scheme is read-only at query time (simnet.Scheme requires
 // Prepare/Next to be purely local computations over immutable tables), so
-// the engine shards nothing but scratch: each shard owns a simnet.Network
-// handle, a persistent worker goroutine with a private scratch packet, and
-// its own statistics block - the same own-your-slot idiom the construction
-// pipeline (internal/parallel) and the search kernels (graph.Workspace
-// pooling) use - and queries never contend on shared mutable state. The
-// batched Query path routes with zero steady-state allocations: packets are
-// reused through simnet.RouteReuse, batch bookkeeping is pooled, and stats
-// are folded into the shard block in chunks instead of per query.
-// Statistics are merged on demand by Stats.
+// the engine shards nothing but scratch: each shard owns a persistent worker
+// goroutine with a private scratch packet and its own statistics block - the
+// same own-your-slot idiom the construction pipeline (internal/parallel) and
+// the search kernels (graph.Workspace pooling) use - and queries never
+// contend on shared mutable state. The batched Query path routes with zero
+// steady-state allocations on an empty overlay: packets are reused through
+// simnet.ReusableScheme, batch bookkeeping is pooled, and stats are folded
+// into the shard block in chunks instead of per query. Statistics are merged
+// on demand by Stats.
 //
 // The evaluation harness (compactroute.EvaluateBatched) is a client of this
 // engine, so offline evaluation and online serving exercise the same code
@@ -22,7 +31,6 @@ package serve
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"math/bits"
 	"runtime"
@@ -31,80 +39,89 @@ import (
 	"time"
 
 	"compactroute/internal/graph"
+	"compactroute/internal/live"
 	"compactroute/internal/obs"
-	"compactroute/internal/parallel"
 	"compactroute/internal/simnet"
 )
 
-// Options configures an Engine.
-type Options struct {
+// LiveOptions configures a serving engine.
+type LiveOptions struct {
 	// Workers is the number of shards (concurrent routing lanes); <= 0
 	// selects the package-wide parallelism default (GOMAXPROCS, so the
 	// shard count matches the core count).
 	Workers int
-	// Verify looks up the true shortest distance of every delivered query
-	// in Paths and checks the routed weight against the scheme's proved
-	// StretchBound, feeding the stretch histogram and violation counter.
-	Verify bool
-	// Paths supplies true distances when Verify is set (dense or lazy; a
-	// LazyAPSP is concurrency-safe and is the natural choice in a serving
-	// process, which has no dense matrices).
-	Paths graph.PathSource
-	// MaxHops overrides the simulator's loop-protection hop limit
-	// (0 keeps the simnet default of 8n+64).
-	MaxHops int
+	// PinWorkers locks every shard worker to its OS thread, pinning one
+	// serving lane per core on machines where the scheduler would
+	// otherwise migrate them between batches.
+	PinWorkers bool
 	// FailFast makes Query abandon a batch after the first routing
 	// failure: remaining pairs are not routed and carry ErrAborted.
 	// The batched evaluation harness uses this so a broken scheme fails
 	// in one route instead of burning the hop limit on every pair.
 	FailFast bool
-	// PinWorkers locks every shard worker to its OS thread, pinning one
-	// serving lane per core on machines where the scheduler would
-	// otherwise migrate them between batches.
-	PinWorkers bool
-	// Obs, when non-nil, registers the engine's serving statistics on the
-	// registry as func-backed instruments refreshed by a collect hook at
-	// scrape time - the sharded hot-path counters stay exactly as they are.
+	// Verify looks up the true distance of every delivery in the
+	// *effective* (churned) graph. Deliveries served clean (empty overlay,
+	// no detours, no race with churn) are checked against the scheme's
+	// proved stretch bound; degraded deliveries are reported as measured
+	// staleness stretch instead - the bound is not a promise the
+	// preprocessed scheme ever made about a different graph.
+	Verify bool
+	// VerifyBidi makes Verify prove true distances with the overlay-aware
+	// bounded bidirectional kernel (bound = the routed weight) instead of
+	// the Distances row cache - bit-identical statistics (integer
+	// weights), no row rebuilds when the overlay version moves. The row
+	// cache remains the fallback for the rare raced walk whose recorded
+	// weight undercuts the current effective distance.
+	VerifyBidi bool
+	// DetourBudget bounds the local search around one dead edge (finalized
+	// vertices); <= 0 selects live.DefaultDetourBudget.
+	DetourBudget int
+	// MaxHops overrides the scheme-walk hop budget (0 keeps 8n+64).
+	MaxHops int
+	// Build rebuilds a scheme for the materialized effective graph; nil
+	// disables Rebuild.
+	Build BuildFunc
+	// Repair incrementally repairs the serving scheme for the effective
+	// graph; nil disables Repair (Refresh always rebuilds).
+	Repair RepairFunc
+	// Policy governs Refresh's repair-vs-rebuild decision; the zero value
+	// selects DefaultRepairPolicy.
+	Policy RepairPolicy
+	// Retire, when non-nil, runs exactly once after the initially-supplied
+	// scheme's generation has been swapped out AND every in-flight query
+	// on it has drained. It is how a scheme served straight off an mmap'd
+	// snapshot releases its mapping: the RCU generation refcount
+	// guarantees no query can still touch the aliased tables when the hook
+	// (typically munmap) fires. Rebuilt generations own ordinary heap
+	// schemes and carry no hook.
+	Retire func()
+	// Obs, when non-nil, registers the engine's serving statistics and
+	// churn/repair lifecycle on the registry as func-backed instruments
+	// refreshed by a collect hook at scrape time - the sharded hot-path
+	// counters stay exactly as they are.
 	Obs *obs.Registry
 	// Trace, when non-nil, samples per-query route traces (deterministic
-	// hash-based selection; see obs.TraceSink). Untraced queries pay one
-	// hash and one branch; a nil Trace pays one nil check.
+	// hash-based selection; see obs.TraceSink), including the overlay's
+	// detour and fallback decisions. Untraced queries pay one hash and one
+	// branch; a nil Trace pays one nil check.
 	Trace *obs.TraceSink
-	// VerifyBidi makes Verify compute true distances with the bounded
-	// bidirectional kernel (bound = the routed weight, which always covers
-	// the true distance of a delivered route) instead of a PathSource row.
-	// Repo graphs carry integer weights, so the distances - and therefore
-	// every violation/stretch statistic - are bit-identical between the two
-	// modes; Paths becomes optional and is consulted only as a fallback for
-	// the cases the bound genuinely cuts (never a delivered route).
-	VerifyBidi bool
 	// Audit, when non-nil, shadow-verifies a deterministic sample of
-	// delivered queries off the hot path through the bounded bidirectional
-	// kernel (see Auditor). New starts the auditor against this engine; one
-	// auditor serves one engine, and the caller Closes it after the engine
-	// is done.
+	// delivered queries off the hot path (see Auditor). Records carry the
+	// generation id and overlay version observed at route time; the audit
+	// re-validates both, so a violation is only ever charged to a
+	// provably-clean route. One auditor serves one engine, and the caller
+	// Closes it after the engine is done.
 	Audit *Auditor
-	// FlightRec, when non-nil, receives notable serving events - audited
-	// bound violations with the offending route and its trace, and (on the
-	// live engine) churn/repair/swap lifecycle transitions.
+	// FlightRec, when non-nil, receives notable serving events: audited
+	// bound violations with the offending route and its trace, edge
+	// updates, rebuild/repair/swap transitions, escalations and
+	// generation retires.
 	FlightRec *obs.FlightRecorder
 }
 
 // ErrAborted marks pairs skipped after a FailFast batch hit its first
 // routing failure.
 var ErrAborted = errors.New("serve: batch aborted after an earlier routing failure")
-
-// Result is the outcome of one served query.
-type Result struct {
-	Src, Dst    graph.Vertex
-	Hops        int
-	HeaderWords int
-	Weight      float64
-	// Dist is the true shortest distance, looked up only under
-	// Options.Verify; -1 otherwise.
-	Dist float64
-	Err  error
-}
 
 // Histogram geometry of the serving statistics.
 const (
@@ -150,15 +167,17 @@ func latBoundNs(i int) int64 { return 256 << uint(i) }
 // is exact once Query returns).
 const statsChunk = 512
 
-// Stats is a merged snapshot of an engine's counters.
+// Stats is a merged snapshot of an engine's serving counters.
 type Stats struct {
-	Queries    uint64 // total queries served (including failures)
-	Errors     uint64 // routing failures
-	Unverified uint64 // deliveries served without distance verification
-	// BoundViolations counts deliveries whose routed weight exceeded the
-	// scheme's proved StretchBound - must stay zero.
+	Queries uint64 // total queries served (including failures)
+	Errors  uint64 // routing failures
+	// Unverified counts clean deliveries served without distance
+	// verification (Verify off).
+	Unverified uint64
+	// BoundViolations counts clean deliveries whose routed weight exceeded
+	// the scheme's proved StretchBound - must stay zero.
 	BoundViolations uint64
-	Elapsed         time.Duration // since New or ResetStats
+	Elapsed         time.Duration // since the engine started or ResetStats
 	QPS             float64       // Queries / Elapsed
 	MeanHops        float64       // over deliveries
 	P50Hops         int
@@ -187,427 +206,79 @@ type counters struct {
 	maxStretch  float64
 	latCount    uint64
 	latSum      uint64 // nanoseconds over sampled queries
+	deadHits    uint64
+	detours     uint64
+	detourHops  uint64
+	fallbacks   uint64
+	stale       uint64 // deliveries that were not provably clean
+	maxStale    float64
 	hopHist     [hopBuckets + 1]uint64
 	stretchHist [StretchBuckets + 1]uint64
+	staleHist   [StretchBuckets + 1]uint64
 	latHist     [latBuckets + 1]uint64
 }
 
-// recordLatency folds one sampled route latency into the block.
-func (c *counters) recordLatency(ns int64) {
-	c.latCount++
-	c.latSum += uint64(ns)
-	c.latHist[latBucket(ns)]++
+// outcome is how one served query is accounted: whether it provably ran
+// clean, its true distance (-1 unless Verify looked it up) and its sampled
+// latency in nanoseconds (-1 when the query was not sampled).
+type outcome struct {
+	clean bool
+	dist  float64
+	lat   int64
 }
 
-// shard is one worker lane: a Network handle, the worker's job feed and the
-// privately-owned counters. Shards are allocated separately so two lanes
-// never share a cache line, and the read-mostly dispatch fields are padded
-// away from the mutex/counters the worker and Stats write - the dispatcher
-// of one shard must not false-share with the stats traffic of another.
-type shard struct {
-	nw   *simnet.Network
-	jobs chan batchJob
-	_    [64]byte // keep dispatch reads off the stats line
-	mu   sync.Mutex
-	st   counters
-	_    [64]byte
-}
-
-// batchJob is one contiguous block of a Query batch, dispatched to a shard
-// worker. pairs and out are parallel slices of the caller's batch.
-type batchJob struct {
-	pairs [][2]graph.Vertex
-	out   []Result
-	bs    *batchState
-}
-
-// batchState is the pooled per-Query bookkeeping shared by the batch's
-// jobs: the completion latch and the FailFast flag.
-type batchState struct {
-	wg     sync.WaitGroup
-	failed atomic.Bool
-}
-
-var batchPool = sync.Pool{New: func() any { return new(batchState) }}
-
-// closer owns the engine's shutdown state. It is shared by the engine, its
-// workers and the runtime cleanup, and deliberately references neither the
-// Engine nor its shards: the cleanup must be able to fire (and release the
-// workers) once the Engine itself is unreachable.
-type closer struct {
-	mu     sync.RWMutex
-	closed bool
-	quit   chan struct{}
-}
-
-func (c *closer) close() {
-	c.mu.Lock()
-	if !c.closed {
-		c.closed = true
-		close(c.quit)
-	}
-	c.mu.Unlock()
-}
-
-// Engine serves route queries for one scheme.
-type Engine struct {
-	scheme simnet.Scheme
-	opts   Options
-	n      graph.Vertex // cached scheme.Graph().N(), off the per-query path
-	shards []*shard
-	cl     *closer
-	// pkts recycles scratch packets of the single-query Route path (batch
-	// workers own their packet outright and never touch the pool).
-	pkts sync.Pool
-	// start is the QPS clock origin in unix nanoseconds; atomic because
-	// ResetStats may race with Stats on the concurrent engine API.
-	start atomic.Int64
-	rr    atomic.Uint64
-	// obsCnt/obsStats are the merged snapshot behind the registry's
-	// func-backed instruments; refreshed by the collect hook, read by the
-	// instruments, both under the registry lock (see registerObs).
-	obsCnt   counters
-	obsStats Stats
-}
-
-// New builds an engine over a preprocessed scheme and starts one worker
-// goroutine per shard. Callers that create engines in a loop should Close
-// them; an engine dropped without Close releases its workers when the
-// garbage collector collects it.
-func New(s simnet.Scheme, o Options) (*Engine, error) {
-	if o.Workers <= 0 {
-		o.Workers = parallel.Workers()
-	}
-	if o.Verify && o.Paths == nil && !o.VerifyBidi {
-		return nil, fmt.Errorf("serve: Verify requires a PathSource (or VerifyBidi)")
-	}
-	var nwOpts []simnet.Option
-	if o.MaxHops > 0 {
-		nwOpts = append(nwOpts, simnet.WithMaxHops(o.MaxHops))
-	}
-	e := &Engine{
-		scheme: s,
-		opts:   o,
-		n:      graph.Vertex(s.Graph().N()),
-		shards: make([]*shard, o.Workers),
-		cl:     &closer{quit: make(chan struct{})},
-	}
-	e.start.Store(time.Now().UnixNano())
-	for i := range e.shards {
-		e.shards[i] = &shard{nw: simnet.NewNetwork(s, nwOpts...), jobs: make(chan batchJob, 8)}
-		w := &worker{sh: e.shards[i], quit: e.cl.quit, scheme: s, n: e.n, opts: o}
-		go w.loop()
-	}
-	if o.Obs != nil {
-		e.registerObs(o.Obs)
-	}
-	if o.Audit != nil {
-		o.Audit.start(staticAuditBackend(s, o.FlightRec))
-	}
-	// Safety net for engines dropped without Close: the workers reference
-	// only their shard and the closer, never the Engine, so the engine
-	// becomes unreachable while they are parked and the cleanup can run.
-	runtime.AddCleanup(e, func(c *closer) { c.close() }, e.cl)
-	return e, nil
-}
-
-// Close stops the shard workers. It is idempotent and safe to call
-// concurrently with queries: batches already dispatched are finished, and
-// later Query/Route calls are served inline on the caller's goroutine.
-func (e *Engine) Close() { e.cl.close() }
-
-// Scheme returns the scheme being served.
-func (e *Engine) Scheme() simnet.Scheme { return e.scheme }
-
-// Workers returns the number of shards.
-func (e *Engine) Workers() int { return len(e.shards) }
-
-// worker is the serving loop state of one shard. It holds copies of the
-// engine fields it needs instead of the Engine itself so the engine's
-// cleanup can fire while workers are parked (see closer).
-type worker struct {
-	sh     *shard
-	quit   chan struct{}
-	scheme simnet.Scheme
-	n      graph.Vertex
-	opts   Options
-	pkt    simnet.Packet // worker-owned scratch, reused across every route
-	pend   counters      // stats accumulated since the last flush
-	pendN  int
-}
-
-func (w *worker) loop() {
-	if w.opts.PinWorkers {
-		runtime.LockOSThread()
-	}
-	for {
-		select {
-		case job := <-w.sh.jobs:
-			w.serve(job)
-		case <-w.quit:
-			// Drain jobs that were enqueued before the closed flag was
-			// published, so no dispatched batch is left waiting.
-			for {
-				select {
-				case job := <-w.sh.jobs:
-					w.serve(job)
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
-// serve routes one job block and signals completion. Pairs aborted by
-// FailFast are not routed and stay out of the statistics, exactly like the
-// per-query engine before batching.
-func (w *worker) serve(job batchJob) {
-	ff := w.opts.FailFast
-	for j := range job.pairs {
-		if ff && job.bs.failed.Load() {
-			job.out[j] = Result{Src: job.pairs[j][0], Dst: job.pairs[j][1], Dist: -1, Err: ErrAborted}
-			continue
-		}
-		job.out[j] = w.route(job.pairs[j][0], job.pairs[j][1])
-		if ff && job.out[j].Err != nil {
-			job.bs.failed.Store(true)
-		}
-	}
-	w.flush()
-	job.bs.wg.Done()
-}
-
-// routeOne is the single-query hot path shared by the batch workers and
-// Engine.Route: id validation, deterministic trace and latency sampling, the
-// routed walk, optional verification, and the audit offer. Both entry points
-// funnel through this one function, so audit sampling and stats attribution
-// cannot diverge between them - they differ only in where the finished
-// counters land (the worker's pending block vs. the shard lock) and where
-// the scratch packet lives (worker-owned vs. pooled).
-func routeOne(nw *simnet.Network, scheme simnet.Scheme, n graph.Vertex, o *Options, src, dst graph.Vertex, scratch simnet.Packet) (res Result, pkt simnet.Packet, timed bool, dt int64) {
-	res = Result{Src: src, Dst: dst, Dist: -1}
-	pkt = scratch
-	if src < 0 || src >= n || dst < 0 || dst >= n {
-		res.Err = fmt.Errorf("serve: pair (%d, %d) out of range [0, %d)", src, dst, n)
-		return res, pkt, false, 0
-	}
-	id := obs.QueryID(int32(src), int32(dst))
-	tr := o.Trace.Sample(int32(src), int32(dst))
-	timed = id&latSampleBit == 0
-	var t0 int64
-	if timed {
-		t0 = time.Now().UnixNano()
-	}
-	r, p, err := nw.RouteTraced(src, dst, scratch, tr)
-	if timed {
-		dt = time.Now().UnixNano() - t0
-	}
-	if p != nil {
-		pkt = p
-	}
-	res.Hops, res.Weight, res.HeaderWords = r.Hops, r.Weight, r.HeaderWords
-	res.Err = err
-	if tr != nil {
-		tr.Hops = r.Hops
-		tr.Err = err != nil
-		o.Trace.Done(tr)
-	}
-	if err == nil {
-		if o.Verify {
-			res.Dist = verifyDist(scheme, o, src, dst, r.Weight)
-		}
-		// The static engine serves one immutable generation; audit records
-		// carry generation 0, version 0, clean (the live engine stamps real
-		// generation state in routeOn).
-		o.Audit.offer(id, int32(src), int32(dst), r.Weight, 0, 0, true)
-	}
-	return res, pkt, timed, dt
-}
-
-// verifyDist resolves the true shortest distance for a delivered route. In
-// VerifyBidi mode the bounded bidirectional kernel proves it directly
-// (bound = the routed weight, which a real path always covers); otherwise -
-// or in the impossible-by-invariant cutoff case, kept as a fallback - the
-// PathSource row answers.
-func verifyDist(s simnet.Scheme, o *Options, src, dst graph.Vertex, weight float64) float64 {
-	if o.VerifyBidi {
-		d := s.Graph().BoundedBidiDist(src, dst, weight)
-		if !math.IsInf(d, 1) || o.Paths == nil {
-			return d
-		}
-	}
-	return o.Paths.Dist(src, dst)
-}
-
-// route serves one query on the worker's shard. Vertex ids are validated
-// here - the engine fronts untrusted protocol input, and schemes index
-// their tables with the destination, so an out-of-range id must become a
-// Result error, not a panic.
-func (w *worker) route(src, dst graph.Vertex) Result {
-	res, pkt, timed, dt := routeOne(w.sh.nw, w.scheme, w.n, &w.opts, src, dst, w.pkt)
-	if pkt != nil {
-		w.pkt = pkt
-	}
-	if timed {
-		w.pend.recordLatency(dt)
-	}
-	w.record(&res)
-	return res
-}
-
-func (w *worker) record(res *Result) {
-	w.pend.record(w.scheme, res, w.opts.Verify)
-	if w.pendN++; w.pendN >= statsChunk {
-		w.flush()
-	}
-}
-
-// flush folds the worker's pending counters into the shard block.
-func (w *worker) flush() {
-	if w.pendN == 0 {
-		return
-	}
-	w.sh.mu.Lock()
-	w.sh.st.mergeFrom(&w.pend)
-	w.sh.mu.Unlock()
-	w.pend = counters{}
-	w.pendN = 0
-}
-
-func (c *counters) record(s simnet.Scheme, r *Result, verified bool) {
-	if !c.recordBase(r) {
-		return
-	}
-	if !verified {
-		c.unverified++
-		return
-	}
-	c.recordVerified(s, r)
-}
-
-// recordBase accounts the query, error and hop counters and reports whether
-// the query was delivered (so the caller decides how to account quality:
-// verified against the proved bound, unverified, or - on the live engine -
-// as a measured staleness stretch).
-func (c *counters) recordBase(r *Result) bool {
+// record accounts one served query. Every delivery is exactly one of
+// clean-verified (checked against s's proved bound), clean-unverified, or
+// stale - whatever Verify is set to; only the staleness-stretch histogram
+// needs the distance.
+func (c *counters) record(r *live.Result, o outcome, s simnet.Scheme) {
 	c.queries++
+	if o.lat >= 0 {
+		c.latCount++
+		c.latSum += uint64(o.lat)
+		c.latHist[latBucket(o.lat)]++
+	}
+	c.deadHits += uint64(r.DeadHits)
+	c.detours += uint64(r.Detours)
+	c.detourHops += uint64(r.DetourHops)
+	if r.Fallback {
+		c.fallbacks++
+	}
 	if r.Err != nil {
 		c.errors++
-		return false
+		return
 	}
 	c.delivered++
 	c.hopsSum += uint64(r.Hops)
-	h := r.Hops
-	if h > hopBuckets {
-		h = hopBuckets
-	}
-	c.hopHist[h]++
-	return true
-}
-
-// recordVerified checks a delivery against the scheme's proved stretch
-// bound and feeds the stretch histogram.
-func (c *counters) recordVerified(s simnet.Scheme, r *Result) {
-	if r.Weight > s.StretchBound(r.Dist)+1e-9 {
-		c.violations++
-	}
-	if r.Dist > 0 {
-		str := r.Weight / r.Dist
-		if str > c.maxStretch {
-			c.maxStretch = str
+	c.hopHist[min(r.Hops, hopBuckets)]++
+	switch {
+	case !o.clean:
+		c.stale++
+		if o.dist > 0 {
+			str := r.Weight / o.dist
+			c.maxStale = max(c.maxStale, str)
+			c.staleHist[stretchBucket(str)]++
 		}
-		c.stretchHist[stretchBucket(str)]++
+	case o.dist < 0:
+		c.unverified++
+	default:
+		if r.Weight > s.StretchBound(o.dist)+1e-9 {
+			c.violations++
+		}
+		if o.dist > 0 {
+			str := r.Weight / o.dist
+			c.maxStretch = max(c.maxStretch, str)
+			c.stretchHist[stretchBucket(str)]++
+		}
 	}
 }
 
 // stretchBucket maps a stretch value to its histogram bucket.
 func stretchBucket(str float64) int {
-	b := int((str - 1) / StretchBucketWidth)
-	if b < 0 {
-		b = 0
-	}
-	if b > StretchBuckets {
-		b = StretchBuckets
-	}
-	return b
+	return min(max(int((str-1)/StretchBucketWidth), 0), StretchBuckets)
 }
 
-// Route serves a single query on the next shard (round robin), recording
-// its stats immediately. Scratch packets come from a pool, so a warm
-// engine routes without allocating.
-func (e *Engine) Route(src, dst graph.Vertex) Result {
-	sh := e.shards[e.rr.Add(1)%uint64(len(e.shards))]
-	scratch, _ := e.pkts.Get().(simnet.Packet)
-	res, pkt, timed, dt := routeOne(sh.nw, e.scheme, e.n, &e.opts, src, dst, scratch)
-	if pkt != nil {
-		e.pkts.Put(pkt)
-	}
-	sh.mu.Lock()
-	sh.st.record(e.scheme, &res, e.opts.Verify)
-	if timed {
-		sh.st.recordLatency(dt)
-	}
-	sh.mu.Unlock()
-	return res
-}
-
-// Query serves a batch: every pair is routed, out[i] receives the outcome
-// of pairs[i]. out is allocated when nil or too short; the filled prefix is
-// returned. Pairs are split into contiguous blocks, one per shard, and
-// dispatched to the persistent shard workers - the same slot-ownership
-// discipline as the batched evaluation engine, which makes the per-pair
-// results independent of the worker count. With a preallocated out and a
-// reuse-capable scheme the steady-state batch path does not allocate.
-func (e *Engine) Query(pairs [][2]graph.Vertex, out []Result) []Result {
-	if len(out) < len(pairs) {
-		out = make([]Result, len(pairs))
-	}
-	out = out[:len(pairs)]
-	if len(pairs) == 0 {
-		return out
-	}
-	w := len(e.shards)
-	if w > len(pairs) {
-		w = len(pairs)
-	}
-	chunk := (len(pairs) + w - 1) / w
-	bs := batchPool.Get().(*batchState)
-	bs.failed.Store(false)
-	for i := 0; i < w; i++ {
-		lo := i * chunk
-		hi := lo + chunk
-		if hi > len(pairs) {
-			hi = len(pairs)
-		}
-		if lo >= hi {
-			break
-		}
-		bs.wg.Add(1)
-		e.dispatch(e.shards[i], batchJob{pairs: pairs[lo:hi], out: out[lo:hi], bs: bs})
-	}
-	bs.wg.Wait()
-	batchPool.Put(bs)
-	return out
-}
-
-// dispatch hands a job to a shard worker, or serves it inline once the
-// engine is closed. The closer's read lock makes the closed check and the
-// channel send atomic with respect to Close, so a job is never parked on a
-// channel no worker will drain.
-func (e *Engine) dispatch(sh *shard, job batchJob) {
-	e.cl.mu.RLock()
-	if e.cl.closed {
-		e.cl.mu.RUnlock()
-		w := worker{sh: sh, scheme: e.scheme, n: e.n, opts: e.opts}
-		w.serve(job)
-		return
-	}
-	sh.jobs <- job
-	e.cl.mu.RUnlock()
-}
-
-// mergeFrom folds another shard's counters into c (the caller holds the
+// mergeFrom folds another block's counters into c (the caller holds the
 // other shard's lock).
 func (c *counters) mergeFrom(o *counters) {
 	c.queries += o.queries
@@ -616,16 +287,21 @@ func (c *counters) mergeFrom(o *counters) {
 	c.violations += o.violations
 	c.hopsSum += o.hopsSum
 	c.delivered += o.delivered
-	if o.maxStretch > c.maxStretch {
-		c.maxStretch = o.maxStretch
-	}
+	c.maxStretch = max(c.maxStretch, o.maxStretch)
 	c.latCount += o.latCount
 	c.latSum += o.latSum
+	c.deadHits += o.deadHits
+	c.detours += o.detours
+	c.detourHops += o.detourHops
+	c.fallbacks += o.fallbacks
+	c.stale += o.stale
+	c.maxStale = max(c.maxStale, o.maxStale)
 	for i := range o.hopHist {
 		c.hopHist[i] += o.hopHist[i]
 	}
 	for i := range o.stretchHist {
 		c.stretchHist[i] += o.stretchHist[i]
+		c.staleHist[i] += o.staleHist[i]
 	}
 	for i := range o.latHist {
 		c.latHist[i] += o.latHist[i]
@@ -633,7 +309,7 @@ func (c *counters) mergeFrom(o *counters) {
 }
 
 // finalize turns merged counters into the exported snapshot, deriving the
-// QPS and hop quantiles - shared by Engine.Stats and Live.Stats.
+// QPS and hop quantiles.
 func (c *counters) finalize(startNanos int64) Stats {
 	st := Stats{
 		Queries:         c.queries,
@@ -660,44 +336,12 @@ func (c *counters) finalize(startNanos int64) Stats {
 	return st
 }
 
-// Stats merges the shard counters into one snapshot. Counters are exact
-// whenever no Query batch is in flight; during a batch they may lag the
-// newest routes by up to statsChunk queries per shard.
-func (e *Engine) Stats() Stats {
-	m := e.merged()
-	return m.finalize(e.start.Load())
-}
-
-// merged folds every shard's counters into one block.
-func (e *Engine) merged() counters {
-	var m counters
-	for _, sh := range e.shards {
-		sh.mu.Lock()
-		m.mergeFrom(&sh.st)
-		sh.mu.Unlock()
-	}
-	return m
-}
-
-// ResetStats zeroes every shard's counters and restarts the QPS clock.
-func (e *Engine) ResetStats() {
-	for _, sh := range e.shards {
-		sh.mu.Lock()
-		sh.st = counters{}
-		sh.mu.Unlock()
-	}
-	e.start.Store(time.Now().UnixNano())
-}
-
 // quantile returns the nearest-rank q-quantile of a histogram: the smallest
 // bucket index h such that at least ceil(q*total) observations fall in
 // buckets [0, h]. The ceiling matters - with floor, p99 of 10 samples would
 // target rank 9 and miss the maximum.
 func quantile(hist []uint64, total uint64, q float64) int {
-	target := uint64(math.Ceil(q * float64(total)))
-	if target < 1 {
-		target = 1
-	}
+	target := max(uint64(math.Ceil(q*float64(total))), 1)
 	var cum uint64
 	for h, c := range hist {
 		cum += c
@@ -706,4 +350,310 @@ func quantile(hist []uint64, total uint64, q float64) int {
 		}
 	}
 	return len(hist) - 1
+}
+
+// shard is one worker lane: the worker's job feed and the privately-owned
+// counters. Shards are allocated separately so two lanes never share a
+// cache line, and the read-mostly dispatch field is padded away from the
+// mutex/counters the worker and Stats write - the dispatcher of one shard
+// must not false-share with the stats traffic of another.
+type shard struct {
+	jobs chan batchJob
+	_    [64]byte // keep dispatch reads off the stats line
+	mu   sync.Mutex
+	st   counters
+	_    [64]byte
+}
+
+// batchJob is one contiguous block of a Query batch, dispatched to a shard
+// worker. pairs and out are parallel slices of the caller's batch.
+type batchJob struct {
+	pairs [][2]graph.Vertex
+	out   []live.Result
+	bs    *batchState
+}
+
+// batchState is the pooled per-Query bookkeeping shared by the batch's
+// jobs: the completion latch and the FailFast flag.
+type batchState struct {
+	wg     sync.WaitGroup
+	failed atomic.Bool
+}
+
+var batchPool = sync.Pool{New: func() any { return new(batchState) }}
+
+// closer owns the engine's shutdown state. It is shared by the engine, its
+// workers and the runtime cleanup, and deliberately references neither the
+// Live handle nor its shards: the cleanup must be able to fire (and release
+// the workers) once the handle itself is unreachable.
+type closer struct {
+	mu     sync.RWMutex
+	closed bool
+	quit   chan struct{}
+}
+
+func (c *closer) close() {
+	c.mu.Lock()
+	if !c.closed {
+		c.closed = true
+		close(c.quit)
+	}
+	c.mu.Unlock()
+}
+
+// core is the part of the engine that shard workers and the auditor reach:
+// options, overlay, generation pointer, shards and closer. It holds no
+// reference back to the Live handle, so an engine dropped without Close
+// becomes unreachable while its workers are parked and the runtime cleanup
+// registered on the handle can stop them.
+type core struct {
+	opts   LiveOptions
+	ov     *live.Overlay
+	dist   *live.Distances
+	gen    atomic.Pointer[generation]
+	shards []*shard
+	cl     *closer
+}
+
+// acquireGen pins the current generation.
+func (c *core) acquireGen() *generation {
+	for {
+		g := c.gen.Load()
+		if g.tryAcquire() {
+			return g
+		}
+	}
+}
+
+// route serves one query on a pinned generation into *res: deterministic
+// trace and latency sampling, the router walk, the clean/stale
+// classification, optional verification and the audit offer. Workers and
+// Route both funnel through it, so sampling and attribution cannot diverge
+// between them; they differ only in where the outcome is recorded and where
+// the scratch packet lives.
+func (c *core) route(gen *generation, scratch simnet.Packet, src, dst graph.Vertex, res *live.Result) (simnet.Packet, outcome) {
+	// A route is bound-checked against the proved stretch bound only when
+	// it provably ran clean: the overlay was empty before routing, no
+	// update arrived while it ran (version unchanged), no generation swap
+	// raced it, and the route itself crossed nothing patched. Every other
+	// route - including the rare one that merely *races* churn - is
+	// conservatively accounted as staleness, never as a false violation.
+	ver, entries := c.ov.State()
+	id := obs.QueryID(int32(src), int32(dst))
+	tr := c.opts.Trace.Sample(int32(src), int32(dst))
+	o := outcome{dist: -1, lat: -1}
+	timed := id&latSampleBit == 0
+	var t0 int64
+	if timed {
+		t0 = time.Now().UnixNano()
+	}
+	var pkt simnet.Packet
+	*res, pkt = gen.router.RouteInto(scratch, src, dst, tr)
+	if timed {
+		o.lat = time.Now().UnixNano() - t0
+	}
+	if tr != nil {
+		tr.Hops = res.Hops
+		tr.Err = res.Err != nil
+		tr.Stale = res.Stale()
+		c.opts.Trace.Done(tr)
+	}
+	o.clean = !res.Stale() && entries == 0 && c.ov.Version() == ver && c.gen.Load() == gen
+	if res.Err == nil {
+		if c.opts.Verify {
+			o.dist = c.verifyDist(src, dst, res.Weight)
+		}
+		c.opts.Audit.offer(id, int32(src), int32(dst), res.Weight, gen.id, ver, o.clean)
+	}
+	return pkt, o
+}
+
+// verifyDist resolves the true effective distance of a delivered route.
+func (c *core) verifyDist(src, dst graph.Vertex, weight float64) float64 {
+	if c.opts.VerifyBidi {
+		if d := c.ov.BoundedBidiDist(src, dst, weight); !math.IsInf(d, 1) {
+			return d
+		}
+		// The recorded weight undercuts the current effective distance -
+		// only possible for a walk that raced churn; the row cache answers.
+	}
+	return c.dist.Dist(src, dst)
+}
+
+// worker is the serving loop state of one shard. It reaches the engine only
+// through core (see core).
+type worker struct {
+	c   *core
+	sh  *shard
+	pkt simnet.Packet // worker-owned scratch, reused across routes
+	// pktGen is the id of the generation that prepared pkt: a packet is
+	// reused only within its generation, because a packet of the same Go
+	// type from an older scheme may carry its retained state - and that
+	// scheme may alias an mmap that has since been unmapped.
+	pktGen uint64
+	pend   counters // stats accumulated since the last flush
+	pendN  int
+}
+
+func (w *worker) loop() {
+	if w.c.opts.PinWorkers {
+		runtime.LockOSThread()
+	}
+	for {
+		select {
+		case job := <-w.sh.jobs:
+			w.serve(job)
+		case <-w.c.cl.quit:
+			// Drain jobs that were enqueued before the closed flag was
+			// published, so no dispatched batch is left waiting.
+			for {
+				select {
+				case job := <-w.sh.jobs:
+					w.serve(job)
+				default:
+					return
+				}
+			}
+		}
+	}
+}
+
+// serve routes one job block and signals completion. The block pins one
+// generation - the one-swap-stale RCU window swapTo documents; a swap that
+// lands mid-block turns the rest of the block stale, never unclean-verified.
+// Pairs aborted by FailFast are not routed and stay out of the statistics.
+func (w *worker) serve(job batchJob) {
+	gen := w.c.acquireGen()
+	if gen.id != w.pktGen {
+		w.pkt, w.pktGen = nil, gen.id
+	}
+	s := gen.router.Scheme()
+	ff := w.c.opts.FailFast
+	for j, p := range job.pairs {
+		if ff && job.bs.failed.Load() {
+			job.out[j] = live.Result{Src: p[0], Dst: p[1], Err: ErrAborted}
+			continue
+		}
+		pkt, o := w.c.route(gen, w.pkt, p[0], p[1], &job.out[j])
+		if pkt != nil {
+			w.pkt = pkt
+		}
+		w.pend.record(&job.out[j], o, s)
+		if w.pendN++; w.pendN >= statsChunk {
+			w.flush()
+		}
+		if ff && job.out[j].Err != nil {
+			job.bs.failed.Store(true)
+		}
+	}
+	gen.release()
+	w.flush()
+	job.bs.wg.Done()
+}
+
+// flush folds the worker's pending counters into the shard block.
+func (w *worker) flush() {
+	if w.pendN == 0 {
+		return
+	}
+	w.sh.mu.Lock()
+	w.sh.st.mergeFrom(&w.pend)
+	w.sh.mu.Unlock()
+	w.pend = counters{}
+	w.pendN = 0
+}
+
+// Route serves a single query on the next shard (round robin), recording
+// its stats immediately. Scratch packets come from a per-generation pool,
+// so a warm engine routes without allocating.
+func (l *Live) Route(src, dst graph.Vertex) live.Result {
+	sh := l.shards[l.rr.Add(1)%uint64(len(l.shards))]
+	gen := l.acquireGen()
+	scratch, _ := gen.pkts.Get().(simnet.Packet)
+	var res live.Result
+	pkt, o := l.route(gen, scratch, src, dst, &res)
+	if pkt != nil {
+		gen.pkts.Put(pkt)
+	}
+	sh.mu.Lock()
+	sh.st.record(&res, o, gen.router.Scheme())
+	sh.mu.Unlock()
+	gen.release()
+	return res
+}
+
+// Query serves a batch: every pair is routed, out[i] receives the outcome
+// of pairs[i]. out is allocated when nil or too short; the filled prefix is
+// returned. Pairs are split into contiguous blocks, one per shard, and
+// dispatched to the persistent shard workers - slot ownership that makes
+// the per-pair results independent of the worker count. With a
+// preallocated out, a reuse-capable scheme and an empty overlay the
+// steady-state batch path does not allocate.
+func (l *Live) Query(pairs [][2]graph.Vertex, out []live.Result) []live.Result {
+	if len(out) < len(pairs) {
+		out = make([]live.Result, len(pairs))
+	}
+	out = out[:len(pairs)]
+	if len(pairs) == 0 {
+		return out
+	}
+	w := min(len(l.shards), len(pairs))
+	chunk := (len(pairs) + w - 1) / w
+	bs := batchPool.Get().(*batchState)
+	bs.failed.Store(false)
+	for lo := 0; lo < len(pairs); lo += chunk {
+		hi := min(lo+chunk, len(pairs))
+		bs.wg.Add(1)
+		l.dispatch(l.shards[lo/chunk], batchJob{pairs: pairs[lo:hi], out: out[lo:hi], bs: bs})
+	}
+	bs.wg.Wait()
+	batchPool.Put(bs)
+	return out
+}
+
+// dispatch hands a job to a shard worker, or serves it inline once the
+// engine is closed. The closer's read lock makes the closed check and the
+// channel send atomic with respect to Close, so a job is never parked on a
+// channel no worker will drain.
+func (l *Live) dispatch(sh *shard, job batchJob) {
+	l.cl.mu.RLock()
+	if l.cl.closed {
+		l.cl.mu.RUnlock()
+		(&worker{c: l.core, sh: sh}).serve(job)
+		return
+	}
+	sh.jobs <- job
+	l.cl.mu.RUnlock()
+}
+
+// Close stops the shard workers. It is idempotent and safe to call
+// concurrently with queries: batches already dispatched are finished, and
+// later Query calls are served inline on the caller's goroutine. An engine
+// dropped without Close releases its workers when the garbage collector
+// collects it.
+func (l *Live) Close() { l.cl.close() }
+
+// Workers returns the number of shards.
+func (l *Live) Workers() int { return len(l.shards) }
+
+// merged folds every shard's counters into one block.
+func (l *Live) merged() counters {
+	var m counters
+	for _, sh := range l.shards {
+		sh.mu.Lock()
+		m.mergeFrom(&sh.st)
+		sh.mu.Unlock()
+	}
+	return m
+}
+
+// ResetStats zeroes every shard's counters and restarts the QPS clock (the
+// rebuild/swap lifecycle counters are engine-lifetime and survive).
+func (l *Live) ResetStats() {
+	for _, sh := range l.shards {
+		sh.mu.Lock()
+		sh.st = counters{}
+		sh.mu.Unlock()
+	}
+	l.start.Store(time.Now().UnixNano())
 }

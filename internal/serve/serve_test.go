@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -12,6 +11,7 @@ import (
 	"compactroute/internal/exact"
 	"compactroute/internal/gen"
 	"compactroute/internal/graph"
+	"compactroute/internal/live"
 	"compactroute/internal/obs"
 	"compactroute/internal/simnet"
 	"compactroute/internal/tzroute"
@@ -38,50 +38,79 @@ func samplePairs(n, count int, seed int64) [][2]graph.Vertex {
 	return pairs
 }
 
-// TestEngineMatchesNetwork pins the engine to the reference simulator: the
-// batched Query and single-shot Route answers must equal a direct
-// simnet.Network route for every pair, at every worker count.
+// TestEngineMatchesNetwork pins the engine to the reference simulator: on
+// an empty overlay, the batched Query and single-shot Route answers must
+// equal simnet.Network.RouteReuse for every pair at every worker count -
+// including the error results of a scheme that fails some routes, which the
+// engine must report as routing errors, never complete by fallback.
 func TestEngineMatchesNetwork(t *testing.T) {
 	g := testGraph(t, 72, 7)
-	s, err := tzroute.New(g, tzroute.Params{K: 2, Seed: 7})
+	base, err := tzroute.New(g, tzroute.Params{K: 2, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	paths := graph.AllPairs(g)
-	pairs := samplePairs(g.N(), 400, 11)
-	nw := simnet.NewNetwork(s)
-	want := make([]Result, len(pairs))
-	for i, p := range pairs {
-		r, err := nw.Route(p[0], p[1])
-		if err != nil {
-			t.Fatal(err)
+	pairs := append(samplePairs(g.N(), 400, 11), [2]graph.Vertex{3, 5})
+	// reference routes every pair through simnet, reusing one packet the
+	// way a shard worker does.
+	reference := func(s simnet.Scheme) (want []live.Result, failed int) {
+		nw := simnet.NewNetwork(s)
+		var pkt simnet.Packet
+		for _, p := range pairs {
+			r, next, err := nw.RouteReuse(p[0], p[1], pkt)
+			if next != nil {
+				pkt = next
+			}
+			want = append(want, live.Result{Src: p[0], Dst: p[1], Hops: r.Hops,
+				HeaderWords: r.HeaderWords, Weight: r.Weight, Err: err})
+			if err != nil {
+				failed++
+			}
 		}
-		want[i] = Result{Src: p[0], Dst: p[1], Hops: r.Hops, HeaderWords: r.HeaderWords,
-			Weight: r.Weight, Dist: paths.Dist(p[0], p[1])}
+		return want, failed
+	}
+	same := func(got, want live.Result) bool {
+		if (got.Err == nil) != (want.Err == nil) || (got.Err != nil && got.Err.Error() != want.Err.Error()) {
+			return false
+		}
+		got.Err, want.Err = nil, nil
+		return got == want
 	}
 	for _, workers := range []int{1, 2, 3, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			eng, err := New(s, Options{Workers: workers, Verify: true, Paths: paths})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := eng.Query(pairs, nil)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("batched results diverge from simnet reference")
-			}
-			single := eng.Route(pairs[0][0], pairs[0][1])
-			if !reflect.DeepEqual(single, want[0]) {
-				t.Fatalf("single Route diverges: got %+v want %+v", single, want[0])
-			}
-			st := eng.Stats()
-			if st.Queries != uint64(len(pairs))+1 {
-				t.Fatalf("Queries = %d, want %d", st.Queries, len(pairs)+1)
-			}
-			if st.Errors != 0 || st.BoundViolations != 0 {
-				t.Fatalf("errors=%d violations=%d, want 0/0", st.Errors, st.BoundViolations)
-			}
-			if st.MaxStretch > float64(4*2-5)+1e-9 {
-				t.Fatalf("max stretch %v above tz-k2 bound", st.MaxStretch)
+			// The plain scheme reuses packets through PrepareInto; the
+			// poisoned one prepares fresh packets and fails some routes.
+			for _, s := range []simnet.Scheme{base, &errScheme{Scheme: base, poison: 5}} {
+				want, failed := reference(s)
+				eng, err := NewLive(s, LiveOptions{Workers: workers, Verify: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer eng.Close()
+				for i, got := range eng.Query(pairs, nil) {
+					if !same(got, want[i]) {
+						t.Fatalf("pair %v: Query %+v, simnet %+v", pairs[i], got, want[i])
+					}
+				}
+				wantErrs := uint64(failed)
+				for _, i := range []int{0, len(pairs) - 1} {
+					if got := eng.Route(pairs[i][0], pairs[i][1]); !same(got, want[i]) {
+						t.Fatalf("pair %v: Route %+v, simnet %+v", pairs[i], got, want[i])
+					}
+					if want[i].Err != nil {
+						wantErrs++
+					}
+				}
+				st := eng.Stats()
+				if _, poisoned := s.(*errScheme); poisoned == (failed == 0) || st.Errors != wantErrs {
+					t.Fatalf("%d routing errors, want %d (%d failed reference routes)", st.Errors, wantErrs, failed)
+				}
+				if st.Queries != uint64(len(pairs))+2 || st.BoundViolations != 0 || st.StaleServed != 0 || st.Fallbacks != 0 {
+					t.Fatalf("queries=%d violations=%d stale=%d fallbacks=%d, want %d/0/0/0",
+						st.Queries, st.BoundViolations, st.StaleServed, st.Fallbacks, len(pairs)+2)
+				}
+				if st.MaxStretch > float64(4*2-5)+1e-9 {
+					t.Fatalf("max stretch %v above tz-k2 bound", st.MaxStretch)
+				}
 			}
 		})
 	}
@@ -130,10 +159,11 @@ func TestEngineFailFast(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := &errScheme{Scheme: base, poison: 5}
-	eng, err := New(s, Options{Workers: 1, FailFast: true})
+	eng, err := NewLive(s, LiveOptions{Workers: 1, FailFast: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer eng.Close()
 	pairs := [][2]graph.Vertex{{0, 1}, {2, 5}, {3, 4}, {6, 7}}
 	out := eng.Query(pairs, nil)
 	if out[0].Err != nil {
@@ -159,19 +189,17 @@ func TestEngineCountsErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := &errScheme{Scheme: base, poison: 5}
-	eng, err := New(s, Options{Workers: 2})
+	eng, err := NewLive(s, LiveOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer eng.Close()
 	pairs := [][2]graph.Vertex{{0, 1}, {2, 5}, {3, 4}, {9, 5}}
 	out := eng.Query(pairs, nil)
 	for i, r := range out {
 		wantErr := pairs[i][1] == 5
-		if (r.Err != nil) != wantErr {
-			t.Fatalf("pair %d: err = %v, want error %v", i, r.Err, wantErr)
-		}
-		if r.Dist != -1 {
-			t.Fatalf("pair %d: dist %v filled without Verify", i, r.Dist)
+		if (r.Err != nil) != wantErr || r.Fallback {
+			t.Fatalf("pair %d: err = %v fallback = %v, want error %v", i, r.Err, r.Fallback, wantErr)
 		}
 	}
 	st := eng.Stats()
@@ -189,10 +217,11 @@ func TestEngineRejectsOutOfRangePairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := New(s, Options{Workers: 2})
+	eng, err := NewLive(s, LiveOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer eng.Close()
 	for _, p := range [][2]graph.Vertex{{0, 16}, {16, 0}, {-1, 3}, {3, -1}} {
 		if r := eng.Route(p[0], p[1]); r.Err == nil {
 			t.Fatalf("pair %v accepted", p)
@@ -200,17 +229,6 @@ func TestEngineRejectsOutOfRangePairs(t *testing.T) {
 	}
 	if st := eng.Stats(); st.Errors != 4 {
 		t.Fatalf("errors = %d, want 4", st.Errors)
-	}
-}
-
-func TestEngineRequiresPathsForVerify(t *testing.T) {
-	g := testGraph(t, 16, 1)
-	s, err := exact.New(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(s, Options{Verify: true}); err == nil {
-		t.Fatal("Verify without Paths accepted")
 	}
 }
 
@@ -223,11 +241,11 @@ func TestEngineStatsQuantiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	paths := graph.AllPairs(g)
-	eng, err := New(s, Options{Workers: 4, Verify: true, Paths: paths})
+	eng, err := NewLive(s, LiveOptions{Workers: 4, Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer eng.Close()
 	pairs := samplePairs(g.N(), 1000, 23)
 	out := eng.Query(pairs, nil)
 	maxHops := 0
@@ -269,10 +287,11 @@ func TestStatsResetConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := New(s, Options{Workers: 2})
+	eng, err := NewLive(s, LiveOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer eng.Close()
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
@@ -304,11 +323,12 @@ func BenchmarkEngineQuery(b *testing.B) {
 	pairs := samplePairs(g.N(), 8192, 99)
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			eng, err := New(s, Options{Workers: workers})
+			eng, err := NewLive(s, LiveOptions{Workers: workers})
 			if err != nil {
 				b.Fatal(err)
 			}
-			out := make([]Result, len(pairs))
+			defer eng.Close()
+			out := make([]live.Result, len(pairs))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				eng.Query(pairs, out)
@@ -341,11 +361,12 @@ func BenchmarkEngineQueryObs(b *testing.B) {
 			reg := obs.NewRegistry()
 			sink := obs.NewTraceSink(0, 64)
 			sink.Register(reg)
-			eng, err := New(s, Options{Workers: workers, Obs: reg, Trace: sink})
+			eng, err := NewLive(s, LiveOptions{Workers: workers, Obs: reg, Trace: sink})
 			if err != nil {
 				b.Fatal(err)
 			}
-			out := make([]Result, len(pairs))
+			defer eng.Close()
+			out := make([]live.Result, len(pairs))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				eng.Query(pairs, out)

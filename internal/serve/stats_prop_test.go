@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"compactroute/internal/graph"
+	"compactroute/internal/live"
 	"compactroute/internal/simnet"
 	"compactroute/internal/tzroute"
 )
@@ -25,7 +26,7 @@ func TestShardStatsMergeProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	paths := graph.AllPairs(g)
-	eng, err := New(s, Options{Workers: 3, Verify: true, Paths: paths})
+	eng, err := NewLive(s, LiveOptions{Workers: 3, Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,14 +38,13 @@ func TestShardStatsMergeProperty(t *testing.T) {
 	oracleFor := func(pairs [][2]graph.Vertex) counters {
 		var c counters
 		for _, p := range pairs {
-			res := Result{Src: p[0], Dst: p[1], Dist: -1}
 			r, err := nw.Route(p[0], p[1])
-			res.Hops, res.Weight, res.HeaderWords = r.Hops, r.Weight, r.HeaderWords
-			res.Err = err
+			res := live.Result{Src: p[0], Dst: p[1], Hops: r.Hops, Weight: r.Weight, HeaderWords: r.HeaderWords, Err: err}
+			o := outcome{clean: true, dist: -1, lat: -1}
 			if err == nil {
-				res.Dist = paths.Dist(p[0], p[1])
+				o.dist = paths.Dist(p[0], p[1])
 			}
-			c.record(s, &res, true)
+			c.record(&res, o, s)
 		}
 		return c
 	}
@@ -109,7 +109,7 @@ func TestShardStatsMergeProperty(t *testing.T) {
 		o := oracleFor(routed)
 		expect.mergeFrom(&o)
 
-		got := eng.Stats()
+		got := eng.Stats().Stats
 		want := expect.finalize(eng.start.Load())
 		// Wall-clock fields (elapsed, qps, sampled latency) are not part of
 		// the property: the oracle routes outside the engine clock.

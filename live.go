@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"sync"
+	"time"
 
 	"compactroute/internal/graph"
 	"compactroute/internal/live"
@@ -16,15 +17,17 @@ import (
 // Live serving re-exports: the churn-tolerant generation manager of
 // internal/serve and the edge-delta machinery of internal/live behind it.
 type (
-	// LiveEngine serves route queries while the graph churns underneath
-	// the preprocessed scheme: an edge-delta overlay records updates, an
+	// LiveEngine is the serving engine: it answers route queries for one
+	// preprocessed scheme from many workers at once, keeps serving
+	// statistics, and keeps answering while the graph churns underneath
+	// the scheme - an edge-delta overlay records updates, an
 	// overlay-patched router detours around dead edges (bounded local
 	// search, exact fallback), and a background rebuild hot-swaps in a
-	// fresh generation with an RCU-style pointer flip - queries are never
-	// blocked on a rebuild.
+	// fresh generation with an RCU-style pointer flip. A static scheme is
+	// served by an engine whose overlay never changes.
 	LiveEngine = serve.Live
 	// LiveServeOptions configures a LiveEngine (workers, verification,
-	// detour budget, the rebuild constructor).
+	// detour budget, the rebuild constructor, observability).
 	LiveServeOptions = serve.LiveOptions
 	// LiveStats extends the serving statistics with churn counters:
 	// overlay breakdown, dead-edge hits, detours, fallbacks, measured
@@ -63,10 +66,11 @@ func InsertEdge(u, v Vertex, w float64) EdgeUpdate { return live.AddEdge(u, v, w
 // RemoveEdge returns the update that deletes the edge {u, v}.
 func RemoveEdge(u, v Vertex) EdgeUpdate { return live.DelEdge(u, v) }
 
-// ServeLive wraps a preprocessed scheme in a live (churn-tolerant) serving
-// engine. Apply churn with (*LiveEngine).ApplyUpdates, rebuild and hot-swap
-// with Rebuild/RebuildAsync (LiveServeOptions.Build supplies the
-// constructor), and read staleness-aware statistics with Stats.
+// ServeLive wraps a preprocessed scheme in the serving engine. Serve queries
+// with Query/Route; apply churn with (*LiveEngine).ApplyUpdates, rebuild and
+// hot-swap with Rebuild/RebuildAsync (LiveServeOptions.Build supplies the
+// constructor), read staleness-aware statistics with Stats, and Close the
+// engine when done.
 func ServeLive(s Scheme, o LiveServeOptions) (*LiveEngine, error) {
 	return serve.NewLive(s, o)
 }
@@ -114,24 +118,34 @@ func SaveLiveState(w io.Writer, l *LiveEngine) error {
 // snapshot without an overlay journal (written by SaveScheme) loads as a
 // clean live engine.
 func LoadLiveState(r io.Reader, o LiveServeOptions) (*LiveEngine, error) {
+	t0 := time.Now()
 	snap, err := wire.Read(r)
 	if err != nil {
 		return nil, err
 	}
-	s, err := decodeSnapshot(snap)
+	s, ov, err := decodeLiveState(snap, wire.LoadEvent{Parse: time.Since(t0)})
 	if err != nil {
 		return nil, err
 	}
-	var ov *live.Overlay
-	if live.HasOverlay(snap) {
-		ov, err = live.DecodeOverlay(snap, s.Graph())
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		ov = live.NewOverlay(s.Graph())
-	}
 	return serve.NewLiveWithOverlay(s, ov, o)
+}
+
+// decodeLiveState decodes a parsed live-state snapshot - the scheme, reported
+// to the snapshot load observer like every scheme load, and its overlay
+// journal, or a fresh overlay when the snapshot carries none.
+func decodeLiveState(snap *wire.Snapshot, ev wire.LoadEvent) (Scheme, *live.Overlay, error) {
+	s, err := decodeLoad(snap, ev)
+	if err != nil {
+		return nil, nil, err
+	}
+	if !live.HasOverlay(snap) {
+		return s, live.NewOverlay(s.Graph()), nil
+	}
+	ov, err := live.DecodeOverlay(snap, s.Graph())
+	if err != nil {
+		return nil, nil, err
+	}
+	return s, ov, nil
 }
 
 // SaveLiveStateFile is SaveLiveState into a file created (truncated) at
@@ -169,6 +183,7 @@ func LoadLiveStateFile(path string, o LiveServeOptions) (*LiveEngine, error) {
 // swapped in a fresh heap generation and every in-flight query on the
 // mapped one has drained. Any Retire hook already set in o is replaced.
 func OpenLiveStateFile(path string, o LiveServeOptions) (*LiveEngine, error) {
+	t0 := time.Now()
 	m, err := wire.Map(path)
 	if err != nil {
 		return nil, err
@@ -177,22 +192,14 @@ func OpenLiveStateFile(path string, o LiveServeOptions) (*LiveEngine, error) {
 		m.Close()
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
+	t1 := time.Now()
 	snap, err := wire.Parse(m.Bytes())
 	if err != nil {
 		return fail(err)
 	}
-	s, err := decodeSnapshot(snap)
+	s, ov, err := decodeLiveState(snap, mappedLoad(m, t0, t1))
 	if err != nil {
 		return fail(err)
-	}
-	var ov *live.Overlay
-	if live.HasOverlay(snap) {
-		ov, err = live.DecodeOverlay(snap, s.Graph())
-		if err != nil {
-			return fail(err)
-		}
-	} else {
-		ov = live.NewOverlay(s.Graph())
 	}
 	o.Retire = func() { m.Close() }
 	l, err := serve.NewLiveWithOverlay(s, ov, o)

@@ -12,12 +12,12 @@ import (
 // sampled set is identical across runs and worker counts.
 type (
 	// MetricsRegistry holds registered instruments and renders them in
-	// Prometheus text format and JSON; ServeOptions.Obs / LiveServeOptions.Obs
-	// attach an engine's statistics to one.
+	// Prometheus text format and JSON; LiveServeOptions.Obs attaches an
+	// engine's statistics to one.
 	MetricsRegistry = obs.Registry
 	// TraceSink samples per-query route traces and keeps a ring of the most
-	// recent completed ones; ServeOptions.Trace / LiveServeOptions.Trace
-	// thread it through the routing hot path.
+	// recent completed ones; LiveServeOptions.Trace threads it through the
+	// routing hot path.
 	TraceSink = obs.TraceSink
 	// RouteTrace is one sampled query's decision chain.
 	RouteTrace = obs.Trace
@@ -31,7 +31,7 @@ type (
 	// notable events (audited violations with route + trace, edge updates,
 	// rebuild/repair/swap transitions, generation retires), served at
 	// /debug/flightrec and auto-dumped to a JSON file on the first trip.
-	// Attach via ServeOptions.FlightRec / LiveServeOptions.FlightRec.
+	// Attach via LiveServeOptions.FlightRec.
 	FlightRecorder = obs.FlightRecorder
 	// FlightEvent is one recorded flight-recorder event.
 	FlightEvent = obs.FlightEvent

@@ -11,7 +11,8 @@ import (
 // with a metrics registry attached, a trace sink threaded through at 0%
 // sampling, a route auditor shadow-verifying at a live sampling rate, and a
 // flight recorder armed - the production configuration routeserve always
-// runs in - the warm Query and Route paths must still not allocate.
+// runs in - the warm Query and Route paths must still not allocate on an
+// empty overlay, for the exact, Thorup-Zwick and Theorem 11 schemes.
 // Instrument reads are func-backed snapshots refreshed at scrape time, the
 // not-sampled trace check is a hash and a compare, and a sampled audit offer
 // is a value-struct send on a prefilled channel, so observability costs the
@@ -28,25 +29,18 @@ func TestObsHotPathAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	ps := compactroute.AllPairs(g)
-	s, err := compactroute.NewTheorem11(g, ps, compactroute.Options{Eps: 0.5, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
+	builds := []struct {
+		name  string
+		build func() (compactroute.Scheme, error)
+	}{
+		{"exact", func() (compactroute.Scheme, error) { return compactroute.NewExact(g) }},
+		{"tzroute", func() (compactroute.Scheme, error) {
+			return compactroute.NewThorupZwick(g, compactroute.Options{K: 2, Seed: 3})
+		}},
+		{"thm11", func() (compactroute.Scheme, error) {
+			return compactroute.NewTheorem11(g, ps, compactroute.Options{Eps: 0.5, Seed: 3})
+		}},
 	}
-	reg := compactroute.NewMetricsRegistry()
-	sink := compactroute.NewTraceSink(0, 64) // 0% sampling: the untraced path
-	sink.Register(reg)
-	audit := compactroute.NewRouteAuditor(0.25, 2, 8192)
-	defer audit.Close()
-	audit.Register(reg)
-	fr := compactroute.NewFlightRecorder(64)
-	fr.Register(reg)
-	eng, err := compactroute.NewServeEngine(s, compactroute.ServeOptions{
-		Workers: 2, Obs: reg, Trace: sink, Audit: audit, FlightRec: fr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-
 	n := g.N()
 	pairs := make([][2]compactroute.Vertex, 256)
 	for i := range pairs {
@@ -55,48 +49,71 @@ func TestObsHotPathAllocs(t *testing.T) {
 			compactroute.Vertex((i*13 + 1) % n),
 		}
 	}
-	out := make([]compactroute.ServeResult, len(pairs))
-	for i := 0; i < 4; i++ {
-		eng.Query(pairs, out)
-	}
-	audit.Flush() // warm the audit workers' workspace pool before measuring
-	if allocs := testing.AllocsPerRun(20, func() {
-		eng.Query(pairs, out)
-	}); allocs != 0 {
-		t.Errorf("Engine.Query with obs enabled: %v allocs/op, want 0", allocs)
-	}
-	for i := 0; i < 32; i++ {
-		eng.Route(pairs[i][0], pairs[i][1])
-	}
-	i := 0
-	if allocs := testing.AllocsPerRun(20, func() {
-		eng.Route(pairs[i%len(pairs)][0], pairs[i%len(pairs)][1])
-		i++
-	}); allocs != 0 {
-		t.Errorf("Engine.Route with obs enabled: %v allocs/op, want 0", allocs)
-	}
+	for _, b := range builds {
+		t.Run(b.name, func(t *testing.T) {
+			s, err := b.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := compactroute.NewMetricsRegistry()
+			sink := compactroute.NewTraceSink(0, 64) // 0% sampling: the untraced path
+			sink.Register(reg)
+			audit := compactroute.NewRouteAuditor(0.25, 2, 8192)
+			defer audit.Close()
+			audit.Register(reg)
+			fr := compactroute.NewFlightRecorder(64)
+			fr.Register(reg)
+			eng, err := compactroute.ServeLive(s, compactroute.LiveServeOptions{
+				Workers: 2, Obs: reg, Trace: sink, Audit: audit, FlightRec: fr})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
 
-	// The registry was live the whole time: a scrape must see the work.
-	var b strings.Builder
-	if err := reg.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "compactroute_queries_total") {
-		t.Fatal("scrape after alloc runs misses the query counter")
-	}
-	if !strings.Contains(b.String(), "compactroute_audit_sampled_total") {
-		t.Fatal("scrape misses the audit instruments")
-	}
-	if sink.SampledCount() != 0 {
-		t.Fatalf("0%% sampling recorded %d traces", sink.SampledCount())
-	}
-	audit.Flush()
-	st := audit.Stats()
-	if st.Sampled == 0 || st.Verified == 0 {
-		t.Fatalf("rate-0.25 auditor audited nothing across the alloc runs: %+v", st)
-	}
-	if st.Violations != 0 {
-		t.Fatalf("auditor reported %d violations on an honest scheme", st.Violations)
+			out := make([]compactroute.LiveResult, len(pairs))
+			for i := 0; i < 4; i++ {
+				eng.Query(pairs, out)
+			}
+			audit.Flush() // warm the audit workers' workspace pool before measuring
+			if allocs := testing.AllocsPerRun(20, func() {
+				eng.Query(pairs, out)
+			}); allocs != 0 {
+				t.Errorf("Query with obs enabled: %v allocs/op, want 0", allocs)
+			}
+			for i := 0; i < 32; i++ {
+				eng.Route(pairs[i][0], pairs[i][1])
+			}
+			i := 0
+			if allocs := testing.AllocsPerRun(20, func() {
+				eng.Route(pairs[i%len(pairs)][0], pairs[i%len(pairs)][1])
+				i++
+			}); allocs != 0 {
+				t.Errorf("Route with obs enabled: %v allocs/op, want 0", allocs)
+			}
+
+			// The registry was live the whole time: a scrape must see the work.
+			var sb strings.Builder
+			if err := reg.WritePrometheus(&sb); err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(sb.String(), "compactroute_queries_total") {
+				t.Fatal("scrape after alloc runs misses the query counter")
+			}
+			if !strings.Contains(sb.String(), "compactroute_audit_sampled_total") {
+				t.Fatal("scrape misses the audit instruments")
+			}
+			if sink.SampledCount() != 0 {
+				t.Fatalf("0%% sampling recorded %d traces", sink.SampledCount())
+			}
+			audit.Flush()
+			st := audit.Stats()
+			if st.Sampled == 0 || st.Verified == 0 {
+				t.Fatalf("rate-0.25 auditor audited nothing across the alloc runs: %+v", st)
+			}
+			if st.Violations != 0 || st.Stale != 0 {
+				t.Fatalf("auditor reported %d violations, %d stale on an honest scheme over an empty overlay", st.Violations, st.Stale)
+			}
+		})
 	}
 }
 
@@ -120,7 +137,7 @@ func TestTraceSamplingDeterministic(t *testing.T) {
 		reg := compactroute.NewMetricsRegistry()
 		sink := compactroute.NewTraceSink(0.25, 8192)
 		sink.Register(reg)
-		eng, err := compactroute.NewServeEngine(s, compactroute.ServeOptions{
+		eng, err := compactroute.ServeLive(s, compactroute.LiveServeOptions{
 			Workers: workers, Obs: reg, Trace: sink})
 		if err != nil {
 			t.Fatal(err)

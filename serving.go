@@ -4,23 +4,17 @@ import (
 	"compactroute/internal/serve"
 )
 
-// Serving re-exports: the concurrent query engine of internal/serve, the
-// subsystem behind cmd/routeserve and the batched evaluation harness.
+// Serving re-exports of internal/serve, the subsystem behind
+// cmd/routeserve and the batched evaluation harness (the engine itself is
+// LiveEngine, see live.go).
 type (
-	// ServeEngine answers route queries for one preprocessed scheme from
-	// many workers at once and keeps live serving statistics.
-	ServeEngine = serve.Engine
-	// ServeOptions configures a ServeEngine (workers, verification).
-	ServeOptions = serve.Options
-	// ServeResult is the outcome of one served query.
-	ServeResult = serve.Result
-	// ServeStats is a merged snapshot of an engine's live counters: QPS,
+	// ServeStats is a merged snapshot of an engine's serving counters: QPS,
 	// hop quantiles, stretch histogram and bound violations.
 	ServeStats = serve.Stats
 	// RouteAuditor shadow-verifies a deterministic sample of delivered
 	// queries off the hot path through the bounded bidirectional kernel,
 	// publishing compactroute_audit_* instruments. Attach one per engine via
-	// ServeOptions.Audit / LiveServeOptions.Audit.
+	// LiveServeOptions.Audit.
 	RouteAuditor = serve.Auditor
 	// RouteAuditStats is a snapshot of an auditor's counters.
 	RouteAuditStats = serve.AuditStats
@@ -32,14 +26,6 @@ const (
 	StretchBuckets     = serve.StretchBuckets
 	StretchBucketWidth = serve.StretchBucketWidth
 )
-
-// NewServeEngine builds a query engine over a preprocessed (typically
-// snapshot-loaded) scheme. With ServeOptions.Verify set and a PathSource
-// supplied, every delivery is checked against the scheme's proved stretch
-// bound and feeds the stretch histogram.
-func NewServeEngine(s Scheme, o ServeOptions) (*ServeEngine, error) {
-	return serve.New(s, o)
-}
 
 // NewRouteAuditor builds an auditor sampling the given rate (0..1) of
 // delivered queries into a buffer of bufN records, shadow-verified by the

@@ -59,12 +59,19 @@ func LoadScheme(r io.Reader) (Scheme, error) {
 	if err != nil {
 		return nil, err
 	}
-	t1 := time.Now()
+	return decodeLoad(snap, wire.LoadEvent{Parse: time.Since(t0)})
+}
+
+// decodeLoad decodes a parsed snapshot and reports the load to the snapshot
+// observer; ev carries the map and parse timings of the caller's load path.
+func decodeLoad(snap *wire.Snapshot, ev wire.LoadEvent) (Scheme, error) {
+	t0 := time.Now()
 	s, err := decodeSnapshot(snap)
 	if err != nil {
 		return nil, err
 	}
-	wire.EmitLoad(wire.LoadEvent{Kind: snap.Kind, Parse: t1.Sub(t0), Decode: time.Since(t1)})
+	ev.Kind, ev.Decode = snap.Kind, time.Since(t0)
+	wire.EmitLoad(ev)
 	return s, nil
 }
 
@@ -156,15 +163,18 @@ func OpenSchemeFile(path string) (*SchemeFile, error) {
 		m.Close()
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	t2 := time.Now()
-	s, err := decodeSnapshot(snap)
+	s, err := decodeLoad(snap, mappedLoad(m, t0, t1))
 	if err != nil {
 		m.Close()
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	wire.EmitLoad(wire.LoadEvent{Kind: snap.Kind, Bytes: int64(len(m.Bytes())),
-		Mapped: m.Mapped(), Map: t1.Sub(t0), Parse: t2.Sub(t1), Decode: time.Since(t2)})
 	return &SchemeFile{Scheme: s, m: m}, nil
+}
+
+// mappedLoad is the load event of a snapshot mapped at t0 and parsed from t1
+// until now.
+func mappedLoad(m *wire.Mapping, t0, t1 time.Time) wire.LoadEvent {
+	return wire.LoadEvent{Bytes: int64(len(m.Bytes())), Mapped: m.Mapped(), Map: t1.Sub(t0), Parse: time.Since(t1)}
 }
 
 // SaveSchemeFile is SaveScheme into a file created (truncated) at path.
