@@ -13,27 +13,18 @@ import (
 // churnConfig parameterizes the -churn replay (experiment E14) and the
 // -churn -repair latency study (experiment E17).
 type churnConfig struct {
-	n          int
-	eps        float64
-	seed       int64
-	churnSeed  int64
-	frac       float64
-	pairs      int
-	workers    int
-	budgetMiB  int
-	repair     bool // -repair: incremental-repair mode (E17)
-	batch      int  // repair mode: trace ops applied per phase
-	phases     int  // repair mode: number of repair phases
-	trace      bool // -trace: per-phase routing-decision census
-	verifyBidi bool // -verify-mode bidi: prove distances with the bidirectional kernel
-}
-
-// verifyModeName renders the -verify-mode value back for banners.
-func (c churnConfig) verifyModeName() string {
-	if c.verifyBidi {
-		return "bidi"
-	}
-	return "pathsource"
+	n         int
+	eps       float64
+	seed      int64
+	churnSeed int64
+	frac      float64
+	pairs     int
+	workers   int
+	budgetMiB int
+	repair    bool // -repair: incremental-repair mode (E17)
+	batch     int  // repair mode: trace ops applied per phase
+	phases    int  // repair mode: number of repair phases
+	trace     bool // -trace: per-phase routing-decision census
 }
 
 // decisionCensus renders per-serving-phase deltas of the trace sink's
@@ -115,7 +106,7 @@ func runChurn(out io.Writer, cfg churnConfig) error {
 		return err
 	}
 	opts := compactroute.Options{Eps: cfg.eps, Seed: cfg.seed}
-	build, err := compactroute.RebuildFuncFor("thm11/v1", opts, cfg.budgetMiB)
+	build, err := compactroute.RebuildFuncFor("thm11/v2", opts, cfg.budgetMiB)
 	if err != nil {
 		return err
 	}
@@ -125,8 +116,7 @@ func runChurn(out io.Writer, cfg churnConfig) error {
 		return err
 	}
 	buildTime := time.Since(buildStart)
-	lopts := compactroute.LiveServeOptions{Workers: cfg.workers, Verify: true,
-		VerifyBidi: cfg.verifyBidi, Build: build}
+	lopts := compactroute.LiveServeOptions{Workers: cfg.workers, Verify: true, Build: build}
 	var census *decisionCensus
 	if cfg.trace {
 		lopts.Trace, census = newDecisionCensus()
@@ -143,8 +133,8 @@ func runChurn(out io.Writer, cfg churnConfig) error {
 	}
 	defer eng.Close()
 	pairs := compactroute.SamplePairs(cfg.n, cfg.pairs, cfg.seed)
-	fmt.Fprintf(out, "# E14 churn replay: %s on G(n=%d, m=%d), %d workers, %d pairs/phase, verify=%s, build %s\n",
-		scheme.Name(), g.N(), g.M(), eng.Workers(), len(pairs), cfg.verifyModeName(), buildTime.Round(time.Millisecond))
+	fmt.Fprintf(out, "# E14 churn replay: %s on G(n=%d, m=%d), %d workers, %d pairs/phase, build %s\n",
+		scheme.Name(), g.N(), g.M(), eng.Workers(), len(pairs), buildTime.Round(time.Millisecond))
 
 	// auditCensus flushes the auditor at a phase boundary and checks its
 	// census against the synchronous verifier: the audited violation delta
@@ -300,8 +290,7 @@ func runChurn(out io.Writer, cfg churnConfig) error {
 	if err != nil {
 		return err
 	}
-	refEng, err := compactroute.ServeLive(ref, compactroute.LiveServeOptions{
-		Workers: cfg.workers, Verify: true, VerifyBidi: cfg.verifyBidi})
+	refEng, err := compactroute.ServeLive(ref, compactroute.LiveServeOptions{Workers: cfg.workers, Verify: true})
 	if err != nil {
 		return err
 	}
@@ -348,14 +337,14 @@ func runChurnRepair(out io.Writer, cfg churnConfig) error {
 		return err
 	}
 	opts := compactroute.Options{Eps: cfg.eps, Seed: cfg.seed}
-	build, repairFn, err := compactroute.RepairFuncFor("thm11/v1", opts, cfg.budgetMiB)
+	build, repairFn, err := compactroute.RepairFuncFor("thm11/v2", opts, cfg.budgetMiB)
 	if err != nil {
 		return err
 	}
 	// The reference builder is a separate RebuildFuncFor recipe: calling the
 	// coupled build again would re-arm the repair state on the reference
 	// scheme and detach it from the serving one.
-	refBuild, err := compactroute.RebuildFuncFor("thm11/v1", opts, cfg.budgetMiB)
+	refBuild, err := compactroute.RebuildFuncFor("thm11/v2", opts, cfg.budgetMiB)
 	if err != nil {
 		return err
 	}
@@ -366,7 +355,7 @@ func runChurnRepair(out io.Writer, cfg churnConfig) error {
 	}
 	buildTime := time.Since(buildStart)
 	lopts := compactroute.LiveServeOptions{Workers: cfg.workers, Verify: true,
-		VerifyBidi: cfg.verifyBidi, Build: build, Repair: repairFn}
+		Build: build, Repair: repairFn}
 	var census *decisionCensus
 	if cfg.trace {
 		lopts.Trace, census = newDecisionCensus()

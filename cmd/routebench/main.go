@@ -169,7 +169,6 @@ func run(args []string, out io.Writer) (err error) {
 		churnBatch  = fs.Int("churn-batch", 1, "repair mode: trace ops applied per repair phase")
 		churnPhases = fs.Int("churn-phases", 4, "repair mode: number of repair phases (0 = replay the whole trace)")
 		churnTrace  = fs.Bool("trace", false, "churn modes: trace every query and print a per-phase routing-decision census (vicinity/tree/detour/fallback rates)")
-		verifyMode  = fs.String("verify-mode", "pathsource", "churn modes: how verified deliveries prove true distances: pathsource (row cache) | bidi (bounded bidirectional kernel)")
 		save       = fs.String("save", "", "write snapshots of the snapshot-capable rows to <prefix>-<row>.snap after construction and evaluate only those rows")
 		load       = fs.String("load", "", "load the snapshot-capable rows from <prefix>-<row>.snap (written by -save) instead of constructing; the evaluation output is byte-identical to the -save run")
 		schemes    = fs.String("schemes", "", "comma-separated row filter (e.g. thm11,tz-k2); restricts construction and evaluation to the named rows")
@@ -183,9 +182,6 @@ func run(args []string, out io.Writer) (err error) {
 	if *repair && !*churn {
 		return errors.New("-repair requires -churn")
 	}
-	if *verifyMode != "pathsource" && *verifyMode != "bidi" {
-		return fmt.Errorf("-verify-mode %q: want pathsource or bidi", *verifyMode)
-	}
 	if *churn {
 		if *save != "" || *load != "" || *scaling || *schemes != "" {
 			return errors.New("-churn cannot be combined with -save/-load/-scaling/-schemes")
@@ -196,7 +192,7 @@ func run(args []string, out io.Writer) (err error) {
 			n: *n, eps: *eps, seed: *seed, churnSeed: *churnSeed, frac: *churnFrac,
 			pairs: *pairs, workers: *workers, budgetMiB: *budget,
 			repair: *repair, batch: *churnBatch, phases: *churnPhases,
-			trace: *churnTrace, verifyBidi: *verifyMode == "bidi",
+			trace: *churnTrace,
 		}
 		if *repair {
 			return runChurnRepair(out, cfg)

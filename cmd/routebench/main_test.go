@@ -152,50 +152,6 @@ func TestChurnReplay(t *testing.T) {
 	}
 }
 
-// TestChurnVerifyModeBitIdentical pins the -verify-mode contract: proving
-// true distances with the bounded bidirectional kernel instead of the
-// PathSource row cache must not change a single reported statistic. All
-// deterministic stat lines (violation counts, stretch and staleness
-// histograms, the cross-check verdict) must be bit-identical between the
-// two modes; only timing-bearing lines (headers, rebuild latency) and the
-// async audit attribution may differ.
-func TestChurnVerifyModeBitIdentical(t *testing.T) {
-	statLines := func(mode string) []string {
-		var out strings.Builder
-		args := []string{"-churn", "-n", "200", "-pairs", "300", "-churn-seed", "3", "-verify-mode", mode}
-		if err := run(args, &out); err != nil {
-			t.Fatalf("churn replay with -verify-mode %s failed: %v\n%s", mode, err, out.String())
-		}
-		var lines []string
-		for _, line := range strings.Split(out.String(), "\n") {
-			for _, prefix := range []string{"fresh:", "degraded:", "stale-hist:", "recovered:", "cross-check:"} {
-				if strings.HasPrefix(line, prefix) {
-					lines = append(lines, line)
-				}
-			}
-		}
-		if len(lines) != 5 {
-			t.Fatalf("-verify-mode %s produced %d stat lines, want 5:\n%s", mode, len(lines), out.String())
-		}
-		return lines
-	}
-	ps := statLines("pathsource")
-	bd := statLines("bidi")
-	for i := range ps {
-		if ps[i] != bd[i] {
-			t.Errorf("stat line diverges between verify modes:\npathsource: %s\nbidi:       %s", ps[i], bd[i])
-		}
-	}
-}
-
-func TestChurnVerifyModeRejectsUnknown(t *testing.T) {
-	var out strings.Builder
-	err := run([]string{"-churn", "-n", "100", "-verify-mode", "psychic"}, &out)
-	if err == nil || !strings.Contains(err.Error(), "verify-mode") {
-		t.Fatalf("want -verify-mode flag error, got %v", err)
-	}
-}
-
 // TestChurnTraceCensus pins the -trace decision census of the churn replay:
 // every serving phase reports its sampled queries and per-phase decision
 // counts, and the degraded phase must show a non-zero fallback or detour

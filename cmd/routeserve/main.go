@@ -428,7 +428,7 @@ func (s *server) serveCommand(w *bufio.Writer, enc *json.Encoder, fields []strin
 			s.errLine(w, enc, cmd, err)
 			break
 		}
-		d := s.eng.Distances().Dist(u, v)
+		d := s.eng.Overlay().BoundedBidiDist(u, v, math.Inf(1))
 		if s.jsonMode {
 			// JSON has no +Inf; an unreachable pair is reported as
 			// dist -1 with an explicit marker (encoding Inf would
@@ -464,7 +464,7 @@ func (s *server) serveRoute(w *bufio.Writer, enc *json.Encoder, u, v compactrout
 		Weight: res.Weight, Header: res.HeaderWords,
 		Stale: res.Stale(), Detours: res.Detours, Fallback: res.Fallback}
 	if s.verify {
-		rep.Dist = s.eng.Distances().Dist(u, v)
+		rep.Dist = s.eng.Overlay().BoundedBidiDist(u, v, math.Inf(1))
 		if rep.Dist > 0 {
 			rep.Stretch = rep.Weight / rep.Dist
 		}

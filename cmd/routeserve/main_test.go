@@ -179,6 +179,66 @@ func TestServeLiveAdminSession(t *testing.T) {
 	}
 }
 
+// TestServeLiveDistAfterDeledge pins the dist command of a -live session to
+// the churned graph: after deledge of the first edge of a shortest 3->41
+// path, dist returns the distance on the graph without that edge, and a
+// vertex cut off by deletions gets the JSON -1 / "unreachable" reply.
+func TestServeLiveDistAfterDeledge(t *testing.T) {
+	snap, n := writeSnapshot(t)
+	g, err := compactroute.GNM(n, 4*n, 2015, true, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := compactroute.AllPairs(g).First(3, 41)
+	b := compactroute.NewBuilder(n)
+	for u := 0; u < n; u++ {
+		g.Neighbors(compactroute.Vertex(u), func(_ compactroute.Port, v compactroute.Vertex, w float64) bool {
+			if compactroute.Vertex(u) < v && !(u == 3 && v == first || v == 3 && compactroute.Vertex(u) == first) {
+				b.AddEdge(compactroute.Vertex(u), v, w)
+			}
+			return true
+		})
+	}
+	churned, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := compactroute.AllPairs(churned).Dist(3, 41)
+
+	// Cut off a vertex away from the 3->41 pair by deleting all its edges.
+	isolated := compactroute.Vertex(0)
+	for isolated == 3 || isolated == 41 || isolated == first {
+		isolated++
+	}
+	cmds := []string{fmt.Sprintf("deledge 3 %d", first), "dist 3 41"}
+	g.Neighbors(isolated, func(_ compactroute.Port, v compactroute.Vertex, _ float64) bool {
+		cmds = append(cmds, fmt.Sprintf("deledge %d %d", isolated, v))
+		return true
+	})
+	cmds = append(cmds, fmt.Sprintf("dist %d 41", isolated), "quit")
+	var out strings.Builder
+	if err := run([]string{"-snapshot", snap, "-live", "-json", "-workers", "2"},
+		strings.NewReader(strings.Join(cmds, "\n")), &out); err != nil {
+		t.Fatal(err)
+	}
+	var dists []routeReply
+	for _, line := range strings.Split(out.String(), "\n") {
+		var rep routeReply
+		if json.Unmarshal([]byte(line), &rep) == nil && rep.Op == "dist" {
+			dists = append(dists, rep)
+		}
+	}
+	if len(dists) != 2 {
+		t.Fatalf("got %d dist replies, want 2:\n%s", len(dists), out.String())
+	}
+	if dists[0].Dist != want || dists[0].Err != "" {
+		t.Fatalf("dist 3 41 after deledge 3 %d = %+v, want %v", first, dists[0], want)
+	}
+	if dists[1].Dist != -1 || dists[1].Err != "unreachable" {
+		t.Fatalf("dist from isolated vertex %d = %+v, want -1 / unreachable", isolated, dists[1])
+	}
+}
+
 // TestServeLiveChurnOverTCP runs a full degraded/recovered cycle over the
 // TCP transport and then exercises the graceful-shutdown satellite: SIGINT
 // must drain the session, flush a final stats line and return nil (exit 0).

@@ -18,11 +18,9 @@ var regenCorpus = flag.Bool("regen-fuzz-corpus", false,
 
 const corpusDir = "testdata/fuzz/FuzzDecodeSnapshot"
 
-// corpusSchemes builds one snapshot-capable scheme per kind the CURRENT
-// encoders emit (the v2 kinds), on the same tiny deterministic graphs the
-// fuzz harness seeds with. The v1 kinds stay registered as decode-only
-// compatibility; their seed files are frozen fixtures from the last
-// v1-emitting build and are never rewritten by -regen-fuzz-corpus.
+// corpusSchemes builds one snapshot-capable scheme per registered kind, on
+// tiny deterministic graphs; the seed corpus files and the fuzz harness's
+// built-in seeds are their snapshots.
 func corpusSchemes(t testing.TB) map[string]compactroute.Scheme {
 	t.Helper()
 	g, err := compactroute.GNM(24, 96, 1, true, 8)
@@ -82,9 +80,9 @@ func decodeCorpusEntry(raw []byte) ([]byte, error) {
 
 // TestFuzzCorpusSeedsDecode pins the checked-in seed corpus of
 // FuzzDecodeSnapshot: there is exactly one valid snapshot file per registered
-// kind, each parses as a Go fuzz corpus entry, and each decodes back into a
-// scheme of that kind. Run with -regen-fuzz-corpus after changing a wire
-// format (a version bump) to rewrite the seeds.
+// kind and no other file, each parses as a Go fuzz corpus entry, and each
+// decodes back into a scheme of that kind. Run with -regen-fuzz-corpus after
+// changing a wire format to rewrite the seeds.
 func TestFuzzCorpusSeedsDecode(t *testing.T) {
 	schemes := corpusSchemes(t)
 	if *regenCorpus {
@@ -105,16 +103,24 @@ func TestFuzzCorpusSeedsDecode(t *testing.T) {
 	}
 
 	kinds := compactroute.SnapshotKinds()
-	var encodable int
+	seedFiles := map[string]bool{}
 	for _, kind := range kinds {
-		if _, ok := schemes[kind]; ok {
-			encodable++
-		} else if !strings.HasSuffix(kind, "/v1") {
-			t.Fatalf("registered kind %q is neither encodable by corpusSchemes nor a frozen v1 kind", kind)
+		if _, ok := schemes[kind]; !ok {
+			t.Fatalf("registered kind %q is not built by corpusSchemes", kind)
 		}
+		seedFiles[corpusFileName(kind)] = true
 	}
-	if encodable != len(schemes) {
-		t.Fatalf("corpusSchemes builds %d kinds, only %d of them registered (%v)", len(schemes), encodable, kinds)
+	if len(kinds) != len(schemes) {
+		t.Fatalf("corpusSchemes builds %d kinds, only %d of them registered (%v)", len(schemes), len(kinds), kinds)
+	}
+	entries, err := os.ReadDir(corpusDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if !seedFiles[e.Name()] {
+			t.Errorf("seed corpus file %s matches no registered kind; delete it", e.Name())
+		}
 	}
 	for _, kind := range kinds {
 		t.Run(kind, func(t *testing.T) {
@@ -131,14 +137,8 @@ func TestFuzzCorpusSeedsDecode(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed corpus snapshot does not decode: %v", err)
 			}
-			// A frozen v1 seed decodes into the same in-memory scheme type as
-			// its v2 successor, and that type now reports the v2 kind.
-			wantKind := kind
-			if strings.HasSuffix(kind, "/v1") {
-				wantKind = strings.TrimSuffix(kind, "/v1") + "/v2"
-			}
-			if got := compactroute.SnapshotKind(s); got != wantKind {
-				t.Fatalf("seed decodes as kind %q, file for %q should yield %q", got, kind, wantKind)
+			if got := compactroute.SnapshotKind(s); got != kind {
+				t.Fatalf("seed for %q decodes as kind %q", kind, got)
 			}
 		})
 	}

@@ -9,24 +9,6 @@ import (
 	"compactroute/internal/wire"
 )
 
-// EncodeWire writes the landmark structure: the set A, the nearest-landmark
-// tables p_A / d(.,A), and every cluster's members (V, Dist, Parent) in
-// search order. The bunches are the transpose of the clusters and are
-// rebuilt on decode.
-func (l *Landmarks) EncodeWire(e *wire.Encoder) {
-	e.Vertices(l.A)
-	e.Vertices(l.P)
-	e.Float64s(l.DistA)
-	for _, ms := range l.clusters {
-		e.Uint32(uint32(len(ms)))
-		for _, m := range ms {
-			e.Vertex(m.V)
-			e.Float64(m.Dist)
-			e.Vertex(m.Parent)
-		}
-	}
-}
-
 // EncodeWireV2 writes the landmark structure in the compressed v2 layout:
 // the set A as uvarint deltas (it is sorted and unique), the
 // nearest-landmark table p_A as uvarint indexes into A, d(.,A) as a
@@ -225,40 +207,6 @@ func Restore(n int, a, p []graph.Vertex, distA []float64, clusters [][]Member) (
 	}
 	for v := range l.bunches {
 		sort.Slice(l.bunches[v], func(i, j int) bool { return l.bunches[v][i] < l.bunches[v][j] })
-	}
-	return l, nil
-}
-
-// DecodeWire reads a landmark structure written by EncodeWire.
-func DecodeWire(d *wire.Decoder, n int) (*Landmarks, error) {
-	a := d.Vertices()
-	p := d.Vertices()
-	distA := d.Float64s()
-	if d.Err() != nil {
-		return nil, d.Err()
-	}
-	if !d.Alloc(int64(n) * 48) { // per-vertex tables, cluster and bunch headers
-		return nil, d.Err()
-	}
-	clusters := make([][]Member, n)
-	for w := 0; w < n; w++ {
-		c := d.Count(16) // V + Dist + Parent
-		if d.Err() != nil {
-			return nil, d.Err()
-		}
-		ms := make([]Member, c)
-		for i := range ms {
-			ms[i] = Member{V: d.Vertex(), Dist: d.Float64(), Parent: d.Vertex()}
-		}
-		clusters[w] = ms
-	}
-	if d.Err() != nil {
-		return nil, d.Err()
-	}
-	l, err := Restore(n, a, p, distA, clusters)
-	if err != nil {
-		d.Failf("%v", err)
-		return nil, d.Err()
 	}
 	return l, nil
 }

@@ -29,15 +29,6 @@ func Restore(n, q int, colors []Color) (*Coloring, error) {
 	return c, nil
 }
 
-// EncodeWire writes the coloring: q and the per-vertex colors.
-func (c *Coloring) EncodeWire(e *wire.Encoder) {
-	e.Uint32(uint32(c.q))
-	e.Uint32(uint32(len(c.colors)))
-	for _, cv := range c.colors {
-		e.Int32(int32(cv))
-	}
-}
-
 // EncodeWireV2 writes the coloring compressed: q, the vertex count and the
 // per-vertex colors as uvarints - q is small (about n^(1/k)), so a color is
 // one byte instead of four.
@@ -66,28 +57,6 @@ func DecodeWireV2(d *wire.Decoder, n int) (*Coloring, error) {
 	colors := make([]Color, c)
 	for i := range colors {
 		colors[i] = Color(d.Uvarint())
-	}
-	if d.Err() != nil {
-		return nil, d.Err()
-	}
-	col, err := Restore(n, q, colors)
-	if err != nil {
-		d.Failf("%v", err)
-		return nil, d.Err()
-	}
-	return col, nil
-}
-
-// DecodeWire reads a coloring written by EncodeWire for n vertices.
-func DecodeWire(d *wire.Decoder, n int) (*Coloring, error) {
-	q := int(d.Uint32())
-	c := d.Count(4)
-	if d.Err() != nil {
-		return nil, d.Err()
-	}
-	colors := make([]Color, c)
-	for i := range colors {
-		colors[i] = Color(d.Int32())
 	}
 	if d.Err() != nil {
 		return nil, d.Err()

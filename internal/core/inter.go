@@ -133,7 +133,7 @@ func NewInter(cfg InterConfig) (*Inter, error) {
 // the sequences and maxDist: the target partition map and the relay
 // representatives are pure functions of the vicinities and partitions, so
 // both the construction path (NewInter) and the snapshot restore path
-// (RestoreInter) share this.
+// (RestoreInterV2) share this.
 func newInterBase(cfg InterConfig) (*Inter, error) {
 	g := cfg.Graph
 	n := g.N()

@@ -86,7 +86,7 @@ func NewIntra(cfg IntraConfig) (*Intra, error) {
 // function of (graph, vicinities, partition): the hitting set, the landmark
 // trees and the nearest-hitting-set table. The per-pair sequences - the one
 // piece that needs a PathSource - are filled by NewIntra or decoded by
-// RestoreIntra (cfg.Paths is not consulted here).
+// RestoreIntraV2 (cfg.Paths is not consulted here).
 func newIntraBase(cfg IntraConfig) (*Intra, error) {
 	g := cfg.Graph
 	n := g.N()

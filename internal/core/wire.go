@@ -8,58 +8,13 @@ import (
 	"compactroute/internal/wire"
 )
 
-// EncodeWire writes the Lemma 8 state that cannot be re-derived without a
+// EncodeWireV2 writes the Lemma 8 state that cannot be re-derived without a
 // PathSource: the distance upper bound and the per-source target sequences
-// (targets in increasing id order, so the stream is deterministic).
-// Everything else - the target partition map, the relay representatives,
-// the doubling scale - is a pure function of the restore inputs.
-func (in *Inter) EncodeWire(e *wire.Encoder) {
-	e.Float64(in.maxDist)
-	for u := range in.seqs {
-		targets := make([]graph.Vertex, 0, len(in.seqs[u]))
-		for w := range in.seqs[u] {
-			targets = append(targets, w)
-		}
-		sort.Slice(targets, func(i, j int) bool { return targets[i] < targets[j] })
-		e.Uint32(uint32(len(targets)))
-		for _, w := range targets {
-			sq := in.seqs[u][w]
-			e.Vertex(w)
-			e.Bool(sq.relay)
-			e.Vertices(sq.waypoints)
-		}
-	}
-}
-
-// EncodeIntraWire writes the Lemma 7 state that cannot be re-derived
-// without a PathSource: the per-source waypoint sequences (targets in
-// increasing id order, so the stream is deterministic). The hitting set,
-// the landmark trees, the nearest-hitting-set table and the destinations'
-// tree labels are pure functions of the restore inputs and are rebuilt on
-// decode.
-func (in *Intra) EncodeIntraWire(e *wire.Encoder) {
-	for u := range in.seqs {
-		targets := make([]graph.Vertex, 0, len(in.seqs[u]))
-		for v := range in.seqs[u] {
-			targets = append(targets, v)
-		}
-		sort.Slice(targets, func(i, j int) bool { return targets[i] < targets[j] })
-		e.Uint32(uint32(len(targets)))
-		for _, v := range targets {
-			sq := in.seqs[u][v]
-			e.Vertex(v)
-			e.Vertex(sq.landmark) // NoVertex when the sequence ends at v
-			e.Vertices(sq.waypoints)
-		}
-	}
-}
-
-// EncodeWireV2 writes the sequences in the v2 aligned layout: per-source
-// target offsets, sorted target ids, a relay bitset, waypoint offsets and
-// one shared waypoint slab - five fixed-width arrays that decode as
-// zero-copy aliases over the mapped snapshot and are served directly via
-// binary search over each source's target run. The section this lands in
-// must be an AlignedSection.
+// in the v2 aligned layout - per-source target offsets, sorted target ids, a
+// relay bitset, waypoint offsets and one shared waypoint slab, five
+// fixed-width arrays that decode as zero-copy aliases over the mapped
+// snapshot and are served directly via binary search over each source's
+// target run. The section this lands in must be an AlignedSection.
 func (in *Inter) EncodeWireV2(e *wire.Encoder) {
 	e.Float64(in.maxDist)
 	f := in.flat
@@ -110,7 +65,12 @@ func (in *Inter) flattenSeqs() *interFlat {
 	return f
 }
 
-// EncodeIntraWireV2 is EncodeIntraWire with varint framing.
+// EncodeIntraWireV2 writes the Lemma 7 state that cannot be re-derived
+// without a PathSource: the per-source waypoint sequences, uvarint-framed,
+// targets in increasing id order so the stream is deterministic. The hitting
+// set, the landmark trees, the nearest-hitting-set table and the
+// destinations' tree labels are pure functions of the restore inputs and are
+// rebuilt on decode.
 func (in *Intra) EncodeIntraWireV2(e *wire.Encoder) {
 	for u := range in.seqs {
 		targets := make([]graph.Vertex, 0, len(in.seqs[u]))
@@ -137,8 +97,12 @@ func (in *Intra) EncodeIntraWireV2(e *wire.Encoder) {
 	}
 }
 
-// RestoreIntraV2 is RestoreIntra over the varint framing of
-// EncodeIntraWireV2, with the same validation.
+// RestoreIntraV2 rebuilds a Lemma 7 structure from a sequence stream written
+// by EncodeIntraWireV2: the derivable state comes from cfg (cfg.Paths is not
+// consulted), the sequences from d. Decoded ids are validated - vertices in
+// range, targets in the source's part, landmarks members of the re-derived
+// hitting set with the destination present in their tree - so a corrupt
+// snapshot fails instead of panicking or misrouting.
 func RestoreIntraV2(cfg IntraConfig, d *wire.Decoder) (*Intra, error) {
 	in, err := newIntraBase(cfg)
 	if err != nil {
@@ -202,8 +166,9 @@ func RestoreIntraV2(cfg IntraConfig, d *wire.Decoder) (*Intra, error) {
 	return in, nil
 }
 
-// RestoreInterV2 is RestoreInter over the aligned flat layout of
-// EncodeWireV2: the five arrays alias the snapshot bytes and are validated
+// RestoreInterV2 rebuilds a Lemma 8 structure from the aligned flat layout
+// of EncodeWireV2, with the derivable state from cfg (cfg.Paths is not
+// consulted): the five arrays alias the snapshot bytes and are validated
 // structurally (offsets monotone and consistent, targets ascending per
 // source, every id in range) in a handful of linear passes - no maps are
 // rebuilt, which is what keeps the thm11 mmap cold start near page-table
@@ -305,121 +270,4 @@ func decodeWaypointsV2(d *wire.Decoder, n int) []graph.Vertex {
 		return nil
 	}
 	return out
-}
-
-// RestoreIntra rebuilds a Lemma 7 structure from a decoded sequence stream:
-// the derivable state comes from cfg (cfg.Paths is not consulted), the
-// sequences from d. Decoded ids are validated - vertices in range, targets
-// in the source's part, landmarks members of the re-derived hitting set
-// with the destination present in their tree - so a corrupt snapshot fails
-// instead of panicking or misrouting.
-func RestoreIntra(cfg IntraConfig, d *wire.Decoder) (*Intra, error) {
-	in, err := newIntraBase(cfg)
-	if err != nil {
-		d.Failf("%v", err)
-		return nil, d.Err()
-	}
-	n := in.g.N()
-	if !d.Alloc(int64(n) * 16) { // per-source map headers
-		return nil, d.Err()
-	}
-	for u := 0; u < n; u++ {
-		c := d.Count(12) // per target at least: id + landmark + count
-		if d.Err() != nil {
-			return nil, d.Err()
-		}
-		in.seqs[u] = make(map[graph.Vertex]intraSeq, c)
-		for i := 0; i < c; i++ {
-			v := d.Vertex()
-			lm := d.Vertex()
-			wps := d.Vertices()
-			if d.Err() != nil {
-				return nil, d.Err()
-			}
-			if v < 0 || int(v) >= n {
-				d.Failf("sequence target %d out of range", v)
-				return nil, d.Err()
-			}
-			if in.partOf[u] != in.partOf[v] {
-				d.Failf("sequence %d->%d crosses parts", u, v)
-				return nil, d.Err()
-			}
-			for _, wp := range wps {
-				if wp < 0 || int(wp) >= n {
-					d.Failf("waypoint %d out of range in sequence %d->%d", wp, u, v)
-					return nil, d.Err()
-				}
-			}
-			sq := intraSeq{waypoints: wps, landmark: lm}
-			if lm != graph.NoVertex {
-				tr, ok := in.trees[lm]
-				if !ok {
-					d.Failf("sequence %d->%d names %d, which is not a hitting-set landmark", u, v, lm)
-					return nil, d.Err()
-				}
-				sq.treeLbl = tr.LabelOf(v)
-				if sq.treeLbl == treeroute.NoLabel {
-					d.Failf("destination %d missing from landmark tree %d", v, lm)
-					return nil, d.Err()
-				}
-			}
-			if _, dup := in.seqs[u][v]; dup {
-				d.Failf("duplicate sequence %d->%d", u, v)
-				return nil, d.Err()
-			}
-			in.seqs[u][v] = sq
-		}
-	}
-	return in, nil
-}
-
-// RestoreInter rebuilds a Lemma 8 structure from a decoded sequence stream:
-// the derivable state comes from cfg (cfg.Paths is not consulted), the
-// sequences and maxDist from d. Decoded vertex ids are range-checked so a
-// corrupt snapshot fails instead of panicking.
-func RestoreInter(cfg InterConfig, d *wire.Decoder) (*Inter, error) {
-	in, err := newInterBase(cfg)
-	if err != nil {
-		d.Failf("%v", err)
-		return nil, d.Err()
-	}
-	in.maxDist = d.Float64()
-	n := in.g.N()
-	if !d.Alloc(int64(n) * 16) { // per-source map headers
-		return nil, d.Err()
-	}
-	for u := 0; u < n; u++ {
-		c := d.Count(9) // per target at least: id + relay flag + count
-		if d.Err() != nil {
-			return nil, d.Err()
-		}
-		if c == 0 {
-			continue
-		}
-		in.seqs[u] = make(map[graph.Vertex]interSeq, c)
-		for i := 0; i < c; i++ {
-			w := d.Vertex()
-			relay := d.Bool()
-			wps := d.Vertices()
-			if d.Err() != nil {
-				return nil, d.Err()
-			}
-			if w < 0 || int(w) >= n {
-				d.Failf("sequence target %d out of range", w)
-				return nil, d.Err()
-			}
-			for _, wp := range wps {
-				if wp < 0 || int(wp) >= n {
-					d.Failf("waypoint %d out of range in sequence %d->%d", wp, u, w)
-					return nil, d.Err()
-				}
-			}
-			if _, dup := in.seqs[u][w]; dup {
-				d.Failf("duplicate sequence %d->%d", u, w)
-				return nil, d.Err()
-			}
-			in.seqs[u][w] = interSeq{waypoints: wps, relay: relay}
-		}
-	}
-	return in, nil
 }

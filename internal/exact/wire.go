@@ -6,16 +6,11 @@ import (
 	"compactroute/internal/wire"
 )
 
-// WireKindName is the registered snapshot kind of the exact baseline
-// (legacy v1 layout; still decodable).
-const WireKindName = "exact/v1"
-
 // WireKindNameV2 is the v2 layout: the port matrix as one aligned
 // fixed-width array whose rows alias the snapshot bytes on decode.
 const WireKindNameV2 = "exact/v2"
 
 func init() {
-	wire.Register(WireKindName, decodeSnapshot)
 	wire.Register(WireKindNameV2, decodeSnapshotV2)
 }
 
@@ -38,35 +33,6 @@ func (s *Scheme) EncodeSnapshot(snap *wire.Snapshot) error {
 		}
 	}
 	return nil
-}
-
-func decodeSnapshot(g *graph.Graph, snap *wire.Snapshot) (simnet.Scheme, error) {
-	d, err := snap.Decoder(secPorts)
-	if err != nil {
-		return nil, err
-	}
-	n := g.N()
-	if !d.Alloc(4 * int64(n) * int64(n)) {
-		return nil, d.Err()
-	}
-	s := &Scheme{g: g, ports: make([][]graph.Port, n)}
-	for u := 0; u < n; u++ {
-		row := make([]graph.Port, n)
-		deg := graph.Port(g.Degree(graph.Vertex(u)))
-		for v := 0; v < n; v++ {
-			p := d.Port()
-			if p != graph.NoPort && (p < 0 || p >= deg) {
-				d.Failf("port[%d][%d]=%d outside degree %d", u, v, p, deg)
-				return nil, d.Err()
-			}
-			row[v] = p
-		}
-		s.ports[u] = row
-	}
-	if err := d.Finish(); err != nil {
-		return nil, err
-	}
-	return s, nil
 }
 
 // decodeSnapshotV2 reads the v2 port matrix. On a little-endian host the

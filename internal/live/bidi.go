@@ -12,8 +12,8 @@ import (
 // neighbor view, so its distances coincide bit-for-bit with
 // graph.ShortestPaths over Overlay.Materialize() (the same integer-weight
 // exactness argument as the base kernel; reweights keep weights integral).
-// This is what lets the live auditor shadow-verify churned generations
-// without building a Distances row cache.
+// It is the one source of true distances for serving: Verify, the live
+// auditor and routeserve's dist command all read it.
 func (ov *Overlay) BoundedBidiDist(src, dst graph.Vertex, bound float64) float64 {
 	if src == dst {
 		return 0

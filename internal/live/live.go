@@ -12,7 +12,8 @@
 // local search over the effective graph, and when the detour budget is
 // exhausted the query falls back to one exact search. Routes stay finite;
 // the proved stretch bound is traded for a *measured* staleness stretch
-// (weight over the true distance in the churned graph, see Distances).
+// (weight over the true distance in the churned graph, see
+// Overlay.BoundedBidiDist).
 //
 // The generation manager that serves queries from one scheme while a
 // background goroutine rebuilds the next one from base+overlay - and then
@@ -117,10 +118,6 @@ type Overlay struct {
 	states  map[edgeKey]edgeState
 	added   map[graph.Vertex][]halfAdd // alive non-base edges, sorted by neighbor
 	version uint64
-	// effNonUnit counts alive effective edges with weight != 1; the
-	// effective graph is unweighted exactly when it is zero, which decides
-	// BFS vs Dijkstra in the effective searches (mirroring graph.Graph.Unit).
-	effNonUnit int
 	// pub is the (version, entry count) pair republished under mu by every
 	// mutation, so per-query readers load both with one atomic read.
 	pub atomic.Pointer[overlayStamp]
@@ -144,26 +141,8 @@ func NewOverlay(base *graph.Graph) *Overlay {
 		states: make(map[edgeKey]edgeState),
 		added:  make(map[graph.Vertex][]halfAdd),
 	}
-	ov.effNonUnit = baseNonUnit(base)
 	ov.publish()
 	return ov
-}
-
-// baseNonUnit counts the base edges with weight != 1.
-func baseNonUnit(g *graph.Graph) int {
-	if g.Unit() {
-		return 0
-	}
-	cnt := 0
-	for u := 0; u < g.N(); u++ {
-		g.Neighbors(graph.Vertex(u), func(_ graph.Port, v graph.Vertex, w float64) bool {
-			if graph.Vertex(u) < v && w != 1 {
-				cnt++
-			}
-			return true
-		})
-	}
-	return cnt
 }
 
 // Base returns the immutable graph the overlay is recorded over. It changes
@@ -188,7 +167,7 @@ func (ov *Overlay) State() (version uint64, entries int) {
 }
 
 // Version returns the number of updates applied so far. It increases by one
-// per successful Apply and is the cache-invalidation clock of Distances.
+// per successful Apply.
 func (ov *Overlay) Version() uint64 { return ov.pub.Load().version }
 
 // Len returns the number of edges whose current state differs from the base
@@ -197,15 +176,6 @@ func (ov *Overlay) Len() int { return ov.pub.Load().entries }
 
 // Empty reports whether the effective graph equals the base graph.
 func (ov *Overlay) Empty() bool { return ov.Len() == 0 }
-
-// Unit reports whether every alive effective edge has weight exactly 1 -
-// the effective analogue of graph.Graph.Unit, deciding BFS vs Dijkstra in
-// the effective searches.
-func (ov *Overlay) Unit() bool {
-	ov.mu.RLock()
-	defer ov.mu.RUnlock()
-	return ov.effNonUnit == 0
-}
 
 // Breakdown classifies the overlay entries.
 type Breakdown struct {
@@ -232,14 +202,6 @@ func (ov *Overlay) Breakdown() Breakdown {
 	return b
 }
 
-// contribution returns this edge's count toward effNonUnit given its state.
-func contribution(alive bool, w float64) int {
-	if alive && w != 1 {
-		return 1
-	}
-	return 0
-}
-
 // Apply performs one update. It returns an error (and changes nothing) if
 // the update is inconsistent with the current effective graph: deleting or
 // reweighting a missing edge, inserting an existing one, a self loop, an
@@ -262,12 +224,9 @@ func (ov *Overlay) Apply(up Update) error {
 	baseW, baseErr := ov.base.EdgeWeight(k.u, k.v)
 	baseHas := baseErr == nil
 	exists := baseHas
-	curW := baseW
 	if touched {
 		exists = entry.alive
-		curW = entry.w
 	}
-	before := contribution(exists, curW)
 
 	switch up.Op {
 	case OpDelEdge:
@@ -280,19 +239,16 @@ func (ov *Overlay) Apply(up Update) error {
 			delete(ov.states, k) // inserted edge removed: back to base state
 			ov.dropAdded(k)
 		}
-		ov.effNonUnit -= before
 	case OpAddEdge:
 		if exists {
 			return fmt.Errorf("live: addedge {%d,%d}: edge already exists", up.U, up.V)
 		}
 		ov.setAlive(k, up.W, baseHas, baseW)
-		ov.effNonUnit += contribution(true, up.W) - before
 	case OpSetWeight:
 		if !exists {
 			return fmt.Errorf("live: setw {%d,%d}: no such edge", up.U, up.V)
 		}
 		ov.setAlive(k, up.W, baseHas, baseW)
-		ov.effNonUnit += contribution(true, up.W) - before
 	default:
 		return fmt.Errorf("live: unknown op %d", up.Op)
 	}
@@ -536,21 +492,12 @@ func (ov *Overlay) Rebase(newBase *graph.Graph) error {
 		}
 	}
 	ov.base = newBase
-	// Rebuild the inserted adjacency lists and the unit counter against the
-	// new base.
+	// Rebuild the inserted adjacency lists against the new base.
 	ov.added = make(map[graph.Vertex][]halfAdd)
-	ov.effNonUnit = baseNonUnit(newBase)
 	for k, st := range ov.states {
-		bw, err := newBase.EdgeWeight(k.u, k.v)
-		baseHas := err == nil
-		if st.alive && !baseHas {
+		if st.alive && !newBase.HasEdge(k.u, k.v) {
 			ov.insertAdded(k, st.w)
 		}
-		before := 0
-		if baseHas {
-			before = contribution(true, bw)
-		}
-		ov.effNonUnit += contribution(st.alive, st.w) - before
 	}
 	ov.publish()
 	return nil
@@ -607,7 +554,6 @@ func (ov *Overlay) RestoreEntries(entries []Entry, version uint64) error {
 				return fmt.Errorf("live: restore: dead entry {%d,%d} is not a base edge", e.U, e.V)
 			}
 			ov.states[k] = edgeState{alive: false}
-			ov.effNonUnit -= contribution(true, bw)
 			continue
 		}
 		if !(e.W > 0) || math.IsInf(e.W, 1) || math.IsNaN(e.W) {
@@ -617,11 +563,8 @@ func (ov *Overlay) RestoreEntries(entries []Entry, version uint64) error {
 			return fmt.Errorf("live: restore: entry {%d,%d} equals its base edge", e.U, e.V)
 		}
 		ov.states[k] = edgeState{w: e.W, alive: true}
-		if baseHas {
-			ov.effNonUnit += contribution(true, e.W) - contribution(true, bw)
-		} else {
+		if !baseHas {
 			ov.insertAdded(k, e.W)
-			ov.effNonUnit += contribution(true, e.W)
 		}
 	}
 	ov.version = version

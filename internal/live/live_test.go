@@ -170,9 +170,10 @@ func TestMaterializeMatchesFromScratch(t *testing.T) {
 	}
 }
 
-// TestEffectiveRowsMatchMaterialized: the effective Distances rows must be
-// bit-identical to ShortestPaths on the materialized graph, including first
-// hops (canonical tie-breaks) and the BFS/Dijkstra switch.
+// TestEffectiveRowsMatchMaterialized: the effective distances serving
+// verification reads - unbounded overlay BoundedBidiDist - must reproduce
+// every ShortestPaths row of the materialized graph bit for bit, from every
+// source, on unit and weighted bases.
 func TestEffectiveRowsMatchMaterialized(t *testing.T) {
 	for _, weighting := range []gen.Weighting{gen.Unit, gen.UniformInt} {
 		g := testutil.MustGNM(t, 50, 150, 5, weighting)
@@ -184,23 +185,26 @@ func TestEffectiveRowsMatchMaterialized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := ov.Unit(); got != mat.Unit() {
-			t.Fatalf("weighting %v: overlay Unit()=%v, materialized %v", weighting, got, mat.Unit())
-		}
-		d := live.NewDistances(ov)
 		for src := 0; src < g.N(); src++ {
 			want := mat.ShortestPaths(graph.Vertex(src))
-			row := d.Row(graph.Vertex(src))
 			for v := 0; v < g.N(); v++ {
-				if row.Dist[v] != want.Dist[v] {
-					t.Fatalf("dist(%d,%d) = %v, want %v", src, v, row.Dist[v], want.Dist[v])
-				}
-				if row.First[v] != want.First[v] {
-					t.Fatalf("first(%d,%d) = %v, want %v", src, v, row.First[v], want.First[v])
+				if got := ov.BoundedBidiDist(graph.Vertex(src), graph.Vertex(v), graph.Infinity); got != want.Dist[v] {
+					t.Fatalf("weighting %v: dist(%d,%d) = %v, want %v", weighting, src, v, got, want.Dist[v])
 				}
 			}
 		}
 	}
+}
+
+// materializedDist is the reference effective distance: all-pairs shortest
+// paths over the overlay's materialized graph.
+func materializedDist(t *testing.T, ov *live.Overlay) graph.PathSource {
+	t.Helper()
+	mat, err := ov.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return graph.AllPairs(mat)
 }
 
 // TestRouterDetoursAroundDeadEdges: on a deletion trace, every query routes
@@ -225,7 +229,7 @@ func TestRouterDetoursAroundDeadEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist := live.NewDistances(ov)
+	dist := materializedDist(t, ov)
 	stale := 0
 	for _, p := range testutil.Pairs(g.N(), 2, 13) {
 		res := r.Route(p[0], p[1])
@@ -306,7 +310,7 @@ func TestRouterFallbackOnExhaustedBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist := live.NewDistances(ov)
+	dist := materializedDist(t, ov)
 	sawFallback := false
 	for _, p := range testutil.Pairs(g.N(), 2, 5) {
 		res := r.Route(p[0], p[1])
@@ -457,7 +461,6 @@ func TestOverlayConcurrentReadsAndWrites(t *testing.T) {
 	g := testutil.MustGNM(t, 60, 180, 19, gen.UniformInt)
 	ov := live.NewOverlay(g)
 	trace := live.ChurnTrace(g, 60, 3, 8)
-	d := live.NewDistances(ov)
 	var wg sync.WaitGroup
 	wg.Add(3)
 	go func() {
@@ -469,7 +472,7 @@ func TestOverlayConcurrentReadsAndWrites(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
-			_ = d.Dist(graph.Vertex(i%g.N()), graph.Vertex((i*7)%g.N()))
+			_ = ov.BoundedBidiDist(graph.Vertex(i%g.N()), graph.Vertex((i*7)%g.N()), graph.Infinity)
 			_ = ov.Breakdown()
 		}
 	}()

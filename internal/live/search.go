@@ -6,10 +6,10 @@ import (
 
 // This file holds the search kernels that run over the *effective* graph
 // (base + overlay) without materializing it: the bounded local search that
-// detours a packet around a dead edge, the per-query exact search the
-// router falls back to, and the canonical single-source rows behind
-// Distances. Every search holds the overlay's read lock for its whole run,
-// so it observes one consistent effective graph even while updates land
+// detours a packet around a dead edge and the per-query exact search the
+// router falls back to (the bidirectional distance kernel is in bidi.go).
+// Every search holds the overlay's read lock for its whole run, so it
+// observes one consistent effective graph even while updates land
 // concurrently, and all of them use the exact tie-break discipline of
 // graph.ShortestPaths ((dist, id) finalization order, first labeling wins),
 // so their results coincide with searches over Overlay.Materialize().
@@ -98,76 +98,4 @@ func reconstruct(ws *graph.Workspace, src, dst graph.Vertex) []graph.Vertex {
 		rev[i], rev[j] = rev[j], rev[i]
 	}
 	return rev
-}
-
-// ssspRow computes the canonical single-source row of the effective graph:
-// distances and first hops from src to every vertex, bit-identical to
-// graph.ShortestPaths on Overlay.Materialize() (BFS on effective-unit
-// graphs, first-labeling-wins Dijkstra otherwise - the same algorithm
-// selection and tie-breaks as graph.searchInto).
-func (ov *Overlay) ssspRow(src graph.Vertex) (dist []float64, first []graph.Vertex) {
-	ov.mu.RLock()
-	defer ov.mu.RUnlock()
-	n := ov.base.N()
-	dist = make([]float64, n)
-	first = make([]graph.Vertex, n)
-	for i := range dist {
-		dist[i] = graph.Infinity
-		first[i] = graph.NoVertex
-	}
-	dist[src] = 0
-	first[src] = src
-	if ov.effNonUnit == 0 {
-		ov.bfsRow(src, dist, first)
-	} else {
-		ov.dijkstraRow(src, dist, first)
-	}
-	return dist, first
-}
-
-func (ov *Overlay) bfsRow(src graph.Vertex, dist []float64, first []graph.Vertex) {
-	queue := make([]graph.Vertex, 1, ov.base.N())
-	queue[0] = src
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		du := dist[u] + 1
-		fu := first[u]
-		ov.neighborsLocked(u, func(v graph.Vertex, _ float64) bool {
-			if first[v] != graph.NoVertex { // discovered (first[src] == src)
-				return true
-			}
-			dist[v] = du
-			if u == src {
-				first[v] = v
-			} else {
-				first[v] = fu
-			}
-			queue = append(queue, v)
-			return true
-		})
-	}
-}
-
-func (ov *Overlay) dijkstraRow(src graph.Vertex, dist []float64, first []graph.Vertex) {
-	ws := ov.base.AcquireWorkspace()
-	defer ov.base.ReleaseWorkspace(ws)
-	ws.Start(src)
-	for {
-		u, d, popped := ws.Pop()
-		if !popped {
-			return
-		}
-		dist[u] = d
-		fu := first[u]
-		ov.neighborsLocked(u, func(v graph.Vertex, w float64) bool {
-			if ws.Relax(v, d+w, u) {
-				if u == src {
-					first[v] = v
-				} else {
-					first[v] = fu
-				}
-			}
-			return true
-		})
-	}
 }

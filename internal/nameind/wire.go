@@ -13,7 +13,7 @@ import (
 )
 
 // WireKindName is the registered snapshot kind of the name-independent
-// scheme. It was born with the v2 container layout; there is no v1.
+// scheme.
 const WireKindName = "nameind/v2"
 
 func init() {

@@ -13,17 +13,11 @@ import (
 	"compactroute/internal/wire"
 )
 
-// WireKindName is the registered snapshot kind of the Theorem 10 scheme
-// (legacy v1 layout; still decodable).
-const WireKindName = "thm10/v1"
-
-// WireKindNameV2 is the v2 layout with varint/delta-compressed sections.
+// WireKindNameV2 is the registered snapshot kind of the Theorem 10 scheme,
+// with varint/delta-compressed sections.
 const WireKindNameV2 = "thm10/v2"
 
-func init() {
-	wire.Register(WireKindName, decodeSnapshot)
-	wire.Register(WireKindNameV2, decodeSnapshotV2)
-}
+func init() { wire.Register(WireKindNameV2, decodeSnapshotV2) }
 
 // Section names of the Theorem 10 snapshot.
 const (
@@ -60,86 +54,9 @@ func (s *Scheme) EncodeSnapshot(snap *wire.Snapshot) error {
 	return nil
 }
 
-// decodeSnapshot rebuilds a Theorem 10 scheme over the decoded graph. The
-// result is behaviorally identical to the encoded scheme: identical routing
-// decisions, labels, headers and table words.
-func decodeSnapshot(g *graph.Graph, snap *wire.Snapshot) (simnet.Scheme, error) {
-	n := g.N()
-	if !g.Unit() {
-		return nil, fmt.Errorf("scheme2: snapshot graph is weighted; Theorem 10 applies to unweighted graphs")
-	}
-	pd, err := snap.Decoder(secParams)
-	if err != nil {
-		return nil, err
-	}
-	eps := pd.Float64()
-	q := int(pd.Uint32())
-	l := int(pd.Uint32())
-	if err := pd.Finish(); err != nil {
-		return nil, err
-	}
-	if q < 1 || q > n {
-		return nil, fmt.Errorf("scheme2: snapshot q=%d outside [1,%d]", q, n)
-	}
-
-	vd, err := snap.Decoder(secVicinities)
-	if err != nil {
-		return nil, err
-	}
-	vics, err := vicinity.DecodeSets(vd, n)
-	if err != nil {
-		return nil, err
-	}
-	if err := vd.Finish(); err != nil {
-		return nil, err
-	}
-
-	cd, err := snap.Decoder(secColoring)
-	if err != nil {
-		return nil, err
-	}
-	col, err := coloring.DecodeWire(cd, n)
-	if err != nil {
-		return nil, err
-	}
-	if err := cd.Finish(); err != nil {
-		return nil, err
-	}
-	vc, err := schemeutil.RestoreVicinityColoring(q, l, vics, col)
-	if err != nil {
-		return nil, err
-	}
-
-	ld, err := snap.Decoder(secLandmarks)
-	if err != nil {
-		return nil, err
-	}
-	lms, err := cluster.DecodeWire(ld, n)
-	if err != nil {
-		return nil, err
-	}
-	if err := ld.Finish(); err != nil {
-		return nil, err
-	}
-
-	id, err := snap.Decoder(secIntra)
-	if err != nil {
-		return nil, err
-	}
-	intra, err := core.RestoreIntra(core.IntraConfig{
-		Graph: g, Vics: vc.Vics, PartOf: vc.PartOf, Eps: eps,
-	}, id)
-	if err != nil {
-		return nil, err
-	}
-	if err := id.Finish(); err != nil {
-		return nil, err
-	}
-	return assemble(g, eps, vc, lms, intra)
-}
-
-// decodeSnapshotV2 rebuilds a Theorem 10 scheme from the v2 layout; the
-// reassembly after decoding the compressed parts is identical to v1.
+// decodeSnapshotV2 rebuilds a Theorem 10 scheme over the decoded graph.
+// The result is behaviorally identical to the encoded scheme: identical
+// routing decisions, labels, headers and table words.
 func decodeSnapshotV2(g *graph.Graph, snap *wire.Snapshot) (simnet.Scheme, error) {
 	n := g.N()
 	if !g.Unit() {

@@ -13,17 +13,11 @@ import (
 	"compactroute/internal/wire"
 )
 
-// WireKindName is the registered snapshot kind of the warm-up (3+eps)
-// scheme (legacy v1 layout; still decodable).
-const WireKindName = "scheme3/v1"
-
-// WireKindNameV2 is the v2 layout with varint/delta-compressed sections.
+// WireKindNameV2 is the registered snapshot kind of the warm-up (3+eps)
+// scheme, with varint/delta-compressed sections.
 const WireKindNameV2 = "scheme3/v2"
 
-func init() {
-	wire.Register(WireKindName, decodeSnapshot)
-	wire.Register(WireKindNameV2, decodeSnapshotV2)
-}
+func init() { wire.Register(WireKindNameV2, decodeSnapshotV2) }
 
 // Section names of the warm-up snapshot.
 const (
@@ -55,77 +49,10 @@ func (s *Scheme) EncodeSnapshot(snap *wire.Snapshot) error {
 	return nil
 }
 
-// decodeSnapshot rebuilds a warm-up scheme over the decoded graph. The
+// decodeSnapshotV2 rebuilds a warm-up scheme over the decoded graph. The
 // result is behaviorally identical to the encoded scheme: identical routing
 // decisions, labels, headers and table words. Unlike Theorem 10, the warm-up
 // scheme applies to weighted graphs, so no unit-weight check is made.
-func decodeSnapshot(g *graph.Graph, snap *wire.Snapshot) (simnet.Scheme, error) {
-	n := g.N()
-	pd, err := snap.Decoder(secParams)
-	if err != nil {
-		return nil, err
-	}
-	eps := pd.Float64()
-	q := int(pd.Uint32())
-	l := int(pd.Uint32())
-	if err := pd.Finish(); err != nil {
-		return nil, err
-	}
-	if q < 1 || q > n {
-		return nil, fmt.Errorf("scheme3: snapshot q=%d outside [1,%d]", q, n)
-	}
-
-	vd, err := snap.Decoder(secVicinities)
-	if err != nil {
-		return nil, err
-	}
-	vics, err := vicinity.DecodeSets(vd, n)
-	if err != nil {
-		return nil, err
-	}
-	if err := vd.Finish(); err != nil {
-		return nil, err
-	}
-
-	cd, err := snap.Decoder(secColoring)
-	if err != nil {
-		return nil, err
-	}
-	col, err := coloring.DecodeWire(cd, n)
-	if err != nil {
-		return nil, err
-	}
-	if err := cd.Finish(); err != nil {
-		return nil, err
-	}
-	vc, err := schemeutil.RestoreVicinityColoring(q, l, vics, col)
-	if err != nil {
-		return nil, err
-	}
-
-	id, err := snap.Decoder(secIntra)
-	if err != nil {
-		return nil, err
-	}
-	intra, err := core.RestoreIntra(core.IntraConfig{
-		Graph: g, Vics: vc.Vics, PartOf: vc.PartOf, Eps: eps,
-	}, id)
-	if err != nil {
-		return nil, err
-	}
-	if err := id.Finish(); err != nil {
-		return nil, err
-	}
-
-	s := &Scheme{g: g, eps: eps, vc: vc, intra: intra}
-	s.tally = space.NewTally(n)
-	vc.AddWords(s.tally)
-	intra.AddTableWords(s.tally)
-	return s, nil
-}
-
-// decodeSnapshotV2 rebuilds a warm-up scheme from the v2 layout; the
-// reassembly after decoding the compressed parts is identical to v1.
 func decodeSnapshotV2(g *graph.Graph, snap *wire.Snapshot) (simnet.Scheme, error) {
 	n := g.N()
 	pd, err := snap.Decoder(secParams)

@@ -15,11 +15,10 @@ import (
 )
 
 // WireKindNameV2 is the registered snapshot kind of the Theorem 16 scheme.
-// The scheme was born with the v2 layout (there is no v1): the embedded
-// Thorup-Zwick hierarchy reuses the tzroute/v2 section bytes under thm16/*
-// names, and the vicinity, coloring and Lemma 8 sections follow the Theorem
-// 11 layout. Labels and the W partition are pure functions of the decoded
-// hierarchy, so the snapshot stores neither.
+// The embedded Thorup-Zwick hierarchy reuses the tzroute/v2 section bytes
+// under thm16/* names, and the vicinity, coloring and Lemma 8 sections
+// follow the Theorem 11 layout. Labels and the W partition are pure
+// functions of the decoded hierarchy, so the snapshot stores neither.
 const WireKindNameV2 = "scheme4k/v2"
 
 func init() {

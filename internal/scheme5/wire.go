@@ -15,18 +15,12 @@ import (
 	"compactroute/internal/wire"
 )
 
-// WireKindName is the registered snapshot kind of the Theorem 11 scheme
-// (legacy v1 layout; still decodable).
-const WireKindName = "thm11/v1"
-
-// WireKindNameV2 is the v2 layout: compressed decode-only sections plus an
-// aligned flat cluster forest and label ports that alias the snapshot bytes.
+// WireKindNameV2 is the registered snapshot kind of the Theorem 11 scheme:
+// compressed decode-only sections plus an aligned flat cluster forest and
+// label ports that alias the snapshot bytes.
 const WireKindNameV2 = "thm11/v2"
 
-func init() {
-	wire.Register(WireKindName, decodeSnapshot)
-	wire.Register(WireKindNameV2, decodeSnapshotV2)
-}
+func init() { wire.Register(WireKindNameV2, decodeSnapshotV2) }
 
 // Section names of the Theorem 11 snapshot.
 const (
@@ -69,120 +63,11 @@ func (s *Scheme) EncodeSnapshot(snap *wire.Snapshot) error {
 	return nil
 }
 
-// decodeSnapshot rebuilds a Theorem 11 scheme over the decoded graph. The
-// result is behaviorally identical to the encoded scheme: identical routing
-// decisions, labels, headers and table words.
-func decodeSnapshot(g *graph.Graph, snap *wire.Snapshot) (simnet.Scheme, error) {
-	n := g.N()
-	pd, err := snap.Decoder(secParams)
-	if err != nil {
-		return nil, err
-	}
-	eps := pd.Float64()
-	q := int(pd.Uint32())
-	l := int(pd.Uint32())
-	if err := pd.Finish(); err != nil {
-		return nil, err
-	}
-	if q < 1 || q > n {
-		return nil, fmt.Errorf("scheme5: snapshot q=%d outside [1,%d]", q, n)
-	}
-
-	vd, err := snap.Decoder(secVicinities)
-	if err != nil {
-		return nil, err
-	}
-	vics, err := vicinity.DecodeSets(vd, n)
-	if err != nil {
-		return nil, err
-	}
-	if err := vd.Finish(); err != nil {
-		return nil, err
-	}
-
-	cd, err := snap.Decoder(secColoring)
-	if err != nil {
-		return nil, err
-	}
-	col, err := coloring.DecodeWire(cd, n)
-	if err != nil {
-		return nil, err
-	}
-	if err := cd.Finish(); err != nil {
-		return nil, err
-	}
-	vc, err := schemeutil.RestoreVicinityColoring(q, l, vics, col)
-	if err != nil {
-		return nil, err
-	}
-
-	ld, err := snap.Decoder(secLandmarks)
-	if err != nil {
-		return nil, err
-	}
-	lms, err := cluster.DecodeWire(ld, n)
-	if err != nil {
-		return nil, err
-	}
-	if err := ld.Finish(); err != nil {
-		return nil, err
-	}
-	fores, err := schemeutil.BuildClusterForest(g, lms)
-	if err != nil {
-		return nil, err
-	}
-
-	wParts, alphaOf := landmarkParts(lms.A, q)
-	id, err := snap.Decoder(secInter)
-	if err != nil {
-		return nil, err
-	}
-	inter, err := core.RestoreInter(core.InterConfig{
-		Graph: g, Vics: vc.Vics, UPartOf: vc.PartOf, WParts: wParts, Eps: eps,
-	}, id)
-	if err != nil {
-		return nil, err
-	}
-	if err := id.Finish(); err != nil {
-		return nil, err
-	}
-
-	lbd, err := snap.Decoder(secLabels)
-	if err != nil {
-		return nil, err
-	}
-	s := &Scheme{g: g, eps: eps, vc: vc, lms: lms, fores: fores, inter: inter,
-		labels: make([]label, n)}
-	for v := 0; v < n; v++ {
-		pa := lms.P[v]
-		port := lbd.Port()
-		if lbd.Err() != nil {
-			return nil, lbd.Err()
-		}
-		if pa == graph.Vertex(v) {
-			if port != graph.NoPort {
-				return nil, fmt.Errorf("scheme5: snapshot label of %d has a first edge at its own landmark", v)
-			}
-		} else if port < 0 || int(port) >= g.Degree(pa) {
-			return nil, fmt.Errorf("scheme5: snapshot label of %d has invalid port %d at landmark %d", v, port, pa)
-		}
-		s.labels[v] = label{pa: pa, alpha: alphaOf[pa], paPort: port}
-	}
-	if err := lbd.Finish(); err != nil {
-		return nil, err
-	}
-	s.tally = space.NewTally(n)
-	vc.AddWords(s.tally)
-	fores.AddWords(s.tally, "cluster-trees")
-	inter.AddTableWords(s.tally)
-	return s, nil
-}
-
-// decodeSnapshotV2 rebuilds a Theorem 11 scheme from the v2 layout. The
-// cluster forest is not rebuilt from parent links: the flat trees decode as
-// aliases over the snapshot bytes and are cross-checked against the decoded
-// landmark structure (same roots, sizes and membership), which is what the
-// v1 rebuild guaranteed by construction.
+// decodeSnapshotV2 rebuilds a Theorem 11 scheme over the decoded graph; the
+// result is behaviorally identical to the encoded scheme. The cluster forest
+// is not rebuilt from parent links: the flat trees decode as aliases over the
+// snapshot bytes and are cross-checked against the decoded landmark structure
+// (same roots, sizes and membership).
 func decodeSnapshotV2(g *graph.Graph, snap *wire.Snapshot) (simnet.Scheme, error) {
 	n := g.N()
 	pd, err := snap.Decoder(secParams)

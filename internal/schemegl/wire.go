@@ -15,8 +15,7 @@ import (
 )
 
 // WireKindName is the registered snapshot kind of the generalized Section 5
-// schemes (Theorems 13 and 15). There is no v1 layout - the kind was born
-// with the v2 container.
+// schemes (Theorems 13 and 15).
 const WireKindName = "schemegl/v2"
 
 func init() { wire.Register(WireKindName, decodeSnapshot) }

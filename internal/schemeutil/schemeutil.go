@@ -239,11 +239,9 @@ func BuildClusterForest(g *graph.Graph, l *cluster.Landmarks) (*ClusterForest, e
 }
 
 // RestoreClusterForest pairs decoded flat trees with a decoded landmark
-// structure. The v1 path rebuilt every tree from the cluster's parent links,
-// so forest and clusters agreed by construction; here the trees arrive
-// independently (aliased off the snapshot bytes) and are cross-checked
-// instead: one tree per non-empty cluster, rooted at the cluster's root,
-// spanning exactly its members.
+// structure. The trees arrive independently of the clusters (aliased off the
+// snapshot bytes), so they are cross-checked: one tree per non-empty
+// cluster, rooted at the cluster's root, spanning exactly its members.
 func RestoreClusterForest(l *cluster.Landmarks, trees []*treeroute.Tree, n int) (*ClusterForest, error) {
 	if len(trees) != n {
 		return nil, fmt.Errorf("schemeutil: snapshot forest has %d trees, want %d", len(trees), n)

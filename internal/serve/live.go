@@ -188,7 +188,7 @@ func NewLiveWithOverlay(s simnet.Scheme, ov *live.Overlay, o LiveOptions) (*Live
 	if err != nil {
 		return nil, err
 	}
-	c := &core{opts: o, ov: ov, dist: live.NewDistances(ov), shards: make([]*shard, o.Workers),
+	c := &core{opts: o, ov: ov, shards: make([]*shard, o.Workers),
 		cl: &closer{quit: make(chan struct{})}}
 	gen0 := &generation{id: 0, router: router, retire: c.retireHook(0, o.Retire)}
 	gen0.refs.Store(1) // owner reference, released by the first swap
@@ -298,10 +298,6 @@ func (l *Live) Generation() uint64 { return l.gen.Load().id }
 // Overlay returns the shared edge-delta overlay (snapshot journals and the
 // admin protocol read it).
 func (l *Live) Overlay() *live.Overlay { return l.ov }
-
-// Distances returns the effective-graph distance source the engine
-// verifies against.
-func (l *Live) Distances() *live.Distances { return l.dist }
 
 // ApplyUpdates applies edge updates in order. On the first invalid update
 // it stops and returns the error; earlier updates stay applied (each update

@@ -142,6 +142,74 @@ func TestLiveServesThroughChurnAndSwap(t *testing.T) {
 	}
 }
 
+// TestLiveVerifyMatchesMaterializedReference pins what Verify proves: over
+// a 5% deletion overlay and again after Rebuild, the engine's stretch and
+// staleness statistics equal those recomputed for the same results from
+// graph.ShortestPaths on the materialized effective graph.
+func TestLiveVerifyMatchesMaterializedReference(t *testing.T) {
+	const n, seed = 200, 31
+	l := newLiveEngine(t, n, 4*n, seed, serve.LiveOptions{Workers: 3, Verify: true})
+	defer l.Close()
+	pairs := testutil.Pairs(n, 5, 3)
+	check := func(phase string) {
+		t.Helper()
+		l.ResetStats()
+		results := l.Query(pairs, nil)
+		mat, err := l.Overlay().Materialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want serve.LiveStats
+		rows := map[graph.Vertex][]float64{}
+		bucket := func(str float64) int {
+			return min(max(int((str-1)/serve.StretchBucketWidth), 0), serve.StretchBuckets)
+		}
+		for _, r := range results {
+			if r.Err != nil {
+				t.Fatalf("%s: route %d->%d: %v", phase, r.Src, r.Dst, r.Err)
+			}
+			if rows[r.Src] == nil {
+				rows[r.Src] = mat.ShortestPaths(r.Src).Dist
+			}
+			d := rows[r.Src][r.Dst]
+			if r.Stale() || !l.Overlay().Empty() {
+				want.StaleServed++
+				if d > 0 {
+					want.MaxStaleStretch = max(want.MaxStaleStretch, r.Weight/d)
+					want.StaleHist[bucket(r.Weight/d)]++
+				}
+				continue
+			}
+			if r.Weight > l.Scheme().StretchBound(d)+1e-9 {
+				want.BoundViolations++
+			}
+			if d > 0 {
+				want.MaxStretch = max(want.MaxStretch, r.Weight/d)
+				want.StretchHist[bucket(r.Weight/d)]++
+			}
+		}
+		got := l.Stats()
+		if got.StretchHist != want.StretchHist || got.BoundViolations != want.BoundViolations ||
+			got.MaxStretch != want.MaxStretch || got.StaleServed != want.StaleServed ||
+			got.MaxStaleStretch != want.MaxStaleStretch || got.StaleHist != want.StaleHist {
+			t.Fatalf("%s: engine stats diverge from the materialized reference\n got: hist=%v viol=%d max=%v stale=%d maxStale=%v staleHist=%v\nwant: hist=%v viol=%d max=%v stale=%d maxStale=%v staleHist=%v",
+				phase, got.StretchHist, got.BoundViolations, got.MaxStretch, got.StaleServed, got.MaxStaleStretch, got.StaleHist,
+				want.StretchHist, want.BoundViolations, want.MaxStretch, want.StaleServed, want.MaxStaleStretch, want.StaleHist)
+		}
+		if got.Unverified != 0 {
+			t.Fatalf("%s: %d deliveries went unverified", phase, got.Unverified)
+		}
+	}
+	if err := l.ApplyUpdates(live.DeletionTrace(l.Scheme().Graph(), 0.05, seed)); err != nil {
+		t.Fatal(err)
+	}
+	check("degraded")
+	if err := l.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	check("rebuilt")
+}
+
 // TestLiveSwapUnderLoad hot-swaps while queries hammer the engine from many
 // goroutines: no query may fail, block, or be dropped, and the final stats
 // must account every single query issued (none lost across the swap). The

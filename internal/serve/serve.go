@@ -59,20 +59,16 @@ type LiveOptions struct {
 	// The batched evaluation harness uses this so a broken scheme fails
 	// in one route instead of burning the hop limit on every pair.
 	FailFast bool
-	// Verify looks up the true distance of every delivery in the
-	// *effective* (churned) graph. Deliveries served clean (empty overlay,
-	// no detours, no race with churn) are checked against the scheme's
-	// proved stretch bound; degraded deliveries are reported as measured
-	// staleness stretch instead - the bound is not a promise the
-	// preprocessed scheme ever made about a different graph.
+	// Verify proves the true distance of every delivery in the *effective*
+	// (churned) graph with one unbounded run of the overlay-aware
+	// bidirectional kernel (live.Overlay.BoundedBidiDist), whose distances
+	// are bit-identical to graph.ShortestPaths over the materialized graph.
+	// Deliveries served clean (empty overlay, no detours, no race with
+	// churn) are checked against the scheme's proved stretch bound; degraded
+	// deliveries are reported as measured staleness stretch instead - the
+	// bound is not a promise the preprocessed scheme ever made about a
+	// different graph.
 	Verify bool
-	// VerifyBidi makes Verify prove true distances with the overlay-aware
-	// bounded bidirectional kernel (bound = the routed weight) instead of
-	// the Distances row cache - bit-identical statistics (integer
-	// weights), no row rebuilds when the overlay version moves. The row
-	// cache remains the fallback for the rare raced walk whose recorded
-	// weight undercuts the current effective distance.
-	VerifyBidi bool
 	// DetourBudget bounds the local search around one dead edge (finalized
 	// vertices); <= 0 selects live.DefaultDetourBudget.
 	DetourBudget int
@@ -409,7 +405,6 @@ func (c *closer) close() {
 type core struct {
 	opts   LiveOptions
 	ov     *live.Overlay
-	dist   *live.Distances
 	gen    atomic.Pointer[generation]
 	shards []*shard
 	cl     *closer
@@ -461,23 +456,11 @@ func (c *core) route(gen *generation, scratch simnet.Packet, src, dst graph.Vert
 	o.clean = !res.Stale() && entries == 0 && c.ov.Version() == ver && c.gen.Load() == gen
 	if res.Err == nil {
 		if c.opts.Verify {
-			o.dist = c.verifyDist(src, dst, res.Weight)
+			o.dist = c.ov.BoundedBidiDist(src, dst, math.Inf(1))
 		}
 		c.opts.Audit.offer(id, int32(src), int32(dst), res.Weight, gen.id, ver, o.clean)
 	}
 	return pkt, o
-}
-
-// verifyDist resolves the true effective distance of a delivered route.
-func (c *core) verifyDist(src, dst graph.Vertex, weight float64) float64 {
-	if c.opts.VerifyBidi {
-		if d := c.ov.BoundedBidiDist(src, dst, weight); !math.IsInf(d, 1) {
-			return d
-		}
-		// The recorded weight undercuts the current effective distance -
-		// only possible for a walk that raced churn; the row cache answers.
-	}
-	return c.dist.Dist(src, dst)
 }
 
 // worker is the serving loop state of one shard. It reaches the engine only

@@ -12,29 +12,21 @@ import (
 	"compactroute/internal/wire"
 )
 
-// WireKindName is the registered snapshot kind of the Thorup-Zwick baseline
-// (legacy v1 layout; still decodable).
-const WireKindName = "tzroute/v1"
-
-// WireKindNameV2 is the v2 layout: cluster trees in the flat aligned format
-// and the bunch transpose stored directly as aligned arrays, both aliased
-// over the snapshot bytes on decode. The v1 decoder rebuilt each tree with
-// treeroute.New sequentially - the dominant cost of a tz cold start.
+// WireKindNameV2 is the registered snapshot kind of the Thorup-Zwick
+// baseline: cluster trees in the flat aligned format and the bunch transpose
+// stored directly as aligned arrays, both aliased over the snapshot bytes on
+// decode, so a cold start rebuilds no tree.
 const WireKindNameV2 = "tzroute/v2"
 
-func init() {
-	wire.Register(WireKindName, decodeSnapshot)
-	wire.Register(WireKindNameV2, decodeSnapshotV2)
-}
+func init() { wire.Register(WireKindNameV2, decodeSnapshotV2) }
 
 // Section names of the Thorup-Zwick snapshot.
 const (
-	secParams   = "tz/params"
-	secLevels   = "tz/levels"
-	secNearest  = "tz/nearest"
-	secClusters = "tz/clusters"
-	secTrees    = "tz/trees"
-	secBunches  = "tz/bunches"
+	secParams  = "tz/params"
+	secLevels  = "tz/levels"
+	secNearest = "tz/nearest"
+	secTrees   = "tz/trees"
+	secBunches = "tz/bunches"
 )
 
 // WireKind implements wire.Encodable.
@@ -95,99 +87,11 @@ func (h *Hierarchy) EncodeWireV2(lv, nr, tr, bu *wire.Encoder) {
 	bu.Float64Array(bunchD)
 }
 
-func decodeSnapshot(g *graph.Graph, snap *wire.Snapshot) (simnet.Scheme, error) {
-	n := g.N()
-	pd, err := snap.Decoder(secParams)
-	if err != nil {
-		return nil, err
-	}
-	k := int(pd.Uint32())
-	if err := pd.Finish(); err != nil {
-		return nil, err
-	}
-	if k < 2 || k > 64 {
-		return nil, fmt.Errorf("tzroute: snapshot k=%d outside [2,64]", k)
-	}
-
-	h := &Hierarchy{G: g, K: k, Levels: make([][]graph.Vertex, k), level: make([]int32, n)}
-	all := make([]graph.Vertex, n)
-	for i := range all {
-		all[i] = graph.Vertex(i)
-	}
-	h.Levels[0] = all
-	lv, err := snap.Decoder(secLevels)
-	if err != nil {
-		return nil, err
-	}
-	for i := 1; i < k; i++ {
-		h.Levels[i] = lv.Vertices()
-	}
-	if err := lv.Finish(); err != nil {
-		return nil, err
-	}
-	for i := 0; i < k; i++ {
-		for _, v := range h.Levels[i] {
-			if v < 0 || int(v) >= n {
-				return nil, fmt.Errorf("tzroute: snapshot level %d has out-of-range vertex %d", i, v)
-			}
-			h.level[v] = int32(i)
-		}
-	}
-
-	nr, err := snap.Decoder(secNearest)
-	if err != nil {
-		return nil, err
-	}
-	h.P = make([][]graph.Vertex, k)
-	h.D = make([][]float64, k)
-	for i := 0; i < k; i++ {
-		h.P[i] = nr.Vertices()
-		h.D[i] = nr.Float64s()
-		if nr.Err() != nil {
-			return nil, nr.Err()
-		}
-		if len(h.P[i]) != n || len(h.D[i]) != n {
-			return nil, fmt.Errorf("tzroute: snapshot nearest tables of level %d have lengths %d/%d, want %d",
-				i, len(h.P[i]), len(h.D[i]), n)
-		}
-		for v := 0; v < n; v++ {
-			if h.P[i][v] < 0 || int(h.P[i][v]) >= n {
-				return nil, fmt.Errorf("tzroute: snapshot p_%d(%d)=%d out of range", i, v, h.P[i][v])
-			}
-			if math.IsNaN(h.D[i][v]) || h.D[i][v] < 0 {
-				return nil, fmt.Errorf("tzroute: snapshot d(%d, A_%d)=%v invalid", v, i, h.D[i][v])
-			}
-		}
-	}
-	if err := nr.Finish(); err != nil {
-		return nil, err
-	}
-
-	cl, err := snap.Decoder(secClusters)
-	if err != nil {
-		return nil, err
-	}
-	if err := restoreClusters(h, cl); err != nil {
-		return nil, err
-	}
-	if err := cl.Finish(); err != nil {
-		return nil, err
-	}
-
-	s := &Scheme{h: h, k: k, labels: make([]Label, n)}
-	parallel.For(n, func(v int) {
-		s.labels[v] = h.LabelOf(graph.Vertex(v))
-	})
-	s.tally = space.NewTally(n)
-	h.AddWords(s.tally)
-	return s, nil
-}
-
 // decodeSnapshotV2 rebuilds the baseline from the v2 layout. The cluster
 // trees and the bunch transpose decode as aliases over the snapshot bytes;
 // they are cross-checked against each other (every bunch entry names a tree
-// that contains its vertex, and the totals match), which is what the v1
-// transpose rebuild guaranteed by construction.
+// that contains its vertex, and the totals match), so the arrays are exactly
+// the transpose of the forest.
 func decodeSnapshotV2(g *graph.Graph, snap *wire.Snapshot) (simnet.Scheme, error) {
 	n := g.N()
 	pd, err := snap.Decoder(secParams)
@@ -383,7 +287,7 @@ func decodeHierarchySections(g *graph.Graph, k int, snap *wire.Snapshot, secLv, 
 			// Every bunch entry must be backed by the tree it names: the
 			// routing step descends Trees[w] whenever InBunch(u, w) holds.
 			// Combined with the total-count match this makes the aliased
-			// arrays exactly the transpose the v1 decoder rebuilt.
+			// arrays exactly the transpose of the forest.
 			if !trees[w].Contains(graph.Vertex(u)) {
 				return fmt.Errorf("tzroute: snapshot bunch of %d names root %d whose tree does not contain it", u, w)
 			}
@@ -401,71 +305,4 @@ func decodeHierarchySections(g *graph.Graph, k int, snap *wire.Snapshot, secLv, 
 		return nil, err
 	}
 	return h, nil
-}
-
-// restoreClusters rebuilds every cluster tree from decoded parent links and
-// re-derives the bunch transpose exactly as buildClusters does, so the
-// restored structure is bit-identical to the built one (tree labels are a
-// pure function of the parent links).
-func restoreClusters(h *Hierarchy, d *wire.Decoder) error {
-	g := h.G
-	n := g.N()
-	if !d.Alloc(int64(n) * 96) { // trees and bunch arrays
-		return d.Err()
-	}
-	h.Trees = make([]*treeroute.Tree, n)
-	h.bunch = make([][]graph.Vertex, n)
-	h.bunchD = make([][]float64, n)
-	for wi := 0; wi < n; wi++ {
-		c := d.Count(16) // V + Dist + Parent
-		if d.Err() != nil {
-			return d.Err()
-		}
-		if c == 0 {
-			d.Failf("cluster %d is empty (must contain its root)", wi)
-			return d.Err()
-		}
-		edges := make([]treeroute.Edge, c)
-		dists := make([]float64, c)
-		for i := range edges {
-			edges[i].V = d.Vertex()
-			dists[i] = d.Float64()
-			edges[i].Parent = d.Vertex()
-		}
-		if d.Err() != nil {
-			return d.Err()
-		}
-		// Range-check ids before treeroute.New: the tree builder resolves
-		// parent links through the graph's CSR arrays, so out-of-range ids
-		// from a corrupt section must fail here, not index the graph.
-		for _, e := range edges {
-			if e.V < 0 || int(e.V) >= n {
-				d.Failf("member %d of C(%d) out of range", e.V, wi)
-				return d.Err()
-			}
-			if e.Parent != graph.NoVertex && (e.Parent < 0 || int(e.Parent) >= n) {
-				d.Failf("parent %d in C(%d) out of range", e.Parent, wi)
-				return d.Err()
-			}
-		}
-		tr, err := treeroute.New(g, edges)
-		if err != nil {
-			d.Failf("cluster tree %d: %v", wi, err)
-			return d.Err()
-		}
-		if tr.Root() != graph.Vertex(wi) {
-			d.Failf("cluster tree %d is rooted at %d", wi, tr.Root())
-			return d.Err()
-		}
-		h.Trees[wi] = tr
-		for i, e := range edges {
-			if math.IsNaN(dists[i]) || dists[i] < 0 {
-				d.Failf("member %d of C(%d) has invalid distance %v", e.V, wi, dists[i])
-				return d.Err()
-			}
-			h.bunch[e.V] = append(h.bunch[e.V], graph.Vertex(wi))
-			h.bunchD[e.V] = append(h.bunchD[e.V], dists[i])
-		}
-	}
-	return nil
 }

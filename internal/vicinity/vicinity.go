@@ -36,8 +36,8 @@ type Member struct {
 
 // Set is the vicinity B(u, l) of a single center vertex u.
 //
-// Members come in one of two storages: built (and v1-decoded) sets hold the
-// (dist, id)-ordered []Member slice; v2-decoded sets hold structure-of-array
+// Members come in one of two storages: built sets hold the
+// (dist, id)-ordered []Member slice; decoded sets hold structure-of-array
 // views (ids, first-hop member indexes, distances) that alias the snapshot
 // bytes - for a served snapshot, a read-only mmap - and must never be
 // written. The indexed accessors (Size, MemberV, MemberDist, MemberFirst)
@@ -46,8 +46,8 @@ type Member struct {
 type Set struct {
 	center  graph.Vertex
 	radius  float64  // r_u(l) of the paper
-	members []Member // (dist, id) order; nil for v2-decoded sets
-	// SoA views of a v2-decoded set, (dist, id) order. Exactly one of
+	members []Member // (dist, id) order; nil for decoded sets
+	// SoA views of a decoded set, (dist, id) order. Exactly one of
 	// memFirst/memFirst16 holds the member index of each first hop (Lemma 2:
 	// the first vertex of a shortest center-to-member path is itself a
 	// member); the encoder picks the narrowest width that fits the largest
@@ -67,10 +67,10 @@ type Set struct {
 	// cache-line fetch; a sorted-array binary search costs O(log l) scattered
 	// probes per hop, which dominated serving profiles at n = 10^4.
 	//
-	// Built and v1-decoded sets fill the table eagerly (construction already
-	// walks every member, and the insert probe doubles as their duplicate
-	// check). v2-decoded sets leave it nil and build it on first lookup - the
-	// index analogue of demand paging, and what keeps the mmap cold start
+	// Built sets fill the table eagerly (construction already walks every
+	// member, and the insert probe doubles as their duplicate check).
+	// Decoded sets leave it nil and build it on first lookup - the index
+	// analogue of demand paging, and what keeps the mmap cold start
 	// free of per-member work: the strict (dist, id) member order checked at
 	// decode makes duplicates impossible, so the lazy build cannot fail and
 	// any racing builders produce identical tables (first CAS wins).
@@ -422,9 +422,9 @@ func (s *Set) FirstHop(v graph.Vertex) (graph.Vertex, bool) {
 	return e.first, true
 }
 
-// Members returns the members in (dist, id) order. For built and v1-decoded
-// sets the returned slice is owned by the Set and must not be modified; for
-// v2-decoded (snapshot-aliased) sets every call materializes a fresh slice,
+// Members returns the members in (dist, id) order. For built sets the
+// returned slice is owned by the Set and must not be modified; for decoded
+// (snapshot-aliased) sets every call materializes a fresh slice,
 // so hot loops should use the indexed accessors instead.
 func (s *Set) Members() []Member {
 	if s.members != nil {

@@ -8,54 +8,6 @@ import (
 	"compactroute/internal/wire"
 )
 
-// Restore reconstructs a Set from serialized parts: the center, the radius
-// r_u(l) (which cannot be re-derived from the members alone - it depends on
-// the first excluded vertex of the truncated search), and the members in
-// their original (dist, id) order. n bounds the vertex ids.
-func Restore(n int, center graph.Vertex, radius float64, members []Member) (*Set, error) {
-	if center < 0 || int(center) >= n {
-		return nil, fmt.Errorf("vicinity: restore: center %d out of range [0,%d)", center, n)
-	}
-	if len(members) < 1 {
-		return nil, fmt.Errorf("vicinity: restore: B(%d) has no members", center)
-	}
-	s := &Set{
-		center:  center,
-		radius:  radius,
-		members: members,
-	}
-	for i, m := range members {
-		if m.V < 0 || int(m.V) >= n || m.First < 0 || int(m.First) >= n {
-			return nil, fmt.Errorf("vicinity: restore: member %d of B(%d) out of range", i, center)
-		}
-		if math.IsNaN(m.Dist) || m.Dist < 0 {
-			return nil, fmt.Errorf("vicinity: restore: member %d of B(%d) has invalid distance %v", m.V, center, m.Dist)
-		}
-	}
-	if dup := s.buildIndex(); dup != graph.NoVertex {
-		return nil, fmt.Errorf("vicinity: restore: duplicate member %d in B(%d)", dup, center)
-	}
-	if s.lookup(center) == nil {
-		return nil, fmt.Errorf("vicinity: restore: B(%d) does not contain its center", center)
-	}
-	return s, nil
-}
-
-// EncodeSets writes one vicinity per vertex, in vertex order: the radius,
-// the member count and the (V, Dist, First) triples in (dist, id) order.
-// The center is implicit (it is the slice index).
-func EncodeSets(e *wire.Encoder, sets []*Set) {
-	for _, s := range sets {
-		e.Float64(s.radius)
-		e.Uint32(uint32(len(s.members)))
-		for _, m := range s.members {
-			e.Vertex(m.V)
-			e.Float64(m.Dist)
-			e.Vertex(m.First)
-		}
-	}
-}
-
 // Tags of the v2 distance array: integral distances (sums of integer edge
 // weights) ride a uint16 or uint32 array depending on their maximum,
 // everything else a float64 array.
@@ -228,7 +180,7 @@ func DecodeSetsV2(d *wire.Decoder, n int) ([]*Set, error) {
 		d.Failf("vicinity member arrays disagree on the member count")
 		return nil, d.Err()
 	}
-for u := 0; u < n; u++ {
+	for u := 0; u < n; u++ {
 		if offs[u+1] < offs[u] {
 			d.Failf("vicinity offsets not monotone at %d", u)
 			return nil, d.Err()
@@ -261,35 +213,6 @@ for u := 0; u < n; u++ {
 			s.distF = distF[base:end:end]
 		}
 		if err := s.validateViews(n); err != nil {
-			d.Failf("%v", err)
-			return nil, d.Err()
-		}
-		sets[u] = s
-	}
-	return sets, nil
-}
-
-// DecodeSets reads n vicinities written by EncodeSets.
-func DecodeSets(d *wire.Decoder, n int) ([]*Set, error) {
-	if !d.Alloc(int64(n) * 16) { // n slice headers + set structs
-		return nil, d.Err()
-	}
-	sets := make([]*Set, n)
-	for u := 0; u < n; u++ {
-		radius := d.Float64()
-		c := d.Count(16) // V + Dist + First per member
-		if d.Err() != nil {
-			return nil, d.Err()
-		}
-		members := make([]Member, c)
-		for i := range members {
-			members[i] = Member{V: d.Vertex(), Dist: d.Float64(), First: d.Vertex()}
-		}
-		if d.Err() != nil {
-			return nil, d.Err()
-		}
-		s, err := Restore(n, graph.Vertex(u), radius, members)
-		if err != nil {
 			d.Failf("%v", err)
 			return nil, d.Err()
 		}

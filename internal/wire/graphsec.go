@@ -45,8 +45,7 @@ func EncodeGraph(s *Snapshot, g *graph.Graph) {
 	e.FloatSeq(ws)
 }
 
-// DecodeGraph rebuilds the graph from the snapshot's graph section,
-// dispatching on the container version (v1 stored raw 16-byte triples). The
+// DecodeGraph rebuilds the graph from the snapshot's graph section. The
 // CSR layout produced by Builder.Build is a pure function of the edge set,
 // so the decoded graph is bit-identical to the encoded one (and the caller
 // can verify that via graph.Fingerprint against the snapshot header).
@@ -54,9 +53,6 @@ func DecodeGraph(s *Snapshot) (*graph.Graph, error) {
 	d, err := s.Decoder(GraphSection)
 	if err != nil {
 		return nil, err
-	}
-	if s.Version == VersionV1 {
-		return decodeGraphV1(d)
 	}
 	n := int(d.Uvarint())
 	m := int(d.Uvarint())
@@ -104,45 +100,6 @@ func DecodeGraph(s *Snapshot) (*graph.Graph, error) {
 			return nil, d.Err()
 		}
 		b.AddEdge(us[i], vs[i], w)
-	}
-	if err := d.Finish(); err != nil {
-		return nil, err
-	}
-	g, err := b.Build()
-	if err != nil {
-		return nil, fmt.Errorf("wire: section %q: %w", GraphSection, err)
-	}
-	return g, nil
-}
-
-// decodeGraphV1 reads the legacy (u, v, weight) 16-byte triples.
-func decodeGraphV1(d *Decoder) (*graph.Graph, error) {
-	n := int(d.Uint32())
-	m := int(d.Uint32())
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	if int64(m)*16 > int64(d.Remaining()) {
-		d.Failf("edge count %d exceeds remaining %d bytes", m, d.Remaining())
-		return nil, d.Err()
-	}
-	// The builder and the CSR arrays cost ~24 bytes per vertex and ~56 bytes
-	// per edge; charge them before allocating.
-	if !d.Alloc(24*int64(n) + 56*int64(m)) {
-		return nil, d.Err()
-	}
-	b := graph.NewBuilder(n)
-	for i := 0; i < m; i++ {
-		u, v := d.Vertex(), d.Vertex()
-		w := d.Float64()
-		if d.Err() != nil {
-			return nil, d.Err()
-		}
-		if !(w > 0) || math.IsInf(w, 1) {
-			d.Failf("edge {%d,%d} has invalid weight %v", u, v, w)
-			return nil, d.Err()
-		}
-		b.AddEdge(u, v, w)
 	}
 	if err := d.Finish(); err != nil {
 		return nil, err

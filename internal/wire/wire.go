@@ -24,8 +24,10 @@
 // sections to the exact graph stored in the snapshot's "graph" section (see
 // graph.Fingerprint).
 //
-// v1 streams (no total length, no section flags or padding) remain fully
-// decodable; WriteTo always emits v2.
+// Only v2 streams are read. A stream of any other version - including the
+// v1 layout of earlier releases, which had no total length and no section
+// flags or padding - is rejected with an error naming its version; rebuild
+// such a snapshot from its graph, options and seed (routebench -save).
 //
 // # Kind registry
 //
@@ -59,12 +61,9 @@ import (
 // Magic identifies a compactroute snapshot stream.
 const Magic = "CRSNAP01"
 
-// Version is the current format version, written by WriteTo. Parse reads
-// both VersionV1 and Version streams and rejects everything else.
-const (
-	VersionV1 = 1
-	Version   = 2
-)
+// Version is the format version WriteTo writes and the only one Parse and
+// PeekKind accept.
+const Version = 2
 
 // SecAligned flags a section whose payload is padded to start at a stream
 // offset that is a multiple of SectionAlign, so fixed-width arrays inside it
@@ -77,9 +76,8 @@ const SectionAlign = 64
 // Typed decode failures. Errors returned by Parse (and everything layered on
 // it: Read, LoadScheme, LoadSchemeFile) match these with errors.Is, so a
 // caller can distinguish a file that is too short from one whose bytes were
-// damaged. A truncated v1 stream surfaces as ErrChecksum (the v1 header does
-// not record the total length); v2 streams report ErrTruncated before the
-// checksum - and before any section is aliased.
+// damaged. A truncated stream reports ErrTruncated before the checksum runs -
+// and before any section is aliased.
 var (
 	ErrChecksum  = errors.New("snapshot checksum mismatch")
 	ErrTruncated = errors.New("snapshot truncated")
@@ -150,30 +148,6 @@ func (e *Encoder) Vertex(v graph.Vertex) { e.Int32(int32(v)) }
 
 // Port appends a port number as an int32 (NoPort is -1).
 func (e *Encoder) Port(p graph.Port) { e.Int32(int32(p)) }
-
-// Vertices appends a u32 count followed by the vertex ids.
-func (e *Encoder) Vertices(vs []graph.Vertex) {
-	e.Uint32(uint32(len(vs)))
-	for _, v := range vs {
-		e.Vertex(v)
-	}
-}
-
-// Float64s appends a u32 count followed by the values.
-func (e *Encoder) Float64s(xs []float64) {
-	e.Uint32(uint32(len(xs)))
-	for _, x := range xs {
-		e.Float64(x)
-	}
-}
-
-// Int32s appends a u32 count followed by the values.
-func (e *Encoder) Int32s(xs []int32) {
-	e.Uint32(uint32(len(xs)))
-	for _, x := range xs {
-		e.Int32(x)
-	}
-}
 
 // Decoder reads little-endian primitives from one section's payload with a
 // sticky error: after the first failure every read returns a zero value and
@@ -311,54 +285,6 @@ func (d *Decoder) String() string {
 		return ""
 	}
 	return string(b)
-}
-
-// Vertices reads a count-prefixed vertex slice.
-func (d *Decoder) Vertices() []graph.Vertex {
-	c := d.Count(4)
-	if d.err != nil || c == 0 {
-		return nil
-	}
-	out := make([]graph.Vertex, c)
-	for i := range out {
-		out[i] = d.Vertex()
-	}
-	if d.err != nil {
-		return nil
-	}
-	return out
-}
-
-// Float64s reads a count-prefixed float64 slice.
-func (d *Decoder) Float64s() []float64 {
-	c := d.Count(8)
-	if d.err != nil || c == 0 {
-		return nil
-	}
-	out := make([]float64, c)
-	for i := range out {
-		out[i] = d.Float64()
-	}
-	if d.err != nil {
-		return nil
-	}
-	return out
-}
-
-// Int32s reads a count-prefixed int32 slice.
-func (d *Decoder) Int32s() []int32 {
-	c := d.Count(4)
-	if d.err != nil || c == 0 {
-		return nil
-	}
-	out := make([]int32, c)
-	for i := range out {
-		out[i] = d.Int32()
-	}
-	if d.err != nil {
-		return nil
-	}
-	return out
 }
 
 // Alloc charges an allocation of the given size against the snapshot's
@@ -531,12 +457,10 @@ func PeekKind(prefix []byte) (string, error) {
 	}
 	d := NewDecoder("header", prefix[len(Magic):])
 	version := d.Uint32()
-	if d.err == nil && version != VersionV1 && version != Version {
-		return "", fmt.Errorf("wire: unsupported snapshot version %d (this build reads %d and %d)", version, VersionV1, Version)
+	if d.err == nil && version != Version {
+		return "", unsupportedVersion(version)
 	}
-	if version == Version {
-		d.Uint64() // total stream length
-	}
+	d.Uint64() // total stream length
 	kind := d.String()
 	if d.err != nil {
 		return "", fmt.Errorf("wire: snapshot prefix too short to hold the kind string")
@@ -555,56 +479,18 @@ func Parse(data []byte) (*Snapshot, error) {
 		return nil, fmt.Errorf("wire: bad magic %q", data[:len(Magic)])
 	}
 	version := uint32(data[8]) | uint32(data[9])<<8 | uint32(data[10])<<16 | uint32(data[11])<<24
-	switch version {
-	case VersionV1:
-		return parseV1(data)
-	case Version:
-		return parseV2(data)
-	default:
-		return nil, fmt.Errorf("wire: unsupported snapshot version %d (this build reads %d and %d)", version, VersionV1, Version)
+	if version != Version {
+		return nil, unsupportedVersion(version)
 	}
+	return parseV2(data)
 }
 
-// parseV1 reads the legacy layout: no total length, no section flags or
-// padding. Truncation is indistinguishable from damage here, so both
-// surface as ErrChecksum.
-func parseV1(data []byte) (*Snapshot, error) {
-	if len(data) < len(Magic)+4+4 {
-		return nil, fmt.Errorf("wire: %w: snapshot too short (%d bytes)", ErrChecksum, len(data))
-	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	want := uint32(tail[0]) | uint32(tail[1])<<8 | uint32(tail[2])<<16 | uint32(tail[3])<<24
-	if got := crc32.Checksum(body, castagnoli); got != want {
-		return nil, fmt.Errorf("wire: %w: stream says %08x, content is %08x", ErrChecksum, want, got)
-	}
-	d := NewDecoder("header", body[len(Magic)+4:])
-	snap := &Snapshot{
-		Kind:        d.String(),
-		Fingerprint: d.Uint64(),
-		Version:     VersionV1,
-		budget:      allocFactor*int64(len(data)) + allocFloor,
-	}
-	nsec := d.Count(12) // a section costs at least name len + payload len
-	for i := 0; i < nsec && d.err == nil; i++ {
-		name := d.String()
-		plen := d.Uint64()
-		if d.err != nil {
-			break
-		}
-		if plen > uint64(d.Remaining()) {
-			d.Failf("section %q claims %d bytes, only %d remain", name, plen, d.Remaining())
-			break
-		}
-		payload := d.take(int(plen))
-		snap.sections = append(snap.sections, &section{name: name, data: payload})
-	}
-	if err := d.Finish(); err != nil {
-		return nil, err
-	}
-	return snap, nil
+// unsupportedVersion is the error for a stream whose version is not Version.
+func unsupportedVersion(v uint32) error {
+	return fmt.Errorf("wire: unsupported snapshot version %d (this build reads only version %d; rebuild the snapshot, e.g. with routebench -save)", v, Version)
 }
 
-// parseV2 reads the current layout. The total-length check runs first so a
+// parseV2 reads the v2 layout. The total-length check runs first so a
 // truncated file is rejected as ErrTruncated before the checksum and before
 // any section bytes are referenced.
 func parseV2(data []byte) (*Snapshot, error) {

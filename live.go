@@ -223,13 +223,13 @@ func lazyBuild(construct func(g *Graph, ps PathSource) (Scheme, error), budgetMi
 // It returns an error for kinds with no registered rebuild recipe.
 func RebuildFuncFor(kind string, o Options, budgetMiB int) (BuildFunc, error) {
 	switch kind {
-	case "exact/v1", "exact/v2":
+	case "exact/v2":
 		return lazyBuild(func(g *Graph, _ PathSource) (Scheme, error) { return NewExact(g) }, budgetMiB), nil
-	case "tzroute/v1", "tzroute/v2":
+	case "tzroute/v2":
 		return lazyBuild(func(g *Graph, _ PathSource) (Scheme, error) { return NewThorupZwick(g, o) }, budgetMiB), nil
-	case "thm10/v1", "thm10/v2":
+	case "thm10/v2":
 		return lazyBuild(func(g *Graph, ps PathSource) (Scheme, error) { return NewTheorem10(g, ps, o) }, budgetMiB), nil
-	case "thm11/v1", "thm11/v2":
+	case "thm11/v2":
 		return lazyBuild(func(g *Graph, ps PathSource) (Scheme, error) { return NewTheorem11(g, ps, o) }, budgetMiB), nil
 	default:
 		return nil, fmt.Errorf("compactroute: no rebuild recipe for scheme kind %q", kind)
@@ -248,7 +248,7 @@ func RebuildFuncFor(kind string, o Options, budgetMiB int) (BuildFunc, error) {
 // and .Repair of the same engine.
 func RepairFuncFor(kind string, o Options, budgetMiB int) (BuildFunc, RepairFunc, error) {
 	switch kind {
-	case "thm11/v1", "thm11/v2":
+	case "thm11/v2":
 	default:
 		return nil, nil, fmt.Errorf("compactroute: no repair recipe for scheme kind %q", kind)
 	}

@@ -19,7 +19,7 @@ func newLiveThm11(t *testing.T, n int, o compactroute.LiveServeOptions) *compact
 		t.Fatal(err)
 	}
 	if o.Build == nil {
-		build, err := compactroute.RebuildFuncFor("thm11/v1", compactroute.Options{Eps: 0.5, Seed: benchSeed}, 64)
+		build, err := compactroute.RebuildFuncFor("thm11/v2", compactroute.Options{Eps: 0.5, Seed: benchSeed}, 64)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +85,7 @@ func TestLiveStateRoundTrip(t *testing.T) {
 	if err := compactroute.SaveLiveState(&buf, l); err != nil {
 		t.Fatal(err)
 	}
-	build, err := compactroute.RebuildFuncFor("thm11/v1", compactroute.Options{Eps: 0.5, Seed: benchSeed}, 64)
+	build, err := compactroute.RebuildFuncFor("thm11/v2", compactroute.Options{Eps: 0.5, Seed: benchSeed}, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,12 @@ func TestLiveStateRoundTrip(t *testing.T) {
 }
 
 func TestRebuildFuncForUnknownKind(t *testing.T) {
-	if _, err := compactroute.RebuildFuncFor("nope/v1", compactroute.Options{}, 1); err == nil {
-		t.Fatal("unknown kind accepted")
+	for _, kind := range []string{"nope/v1", "thm11/v1"} {
+		if _, err := compactroute.RebuildFuncFor(kind, compactroute.Options{}, 1); err == nil {
+			t.Fatalf("kind %q accepted", kind)
+		}
+		if _, _, err := compactroute.RepairFuncFor(kind, compactroute.Options{}, 1); err == nil {
+			t.Fatalf("repair for kind %q accepted", kind)
+		}
 	}
 }

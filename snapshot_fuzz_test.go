@@ -3,9 +3,7 @@ package compactroute_test
 import (
 	"bytes"
 	"hash/crc32"
-	"os"
-	"path/filepath"
-	"strings"
+	"sort"
 	"testing"
 
 	"compactroute"
@@ -23,28 +21,15 @@ import (
 // every input with a valid magic and checksum so mutations reach the deep
 // decode paths.
 func FuzzDecodeSnapshot(f *testing.F) {
-	// Seed corpus: one valid snapshot per registered kind, plus framing junk.
-	g, err := compactroute.GNM(24, 96, 1, true, 8)
-	if err != nil {
-		f.Fatal(err)
-	}
-	ps := compactroute.AllPairs(g)
-	builds := []func() (compactroute.Scheme, error){
-		func() (compactroute.Scheme, error) { return compactroute.NewExact(g) },
-		func() (compactroute.Scheme, error) {
-			return compactroute.NewThorupZwick(g, compactroute.Options{K: 2, Seed: 1})
-		},
-		func() (compactroute.Scheme, error) {
-			return compactroute.NewTheorem11(g, ps, compactroute.Options{Eps: 0.5, Seed: 1})
-		},
-		func() (compactroute.Scheme, error) {
-			return compactroute.NewWarmup3(g, ps, compactroute.Options{Eps: 0.5, Seed: 1})
-		},
-	}
-	for _, build := range builds {
-		s, err := build()
-		if err != nil {
-			f.Fatal(err)
+	// Seed corpus: one valid snapshot (and its truncated first half) per
+	// registered kind, in kind order, plus framing junk.
+	schemes := corpusSchemes(f)
+	kinds := compactroute.SnapshotKinds()
+	sort.Strings(kinds)
+	for _, kind := range kinds {
+		s, ok := schemes[kind]
+		if !ok {
+			f.Fatalf("registered kind %q is not built by corpusSchemes", kind)
 		}
 		var buf bytes.Buffer
 		if err := compactroute.SaveScheme(&buf, s); err != nil {
@@ -56,27 +41,10 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(wire.Magic))
 	f.Add([]byte("CRSNAP01 but then junk follows the magic bytes"))
-	// Bare v1 and v2 headers, so both container layouts are mutated even if
-	// the scheme seeds above change shape.
+	// A bare v1 header (a retired version, rejected) and a bare v2 header,
+	// mutated even if the scheme seeds above change shape.
 	f.Add(append([]byte(wire.Magic), 1, 0, 0, 0))
 	f.Add(append([]byte(wire.Magic), 2, 0, 0, 0))
-	// The builds above emit the v2 container; legacy v1-container coverage
-	// comes from the frozen v1 seed files (see fuzz_corpus_test.go), added
-	// explicitly so the re-seal path reaches the v1 section decoders too.
-	for _, kind := range compactroute.SnapshotKinds() {
-		if !strings.HasSuffix(kind, "/v1") {
-			continue
-		}
-		raw, err := os.ReadFile(filepath.Join(corpusDir, corpusFileName(kind)))
-		if err != nil {
-			f.Fatal(err)
-		}
-		data, err := decodeCorpusEntry(raw)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(data)
-	}
 
 	castagnoli := crc32.MakeTable(crc32.Castagnoli)
 	f.Fuzz(func(t *testing.T, data []byte) {

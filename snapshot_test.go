@@ -61,18 +61,15 @@ func snapshotRows() []snapRow {
 // -save/-load row set and the hot-swap coverage of the live engine);
 // removing one is a compatibility break this test makes loud.
 func TestSnapshotRegistryKinds(t *testing.T) {
-	// The v1 kinds are decode-only compatibility (current encoders emit the
-	// mmap-friendly v2 layout); schemegl (Theorems 13/15), scheme4k
-	// (Theorem 16) and nameind were born with v2 and have no v1.
 	want := []string{
-		"exact/v1", "exact/v2",
+		"exact/v2",
 		"nameind/v2",
-		"scheme3/v1", "scheme3/v2",
+		"scheme3/v2",
 		"scheme4k/v2",
 		"schemegl/v2",
-		"thm10/v1", "thm10/v2",
-		"thm11/v1", "thm11/v2",
-		"tzroute/v1", "tzroute/v2",
+		"thm10/v2",
+		"thm11/v2",
+		"tzroute/v2",
 	}
 	got := compactroute.SnapshotKinds()
 	sort.Strings(got)
