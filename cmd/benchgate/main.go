@@ -16,8 +16,8 @@
 //	    qps/ns-per-op/allocs-per-op against the baseline. Snapshot-capable
 //	    schemes additionally get cold-start load (decode vs mmap, loadms/
 //	    keys) and on-disk footprint (bytes/ keys) measured from a saved
-//	    snapshot. -write saves the measured records as the next trajectory
-//	    point. -audit-sample attaches the shadow route auditor to the timed
+//	    snapshot. -write saves the measured points as the next BENCH file.
+//	    -audit-sample attaches the shadow route auditor to the timed
 //	    loop, so the gate also proves the auditor's overhead stays inside the
 //	    tolerance band and that it charges zero violations on honest schemes.
 //
@@ -66,43 +66,23 @@ func rows() []row {
 	}
 }
 
-// record is one measured configuration, shaped like a qps_sweep entry so the
-// written file parses back into the same trajectory keys.
-type record struct {
-	Scheme      string  `json:"scheme"`
-	Kind        string  `json:"kind,omitempty"`
-	N           int     `json:"n"`
-	M           int     `json:"m"`
-	Workers     int     `json:"workers"`
-	Verify      bool    `json:"verify"`
-	Queries     int     `json:"queries"`
-	Errors      uint64  `json:"errors"`
-	ElapsedSec  float64 `json:"elapsed_sec"`
-	QPS         float64 `json:"qps"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	MeanHops    float64 `json:"mean_hops"`
-	P50Hops     int     `json:"p50_hops"`
-	P99Hops     int     `json:"p99_hops"`
-}
-
 func run(args []string, out io.Writer) int {
 	fs := flag.NewFlagSet("benchgate", flag.ContinueOnError)
 	fs.SetOutput(out)
 	var (
-		baseline  = fs.String("baseline", "", "baseline BENCH_*.json (required)")
-		candidate = fs.String("candidate", "", "candidate BENCH_*.json; empty = measure fresh")
-		tolerance = fs.Float64("tolerance", 0.15, "relative tolerance band per metric")
-		n         = fs.Int("n", 1000, "measure: graph size (m = 4n)")
-		queries   = fs.Int("queries", 100000, "measure: served queries per scheme")
-		batch     = fs.Int("batch", 4096, "measure: Query batch size")
-		schemes   = fs.String("schemes", "exact,tz-k2", "measure: comma-separated rows (exact, tz-k2, warmup, thm11)")
-		seed      = fs.Int64("seed", 2015, "measure: graph/scheme seed (matches routebench)")
-		eps       = fs.Float64("eps", 0.25, "measure: eps of the eps-schemes")
-		workers   = fs.Int("workers", 1, "measure: engine shards")
-		budget    = fs.Int64("mem-budget", 512, "measure: lazy path-source budget in MiB")
-		write     = fs.String("write", "", "measure: write the measured records to this JSON file")
-		pr        = fs.Int("pr", 0, "measure: pr number recorded in -write output")
+		baseline     = fs.String("baseline", "", "baseline BENCH_*.json (required)")
+		candidate    = fs.String("candidate", "", "candidate BENCH_*.json; empty = measure fresh")
+		tolerance    = fs.Float64("tolerance", 0.15, "relative tolerance band per metric")
+		n            = fs.Int("n", 1000, "measure: graph size (m = 4n)")
+		queries      = fs.Int("queries", 100000, "measure: served queries per scheme")
+		batch        = fs.Int("batch", 4096, "measure: Query batch size")
+		schemes      = fs.String("schemes", "exact,tz-k2", "measure: comma-separated rows (exact, tz-k2, warmup, thm11)")
+		seed         = fs.Int64("seed", 2015, "measure: graph/scheme seed (matches routebench)")
+		eps          = fs.Float64("eps", 0.25, "measure: eps of the eps-schemes")
+		workers      = fs.Int("workers", 1, "measure: engine shards")
+		budget       = fs.Int64("mem-budget", 512, "measure: lazy path-source budget in MiB")
+		write        = fs.String("write", "", "measure: write the measured points to this BENCH file")
+		pr           = fs.Int("pr", 0, "measure: pr number recorded in -write output")
 		auditRate    = fs.Float64("audit-sample", 0, "measure: attach a shadow route auditor at this sample rate (0 = off); any audited violation is a measurement error")
 		repairN      = fs.Int("repair-n", 0, "measure: also soak the thm11 incremental-repair path on a graph of this size (0 = skip)")
 		repairBatch  = fs.Int("repair-batch", 1, "measure: churn ops applied per repair phase of the soak")
@@ -128,21 +108,26 @@ func run(args []string, out io.Writer) int {
 			return 2
 		}
 	} else {
-		recs, loads, sizes, err := measure(out, strings.Split(*schemes, ","), *n, *queries, *batch, *workers, *seed, *eps, *budget, *auditRate)
+		points, err := measure(out, strings.Split(*schemes, ","), *n, *queries, *batch, *workers, *seed, *eps, *budget, *auditRate)
 		if err != nil {
 			fmt.Fprintf(out, "benchgate: %v\n", err)
 			return 2
 		}
-		var repairs []repairRecord
 		if *repairN > 0 {
-			repairs, err = measureRepair(out, *repairN, *repairBatch, *repairPhases, *seed, *eps, *budget)
+			rep, err := measureRepair(out, *repairN, *repairBatch, *repairPhases, *seed, *eps, *budget)
 			if err != nil {
 				fmt.Fprintf(out, "benchgate: %v\n", err)
 				return 2
 			}
+			points = append(points, rep)
 		}
 		if *write != "" {
-			if err := writeRecords(*write, *pr, recs, loads, sizes, repairs); err != nil {
+			meta := map[string]any{
+				"date":   time.Now().Format("2006-01-02"),
+				"go":     runtime.Version(),
+				"method": "cmd/benchgate measure mode: routebench workload (GNM n/4n, seed 2015), batched LiveEngine.Query closed loop, allocs from runtime Mallocs delta; snapshot load paths timed on a freshly saved file",
+			}
+			if err := benchtrack.WriteFile(*write, *pr, meta, points); err != nil {
 				fmt.Fprintf(out, "benchgate: %v\n", err)
 				return 2
 			}
@@ -150,10 +135,7 @@ func run(args []string, out io.Writer) int {
 		}
 		// Round-trip through the parser so the gate sees exactly what a
 		// future run will read back from the written file.
-		doc, err := json.Marshal(map[string]any{
-			"qps_sweep": recs, "snapshot_load": loads, "snapshot_size": sizes,
-			"repair_sweep": repairs,
-		})
+		doc, err := json.Marshal(map[string]any{"points": points})
 		if err != nil {
 			fmt.Fprintf(out, "benchgate: %v\n", err)
 			return 2
@@ -181,22 +163,6 @@ func run(args []string, out io.Writer) int {
 	return 0
 }
 
-// loadRecord and sizeRecord mirror the snapshot_load / snapshot_size entries
-// benchtrack parses into the loadms/ and bytes/ trajectories.
-type loadRecord struct {
-	Scheme string  `json:"scheme"`
-	N      int     `json:"n"`
-	Mode   string  `json:"mode"`
-	LoadMs float64 `json:"load_ms"`
-}
-
-type sizeRecord struct {
-	Scheme        string  `json:"scheme"`
-	N             int     `json:"n"`
-	SnapshotBytes int64   `json:"snapshot_bytes"`
-	BytesPerWord  float64 `json:"bytes_per_word"`
-}
-
 // measure rebuilds each requested scheme on the routebench workload, serves
 // the batched hot path (qps, ns/op, allocs/op), and - for snapshot-capable
 // schemes - measures the snapshot's cold-start load paths and footprint.
@@ -204,90 +170,84 @@ type sizeRecord struct {
 // the timed numbers are then measured with auditing attached (the overhead
 // the gate is asked to tolerate), and any audited violation or unbalanced
 // audit ledger is a measurement error.
-func measure(out io.Writer, names []string, n, queries, batch, workers int, seed int64, eps float64, budgetMiB int64, auditRate float64) ([]record, []loadRecord, []sizeRecord, error) {
+func measure(out io.Writer, names []string, n, queries, batch, workers int, seed int64, eps float64, budgetMiB int64, auditRate float64) ([]benchtrack.Point, error) {
 	byName := map[string]row{}
 	for _, r := range rows() {
 		byName[r.name] = r
 	}
-	var recs []record
-	var loads []loadRecord
-	var sizes []sizeRecord
+	var points []benchtrack.Point
 	for _, name := range names {
 		name = strings.TrimSpace(name)
 		r, ok := byName[name]
 		if !ok {
-			return nil, nil, nil, fmt.Errorf("unknown scheme row %q", name)
+			return nil, fmt.Errorf("unknown scheme row %q", name)
 		}
 		g, err := compactroute.GNM(n, 4*n, seed, r.weighted, 32)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 		paths := compactroute.NewLazyAPSP(g, budgetMiB<<20)
 		t0 := time.Now()
 		s, err := r.build(g, paths, eps, seed)
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("build %s: %w", name, err)
+			return nil, fmt.Errorf("build %s: %w", name, err)
 		}
 		fmt.Fprintf(out, "built %s (n=%d) in %.1fs\n", s.Name(), n, time.Since(t0).Seconds())
-		rec, auditLine, err := serveRecord(s, queries, batch, workers, seed, auditRate)
+		p, auditLine, err := serveRecord(s, queries, batch, workers, seed, auditRate)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
-		rec.M = g.M()
-		recs = append(recs, rec)
-		fmt.Fprintf(out, "  %s: %.0f qps, %.0f ns/op, %.3f allocs/op\n", s.Name(), rec.QPS, rec.NsPerOp, rec.AllocsPerOp)
+		points = append(points, p)
+		fmt.Fprintf(out, "  %s: %.0f qps, %.0f ns/op, %.3f allocs/op\n", s.Name(), p.Metrics["qps"], p.Metrics["ns_per_op"], p.Metrics["allocs_per_op"])
 		if auditLine != "" {
 			fmt.Fprintf(out, "  %s audit: %s\n", s.Name(), auditLine)
 		}
 		if compactroute.SnapshotKind(s) != "" {
-			ld, sz, err := measureSnapshot(name, s)
+			snap, err := measureSnapshot(out, name, s)
 			if err != nil {
-				return nil, nil, nil, fmt.Errorf("snapshot %s: %w", name, err)
+				return nil, fmt.Errorf("snapshot %s: %w", name, err)
 			}
-			loads = append(loads, ld...)
-			sizes = append(sizes, sz)
-			fmt.Fprintf(out, "  %s snapshot: %d bytes (%.2f B/word), load decode %.1fms mmap %.1fms\n",
-				name, sz.SnapshotBytes, sz.BytesPerWord, ld[0].LoadMs, ld[1].LoadMs)
+			points = append(points, snap...)
 		}
 	}
-	return recs, loads, sizes, nil
+	return points, nil
 }
 
 // measureSnapshot saves s to a temp file and times the two cold-start load
 // paths: "decode" (read the whole stream, decode on the heap) and "mmap"
 // (map the file, alias the fixed-width sections). Keys use the row name, not
 // s.Name(), so the trajectory is stable across stretch-annotation changes.
-func measureSnapshot(name string, s compactroute.Scheme) ([]loadRecord, sizeRecord, error) {
+func measureSnapshot(out io.Writer, name string, s compactroute.Scheme) ([]benchtrack.Point, error) {
 	dir, err := os.MkdirTemp("", "benchgate-snap")
 	if err != nil {
-		return nil, sizeRecord{}, err
+		return nil, err
 	}
 	defer os.RemoveAll(dir)
 	path := dir + "/scheme.snap"
 	if err := compactroute.SaveSchemeFile(path, s); err != nil {
-		return nil, sizeRecord{}, err
+		return nil, err
 	}
 	st, err := os.Stat(path)
 	if err != nil {
-		return nil, sizeRecord{}, err
+		return nil, err
 	}
 	n := s.Graph().N()
 
 	t0 := time.Now()
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, sizeRecord{}, err
+		return nil, err
 	}
 	ds, err := compactroute.LoadScheme(bytes.NewReader(data))
 	if err != nil {
-		return nil, sizeRecord{}, err
+		return nil, err
 	}
 	decodeMs := float64(time.Since(t0).Nanoseconds()) / 1e6
 
 	t0 = time.Now()
 	sf, err := compactroute.OpenSchemeFile(path)
 	if err != nil {
-		return nil, sizeRecord{}, err
+		return nil, err
 	}
 	mmapMs := float64(time.Since(t0).Nanoseconds()) / 1e6
 	defer sf.Close()
@@ -296,25 +256,15 @@ func measureSnapshot(name string, s compactroute.Scheme) ([]loadRecord, sizeReco
 	for v := 0; v < n; v++ {
 		words += ds.TableWords(compactroute.Vertex(v))
 	}
-	loads := []loadRecord{
-		{Scheme: name, N: n, Mode: "decode", LoadMs: decodeMs},
-		{Scheme: name, N: n, Mode: "mmap", LoadMs: mmapMs},
-	}
-	sz := sizeRecord{Scheme: name, N: n, SnapshotBytes: st.Size(),
-		BytesPerWord: float64(st.Size()) / float64(words)}
-	return loads, sz, nil
-}
-
-// repairRecord mirrors a repair_sweep entry; benchtrack parses it into the
-// repairms/ trajectory, gating repair_ms (lower is better) and keeping the
-// rebuild reference as context.
-type repairRecord struct {
-	Scheme      string  `json:"scheme"`
-	N           int     `json:"n"`
-	Batch       int     `json:"batch"`
-	RepairMs    float64 `json:"repair_ms"`
-	FullMs      float64 `json:"full_rebuild_ms"`
-	Escalations int     `json:"escalations"`
+	bytesPerWord := float64(st.Size()) / float64(words)
+	fmt.Fprintf(out, "  %s snapshot: %d bytes (%.2f B/word), load decode %.1fms mmap %.1fms\n",
+		name, st.Size(), bytesPerWord, decodeMs, mmapMs)
+	return []benchtrack.Point{
+		{Key: benchtrack.LoadKey(name, n, "decode"), Metrics: map[string]float64{"load_ms": decodeMs}},
+		{Key: benchtrack.LoadKey(name, n, "mmap"), Metrics: map[string]float64{"load_ms": mmapMs}},
+		{Key: benchtrack.SizeKey(name, n), Metrics: map[string]float64{
+			"snapshot_bytes": float64(st.Size()), "bytes_per_word": bytesPerWord}},
+	}, nil
 }
 
 // measureRepair is the incremental-repair soak (the gate-sized slice of the
@@ -324,31 +274,31 @@ type repairRecord struct {
 // build on the same churned graph. It records the mean per-phase repair and
 // rebuild latencies; a divergence is a measurement error (exit 2), because a
 // wrong repair must never be reported as a fast one.
-func measureRepair(out io.Writer, n, batch, phases int, seed int64, eps float64, budgetMiB int64) ([]repairRecord, error) {
+func measureRepair(out io.Writer, n, batch, phases int, seed int64, eps float64, budgetMiB int64) (benchtrack.Point, error) {
 	g, err := compactroute.GNM(n, 4*n, seed, true, 32)
 	if err != nil {
-		return nil, err
+		return benchtrack.Point{}, err
 	}
 	opts := compactroute.Options{Eps: eps, Seed: seed}
 	build, repairFn, err := compactroute.RepairFuncFor("thm11/v2", opts, int(budgetMiB))
 	if err != nil {
-		return nil, err
+		return benchtrack.Point{}, err
 	}
 	refBuild, err := compactroute.RebuildFuncFor("thm11/v2", opts, int(budgetMiB))
 	if err != nil {
-		return nil, err
+		return benchtrack.Point{}, err
 	}
 	t0 := time.Now()
 	scheme, err := build(g)
 	if err != nil {
-		return nil, err
+		return benchtrack.Point{}, err
 	}
 	fmt.Fprintf(out, "repair soak: built %s (n=%d) in %.1fs\n", scheme.Name(), n, time.Since(t0).Seconds())
 	eng, err := compactroute.ServeLive(scheme, compactroute.LiveServeOptions{
 		Workers: 1, Build: build, Repair: repairFn,
 	})
 	if err != nil {
-		return nil, err
+		return benchtrack.Point{}, err
 	}
 	defer eng.Close()
 	trace := compactroute.DeletionTrace(g, 0.10, seed+1)
@@ -364,13 +314,13 @@ func measureRepair(out io.Writer, n, batch, phases int, seed int64, eps float64,
 		lo := phase * batch
 		hi := min(lo+batch, len(trace))
 		if err := eng.ApplyUpdates(trace[lo:hi]); err != nil {
-			return nil, err
+			return benchtrack.Point{}, err
 		}
 		repairStart := time.Now()
 		if repairErr := eng.Repair(); repairErr != nil {
 			escalations++
 			if err := eng.Rebuild(); err != nil {
-				return nil, fmt.Errorf("repair soak phase %d: repair (%v) and rebuild both failed: %w", phase+1, repairErr, err)
+				return benchtrack.Point{}, fmt.Errorf("repair soak phase %d: repair (%v) and rebuild both failed: %w", phase+1, repairErr, err)
 			}
 		}
 		repairTotal += time.Since(repairStart)
@@ -378,37 +328,36 @@ func measureRepair(out io.Writer, n, batch, phases int, seed int64, eps float64,
 		fullStart := time.Now()
 		ref, err := refBuild(churned)
 		if err != nil {
-			return nil, err
+			return benchtrack.Point{}, err
 		}
 		fullTotal += time.Since(fullStart)
 		var got, want bytes.Buffer
 		if err := compactroute.SaveScheme(&got, eng.Scheme()); err != nil {
-			return nil, err
+			return benchtrack.Point{}, err
 		}
 		if err := compactroute.SaveScheme(&want, ref); err != nil {
-			return nil, err
+			return benchtrack.Point{}, err
 		}
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			return nil, fmt.Errorf("repair soak phase %d: repaired scheme diverges from the from-scratch build (%d vs %d snapshot bytes)",
+			return benchtrack.Point{}, fmt.Errorf("repair soak phase %d: repaired scheme diverges from the from-scratch build (%d vs %d snapshot bytes)",
 				phase+1, got.Len(), want.Len())
 		}
 	}
-	rec := repairRecord{
-		Scheme: "thm11", N: n, Batch: batch,
-		RepairMs:    float64(repairTotal.Nanoseconds()) / 1e6 / float64(phases),
-		FullMs:      float64(fullTotal.Nanoseconds()) / 1e6 / float64(phases),
-		Escalations: escalations,
-	}
+	repairMs := float64(repairTotal.Nanoseconds()) / 1e6 / float64(phases)
+	fullMs := float64(fullTotal.Nanoseconds()) / 1e6 / float64(phases)
 	fmt.Fprintf(out, "  thm11 repair: %.1f ms/phase vs %.1f ms full rebuild (batch=%d, %d phases, %d escalations, all bit-identical)\n",
-		rec.RepairMs, rec.FullMs, batch, phases, escalations)
-	return []repairRecord{rec}, nil
+		repairMs, fullMs, batch, phases, escalations)
+	return benchtrack.Point{Key: benchtrack.RepairKey("thm11", n, batch), Metrics: map[string]float64{
+		"repair_ms": repairMs, "full_rebuild_ms": fullMs, "escalations": float64(escalations)}}, nil
 }
 
 // serveRecord drives the batched Query hot path: one warm-up batch, then a
 // timed closed loop with alloc accounting from the runtime's Mallocs delta.
-// With auditRate > 0 the loop runs with a shadow auditor attached; the
-// returned auditLine summarizes its census ("" when auditing is off).
-func serveRecord(s compactroute.Scheme, queries, batch, workers int, seed int64, auditRate float64) (rec record, auditLine string, err error) {
+// Any routing error is a measurement error: a scheme that cannot route has
+// no throughput to record. With auditRate > 0 the loop runs with a shadow
+// auditor attached; the returned auditLine summarizes its census ("" when
+// auditing is off).
+func serveRecord(s compactroute.Scheme, queries, batch, workers int, seed int64, auditRate float64) (p benchtrack.Point, auditLine string, err error) {
 	opts := compactroute.LiveServeOptions{Workers: workers, PinWorkers: true}
 	var aud *compactroute.RouteAuditor
 	if auditRate > 0 {
@@ -418,16 +367,16 @@ func serveRecord(s compactroute.Scheme, queries, batch, workers int, seed int64,
 	}
 	eng, err := compactroute.ServeLive(s, opts)
 	if err != nil {
-		return record{}, "", err
+		return p, "", err
 	}
 	defer eng.Close()
 	n := s.Graph().N()
-	// Pairs are pregenerated outside the timed loop, exactly like
-	// routeserve -loadgen (the source of the recorded baselines), so the
-	// trajectory points stay methodology-compatible across PRs.
+	// Pairs are pregenerated outside the timed loop, the methodology
+	// BENCH_pr4.json was recorded with, so the points stay comparable
+	// across PRs.
 	pairs := compactroute.SamplePairs(n, queries, seed+77)
 	if len(pairs) == 0 {
-		return record{}, "", fmt.Errorf("graph too small to sample pairs")
+		return p, "", fmt.Errorf("graph too small to sample pairs")
 	}
 	outBuf := make([]compactroute.LiveResult, min(batch, len(pairs)))
 	for lo := 0; lo < len(pairs) && lo < 4*batch; lo += batch { // warm packet scratch and stats chunks
@@ -442,13 +391,12 @@ func serveRecord(s compactroute.Scheme, queries, batch, workers int, seed int64,
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	served := 0
-	var errs uint64
 	t0 := time.Now()
 	for lo := 0; lo < len(pairs); lo += batch {
 		hi := min(lo+batch, len(pairs))
 		for _, res := range eng.Query(pairs[lo:hi], outBuf) {
 			if res.Err != nil {
-				errs++
+				return p, "", fmt.Errorf("%s: route %d->%d: %w", s.Name(), res.Src, res.Dst, res.Err)
 			}
 		}
 		served += hi - lo
@@ -471,53 +419,26 @@ func serveRecord(s compactroute.Scheme, queries, batch, workers int, seed int64,
 		aud.Flush()
 		ast := aud.Stats()
 		if ast.Violations != 0 {
-			return record{}, "", fmt.Errorf("%s: shadow audit charged %d violations over %d sampled queries", s.Name(), ast.Violations, ast.Sampled)
+			return p, "", fmt.Errorf("%s: shadow audit charged %d violations over %d sampled queries", s.Name(), ast.Violations, ast.Sampled)
 		}
 		if ast.Verified+ast.Stale+ast.Dropped != ast.Sampled {
-			return record{}, "", fmt.Errorf("%s: audit ledger does not balance: %+v", s.Name(), ast)
+			return p, "", fmt.Errorf("%s: audit ledger does not balance: %+v", s.Name(), ast)
 		}
 		auditLine = fmt.Sprintf("sampled=%d verified=%d dropped=%d viol=0", ast.Sampled, ast.Verified, ast.Dropped)
 	}
 
+	// qps, ns_per_op and allocs_per_op are gated; the rest is informational.
 	st := eng.Stats()
-	rec = record{
-		Scheme:      s.Name(),
-		Kind:        compactroute.SnapshotKind(s),
-		N:           n,
-		Workers:     workers,
-		Queries:     served,
-		Errors:      errs,
-		ElapsedSec:  elapsed.Seconds(),
-		QPS:         float64(served) / elapsed.Seconds(),
-		NsPerOp:     float64(elapsed.Nanoseconds()) / float64(served),
-		AllocsPerOp: float64(mallocs) / float64(served),
-		MeanHops:    st.MeanHops,
-		P50Hops:     st.P50Hops,
-		P99Hops:     st.P99Hops,
-	}
-	return rec, auditLine, nil
-}
-
-func writeRecords(path string, pr int, recs []record, loads []loadRecord, sizes []sizeRecord, repairs []repairRecord) error {
-	doc := map[string]any{
-		"pr":        pr,
-		"date":      time.Now().Format("2006-01-02"),
-		"go":        runtime.Version(),
-		"method":    "cmd/benchgate measure mode: routebench workload (GNM n/4n, seed 2015), batched LiveEngine.Query closed loop, allocs from runtime Mallocs delta; snapshot load paths timed on a freshly saved file",
-		"qps_sweep": recs,
-	}
-	if len(loads) > 0 {
-		doc["snapshot_load"] = loads
-	}
-	if len(sizes) > 0 {
-		doc["snapshot_size"] = sizes
-	}
-	if len(repairs) > 0 {
-		doc["repair_sweep"] = repairs
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	p = benchtrack.Point{Key: benchtrack.QPSKey(s.Name(), n, workers), Metrics: map[string]float64{
+		"qps":           float64(served) / elapsed.Seconds(),
+		"ns_per_op":     float64(elapsed.Nanoseconds()) / float64(served),
+		"allocs_per_op": float64(mallocs) / float64(served),
+		"m":             float64(s.Graph().M()),
+		"queries":       float64(served),
+		"elapsed_sec":   elapsed.Seconds(),
+		"mean_hops":     st.MeanHops,
+		"p50_hops":      float64(st.P50Hops),
+		"p99_hops":      float64(st.P99Hops),
+	}}
+	return p, auditLine, nil
 }

@@ -1,17 +1,21 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"compactroute"
+	"compactroute/internal/simnet"
 )
 
 const baselineJSON = `{
   "pr": 4,
-  "qps_sweep": [
-    {"scheme": "thm11-5+eps", "n": 10000, "workers": 1, "qps": 215865},
-    {"scheme": "exact", "n": 1000, "workers": 1, "qps": 5146767}
+  "points": [
+    {"key": "qps/thm11-5+eps/n=10000/workers=1", "metrics": {"qps": 215865}},
+    {"key": "qps/exact/n=1000/workers=1", "metrics": {"qps": 5146767}}
   ]
 }`
 
@@ -31,9 +35,9 @@ func TestGateFailsOnSyntheticRegression(t *testing.T) {
 	base := writeTemp(t, "base.json", baselineJSON)
 	regressed := writeTemp(t, "cand.json", `{
 	  "pr": 6,
-	  "qps_sweep": [
-	    {"scheme": "thm11-5+eps", "n": 10000, "workers": 1, "qps": 100000},
-	    {"scheme": "exact", "n": 1000, "workers": 1, "qps": 5146767}
+	  "points": [
+	    {"key": "qps/thm11-5+eps/n=10000/workers=1", "metrics": {"qps": 100000}},
+	    {"key": "qps/exact/n=1000/workers=1", "metrics": {"qps": 5146767}}
 	  ]
 	}`)
 	var out strings.Builder
@@ -49,9 +53,9 @@ func TestGatePassesWithinTolerance(t *testing.T) {
 	base := writeTemp(t, "base.json", baselineJSON)
 	cand := writeTemp(t, "cand.json", `{
 	  "pr": 6,
-	  "qps_sweep": [
-	    {"scheme": "thm11-5+eps", "n": 10000, "workers": 1, "qps": 200000, "allocs_per_op": 0},
-	    {"scheme": "exact", "n": 1000, "workers": 1, "qps": 6000000}
+	  "points": [
+	    {"key": "qps/thm11-5+eps/n=10000/workers=1", "metrics": {"qps": 200000, "allocs_per_op": 0}},
+	    {"key": "qps/exact/n=1000/workers=1", "metrics": {"qps": 6000000}}
 	  ]
 	}`)
 	var out strings.Builder
@@ -63,7 +67,7 @@ func TestGatePassesWithinTolerance(t *testing.T) {
 func TestGateErrorsOnDisjointFiles(t *testing.T) {
 	base := writeTemp(t, "base.json", baselineJSON)
 	cand := writeTemp(t, "cand.json", `{
-	  "qps_sweep": [{"scheme": "other", "n": 7, "workers": 1, "qps": 1}]
+	  "points": [{"key": "qps/other/n=7/workers=1", "metrics": {"qps": 1}}]
 	}`)
 	var out strings.Builder
 	// A gate that compared nothing must fail loudly, not report success.
@@ -91,7 +95,7 @@ func TestGateMeasureMode(t *testing.T) {
 		t.Skip("builds a scheme")
 	}
 	base := writeTemp(t, "base.json", `{
-	  "qps_sweep": [{"scheme": "exact", "n": 64, "workers": 1, "qps": 1}]
+	  "points": [{"key": "qps/exact/n=64/workers=1", "metrics": {"qps": 1}}]
 	}`)
 	outFile := filepath.Join(t.TempDir(), "measured.json")
 	var out strings.Builder
@@ -110,5 +114,28 @@ func TestGateMeasureMode(t *testing.T) {
 	out.Reset()
 	if code := run([]string{"-baseline", base, "-candidate", outFile}, &out); code != 0 {
 		t.Fatalf("written file does not re-gate: exit %d\n%s", code, out.String())
+	}
+}
+
+// unroutable is a scheme whose every route fails at the source.
+type unroutable struct{ compactroute.Scheme }
+
+func (unroutable) Prepare(src, dst compactroute.Vertex) (simnet.Packet, error) {
+	return nil, errors.New("unroutable: no route")
+}
+
+// TestServeRecordFailsOnRoutingErrors pins that a scheme which cannot route
+// is a measurement error, never a throughput point.
+func TestServeRecordFailsOnRoutingErrors(t *testing.T) {
+	g, err := compactroute.GNM(64, 256, 2015, false, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := compactroute.NewExact(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := serveRecord(unroutable{s}, 1000, 256, 1, 2015, 0); err == nil {
+		t.Fatal("serveRecord measured a scheme that fails every route; want an error")
 	}
 }

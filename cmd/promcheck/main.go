@@ -8,10 +8,11 @@
 //	          [-retries 20] [-interval 250ms] [-min name=value]...
 //	          [-max name=value]...
 //
-// It exists so the bench-smoke CI job can assert that a loadgen run under
-// churn actually exposes the serving metrics (E18) without pulling in a
-// Prometheus client library: the format checked here is the plain text
-// exposition 0.0.4 the registry writes, and the checker is stdlib only.
+// It exists so the bench-smoke CI job can assert that a routeserve session
+// serving verified routes actually exposes the serving metrics (E18)
+// without pulling in a Prometheus client library: the format checked here
+// is the plain text exposition 0.0.4 the registry writes, and the checker
+// is stdlib only.
 //
 // Beyond line-level syntax, every histogram series is validated as a series:
 // its _bucket samples must carry parseable le labels, be cumulative

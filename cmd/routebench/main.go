@@ -152,16 +152,16 @@ func main() {
 func run(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("routebench", flag.ContinueOnError)
 	var (
-		n          = fs.Int("n", 512, "number of vertices")
-		eps        = fs.Float64("eps", 0.25, "epsilon of the (1+eps) techniques")
-		seed       = fs.Int64("seed", 2015, "random seed")
-		pairs      = fs.Int("pairs", 2000, "sampled source-destination pairs")
-		workers    = fs.Int("workers", 0, "construction and evaluation workers (0 = all cores)")
-		source     = fs.String("pathsource", "dense", "shortest-path source for preprocessing: dense | lazy")
-		budget     = fs.Int("mem-budget", 256, "lazy path-source row-cache budget in MiB")
-		scaling    = fs.Bool("scaling", false, "also run the E2 space-scaling experiment")
-		cpuprofile = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-		memprofile = fs.String("memprofile", "", "write a pprof heap profile at the end of the run to this file")
+		n           = fs.Int("n", 512, "number of vertices")
+		eps         = fs.Float64("eps", 0.25, "epsilon of the (1+eps) techniques")
+		seed        = fs.Int64("seed", 2015, "random seed")
+		pairs       = fs.Int("pairs", 2000, "sampled source-destination pairs")
+		workers     = fs.Int("workers", 0, "construction and evaluation workers (0 = all cores)")
+		source      = fs.String("pathsource", "dense", "shortest-path source for preprocessing: dense | lazy")
+		budget      = fs.Int("mem-budget", 256, "lazy path-source row-cache budget in MiB")
+		scaling     = fs.Bool("scaling", false, "also run the E2 space-scaling experiment")
+		cpuprofile  = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
+		memprofile  = fs.String("memprofile", "", "write a pprof heap profile at the end of the run to this file")
 		churn       = fs.Bool("churn", false, "run the E14 churn replay instead of the table: deterministic deletion trace, staleness-bounded serving, rebuild + hot-swap under load, bit-identity cross-check")
 		churnFrac   = fs.Float64("churn-frac", 0.10, "churn: fraction of edges the deletion trace removes")
 		churnSeed   = fs.Int64("churn-seed", 1, "churn: trace seed")
@@ -169,9 +169,9 @@ func run(args []string, out io.Writer) (err error) {
 		churnBatch  = fs.Int("churn-batch", 1, "repair mode: trace ops applied per repair phase")
 		churnPhases = fs.Int("churn-phases", 4, "repair mode: number of repair phases (0 = replay the whole trace)")
 		churnTrace  = fs.Bool("trace", false, "churn modes: trace every query and print a per-phase routing-decision census (vicinity/tree/detour/fallback rates)")
-		save       = fs.String("save", "", "write snapshots of the snapshot-capable rows to <prefix>-<row>.snap after construction and evaluate only those rows")
-		load       = fs.String("load", "", "load the snapshot-capable rows from <prefix>-<row>.snap (written by -save) instead of constructing; the evaluation output is byte-identical to the -save run")
-		schemes    = fs.String("schemes", "", "comma-separated row filter (e.g. thm11,tz-k2); restricts construction and evaluation to the named rows")
+		save        = fs.String("save", "", "write snapshots of the snapshot-capable rows to <prefix>-<row>.snap after construction and evaluate only those rows")
+		load        = fs.String("load", "", "load the snapshot-capable rows from <prefix>-<row>.snap (written by -save) instead of constructing; the evaluation output is byte-identical to the -save run")
+		schemes     = fs.String("schemes", "", "comma-separated row filter (e.g. thm11,tz-k2); restricts construction and evaluation to the named rows")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -16,8 +16,8 @@ import (
 )
 
 // adminHarness starts run() with the given extra flags over a pipe, drains
-// its output into a line channel, and parses the admin and (optional)
-// listening banners.
+// its output into a line channel, and parses the admin and listening
+// banners.
 type adminHarness struct {
 	done      chan error
 	lines     chan string
@@ -25,7 +25,7 @@ type adminHarness struct {
 	tcpAddr   string
 }
 
-func startAdminHarness(t *testing.T, args []string, wantTCP bool) *adminHarness {
+func startAdminHarness(t *testing.T, args []string) *adminHarness {
 	t.Helper()
 	outR, outW := io.Pipe()
 	h := &adminHarness{done: make(chan error, 1), lines: make(chan string, 256)}
@@ -41,7 +41,7 @@ func startAdminHarness(t *testing.T, args []string, wantTCP bool) *adminHarness 
 		close(h.lines)
 	}()
 	deadline := time.After(30 * time.Second)
-	for h.adminAddr == "" || (wantTCP && h.tcpAddr == "") {
+	for h.adminAddr == "" || h.tcpAddr == "" {
 		select {
 		case line, ok := <-h.lines:
 			if !ok {
@@ -104,7 +104,7 @@ func TestAdminSurface(t *testing.T) {
 		"-snapshot", snap, "-verify", "-workers", "2",
 		"-listen", "127.0.0.1:0", "-admin-addr", "127.0.0.1:0",
 		"-trace-sample", "1", "-trace-buf", "64",
-	}, true)
+	})
 
 	conn, err := net.Dial("tcp", h.tcpAddr)
 	if err != nil {
@@ -226,7 +226,7 @@ func TestAdminSurfaceLive(t *testing.T) {
 	h := startAdminHarness(t, []string{
 		"-snapshot", snap, "-live", "-workers", "2",
 		"-listen", "127.0.0.1:0", "-admin-addr", "127.0.0.1:0",
-	}, true)
+	})
 	exposition := h.get(t, "/metrics")
 	if got := metricValue(t, exposition, "compactroute_snapshot_mapped"); got != 1 {
 		t.Fatalf("compactroute_snapshot_mapped %v, want 1", got)
@@ -265,7 +265,7 @@ func TestAuditSurface(t *testing.T) {
 		"-listen", "127.0.0.1:0", "-admin-addr", "127.0.0.1:0",
 		"-audit-sample", "1", "-audit-workers", "2",
 		"-flightrec", t.TempDir() + "/flight.json",
-	}, true)
+	})
 
 	conn, err := net.Dial("tcp", h.tcpAddr)
 	if err != nil {
@@ -334,49 +334,5 @@ func TestAuditSurface(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("server did not shut down")
-	}
-}
-
-// TestLoadgenHoldServesMetrics checks the CI scrape path: a -loadgen -hold
-// run keeps its admin endpoints up after the run, exposing the run's
-// counters, until a signal releases it.
-func TestLoadgenHoldServesMetrics(t *testing.T) {
-	if testing.Short() {
-		t.Skip("serves thousands of queries; skipped in short mode")
-	}
-	snap, _ := writeSnapshot(t)
-	h := startAdminHarness(t, []string{
-		"-snapshot", snap, "-loadgen", "-queries", "2000", "-batch", "256",
-		"-workers", "2", "-verify", "-admin-addr", "127.0.0.1:0", "-hold",
-	}, false)
-	deadline := time.After(30 * time.Second)
-	for held := false; !held; {
-		select {
-		case line, ok := <-h.lines:
-			if !ok {
-				t.Fatal("output closed before hold banner")
-			}
-			held = strings.HasPrefix(line, "# holding for scrape")
-		case <-deadline:
-			t.Fatal("no hold banner within 30s")
-		}
-	}
-	exposition := h.get(t, "/metrics")
-	if got := metricValue(t, exposition, "compactroute_queries_total"); got != 2000 {
-		t.Fatalf("held loadgen exposes queries_total=%v, want 2000", got)
-	}
-	if metricValue(t, exposition, "compactroute_qps") <= 0 {
-		t.Fatal("held loadgen exposes no qps")
-	}
-	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-h.done:
-		if err != nil {
-			t.Fatalf("held loadgen returned %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("held loadgen did not exit on SIGTERM")
 	}
 }

@@ -7,16 +7,14 @@
 //
 //	routeserve -snapshot thm11.snap [-workers 0] [-verify] [-json]
 //	           [-listen addr]
-//	routeserve -snapshot thm11.snap -live [-eps 0.5] [-tz-k 2]
+//	routeserve -snapshot thm11.snap -live [-eps 0.5] [-seed 2015] [-tz-k 2]
 //	           [-mem-budget 256] ...
-//	routeserve -snapshot thm11.snap -loadgen [-queries 100000] [-batch 4096]
-//	           [-seed 2015] [-workers 0] [-verify] [-json]
 //
 // In server mode, commands are read line by line from stdin (or from each
 // TCP connection when -listen is given):
 //
 //	route U V    route a packet from U to V
-//	dist U V     true shortest-path distance (computed on demand, cached)
+//	dist U V     true shortest-path distance (computed on demand)
 //	stats        live serving statistics (QPS, hop quantiles, stretch)
 //	trace [N]    dump the last N sampled route traces as JSON (-trace-sample)
 //	quit         close the session
@@ -47,8 +45,7 @@
 // stats command and /metrics read the same registry, so the line protocol
 // and a scrape can never disagree. -trace-sample enables deterministic
 // hash-based per-query tracing (the same query IDs are picked on every run
-// at any worker count); -hold keeps a -loadgen process alive after the run
-// so its endpoints can be scraped.
+// at any worker count).
 //
 // -audit-sample attaches the online route auditor: the same deterministic
 // hash sample of delivered queries is shadow-verified off the hot path by
@@ -59,7 +56,7 @@
 // of notable events (audited violations with route and trace, edge updates,
 // rebuild/repair/swap/retire transitions) served at /debug/flightrec;
 // -flightrec PATH arms it to auto-dump the ring to PATH as JSON on the first
-// audited violation or drift breach.
+// audited violation.
 //
 // On SIGINT/SIGTERM the server shuts down gracefully: it stops accepting,
 // drains in-flight queries, flushes a final stats line and exits 0.
@@ -67,11 +64,6 @@
 // Responses are single lines, JSON objects under -json. With -verify every
 // route response also carries the true distance and observed stretch, and
 // deliveries are checked against the scheme's proved stretch bound.
-//
-// In -loadgen mode, routeserve is its own closed-loop benchmark client: it
-// samples -queries random pairs, serves them in batches of -batch across
-// -workers shards, and prints a throughput/quality summary - the harness
-// behind experiment E13 (see EXPERIMENTS.md).
 package main
 
 import (
@@ -132,34 +124,27 @@ func run(args []string, in io.Reader, out io.Writer) error {
 		snapshot = fs.String("snapshot", "", "scheme snapshot file to serve (required)")
 		workers  = fs.Int("workers", 0, "serving shards (0 = all cores)")
 		verify   = fs.Bool("verify", false, "verify every delivery against the proved stretch bound")
-		jsonMode = fs.Bool("json", false, "emit JSON responses and summaries")
+		jsonMode = fs.Bool("json", false, "emit JSON responses")
 		budget   = fs.Int("mem-budget", 256, "live: distance row-cache budget in MiB of the rebuild constructor")
 		listen   = fs.String("listen", "", "serve the line protocol on this TCP address instead of stdin")
 		liveMode = fs.Bool("live", false, "serve through the live engine: admin commands (addedge/deledge/setw/rebuild), staleness-aware stats")
 		eps      = fs.Float64("eps", 0.5, "live: epsilon of the rebuild constructor")
 		tzK      = fs.Int("tz-k", 2, "live: k of the rebuild constructor for Thorup-Zwick snapshots")
-		loadgen  = fs.Bool("loadgen", false, "run the closed-loop load generator instead of serving")
-		queries  = fs.Int("queries", 100000, "loadgen: total queries to serve")
-		batch    = fs.Int("batch", 4096, "loadgen: queries per batch")
-		seed     = fs.Int64("seed", 2015, "loadgen pair-sampling seed; live rebuild seed")
+		seed     = fs.Int64("seed", 2015, "live: seed of the rebuild constructor")
 
 		adminAddr = fs.String("admin-addr", "", "serve /metrics, /healthz, /trace and /debug/pprof on this HTTP address")
 		traceRate = fs.Float64("trace-sample", 0, "fraction of queries to trace (deterministic hash sample; 0 disables)")
 		traceBuf  = fs.Int("trace-buf", 256, "completed traces kept for the trace command and /trace")
-		hold      = fs.Bool("hold", false, "loadgen: stay up (admin endpoints scrapeable) after the run until SIGINT/SIGTERM")
 
 		auditRate    = fs.Float64("audit-sample", 0, "fraction of delivered queries to shadow-verify off the hot path (deterministic hash sample; 0 disables)")
 		auditWorkers = fs.Int("audit-workers", 1, "background shadow-verification workers for -audit-sample")
-		flightPath   = fs.String("flightrec", "", "arm the flight recorder: auto-dump its event ring to this JSON file on the first audited violation or drift breach")
+		flightPath   = fs.String("flightrec", "", "arm the flight recorder: auto-dump its event ring to this JSON file on the first audited violation")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *snapshot == "" {
 		return errors.New("-snapshot is required")
-	}
-	if *liveMode && *loadgen {
-		return errors.New("-live and -loadgen are mutually exclusive")
 	}
 	st, err := os.Stat(*snapshot)
 	if err != nil {
@@ -224,22 +209,11 @@ func run(args []string, in io.Reader, out io.Writer) error {
 		defer stop()
 		fmt.Fprintf(out, "# admin on %s\n", addr)
 	}
-	// Server modes shut down gracefully on SIGINT/SIGTERM: stop accepting,
-	// drain in-flight queries, flush a final stats line, exit 0. A held
-	// loadgen run reuses the same signals to end the scrape window.
+	// Shut down gracefully on SIGINT/SIGTERM: stop accepting, drain
+	// in-flight queries, flush a final stats line, exit 0.
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sig)
-	if *loadgen {
-		if err := srv.runLoadgen(out, *queries, *batch, *seed); err != nil {
-			return err
-		}
-		if *hold {
-			fmt.Fprintln(out, "# holding for scrape; SIGINT/SIGTERM to exit")
-			<-sig
-		}
-		return nil
-	}
 	if *listen != "" {
 		return srv.listenAndServe(*listen, out, sig)
 	}
@@ -677,31 +651,6 @@ func parseEdgeWeight(fields []string, n int) (u, v compactroute.Vertex, w float6
 	return u, v, w, nil
 }
 
-// loadgenSummary is the JSON shape of a load-generator run, the record
-// format of BENCH_pr4.json.
-type loadgenSummary struct {
-	Scheme        string  `json:"scheme"`
-	Kind          string  `json:"kind"`
-	N             int     `json:"n"`
-	M             int     `json:"m"`
-	Workers       int     `json:"workers"`
-	Verify        bool    `json:"verify"`
-	Queries       uint64  `json:"queries"`
-	Errors        uint64  `json:"errors"`
-	ElapsedSec    float64 `json:"elapsed_sec"`
-	QPS           float64 `json:"qps"`
-	MeanHops      float64 `json:"mean_hops"`
-	P50Hops       int     `json:"p50_hops"`
-	P99Hops       int     `json:"p99_hops"`
-	MaxStretch    float64 `json:"max_stretch"`
-	Violations    uint64  `json:"violations"`
-	SnapshotBytes int64   `json:"snapshot_bytes"`
-	TableWords    int64   `json:"table_words"`
-	// Audit is present only when -audit-sample attached the route auditor;
-	// the run fails on any audited violation, same as synchronous verify.
-	Audit *auditStatsReply `json:"audit,omitempty"`
-}
-
 type statsReply struct {
 	Queries    uint64  `json:"queries"`
 	QPS        float64 `json:"qps"`
@@ -749,77 +698,4 @@ type liveStatsReply struct {
 	RepairClusters int     `json:"repair_dirty_clusters"`
 	RepairSeqs     int     `json:"repair_dirty_seqs"`
 	RepairLabels   int     `json:"repair_dirty_labels"`
-}
-
-// runLoadgen is the closed-loop benchmark: it serves `queries` sampled
-// pairs in batches and reports throughput and quality. It fails (non-zero
-// exit) on any routing error or stretch-bound violation, so CI runs double
-// as a correctness check.
-func (s *server) runLoadgen(out io.Writer, queries, batch int, seed int64) error {
-	scheme := s.eng.Scheme()
-	g := scheme.Graph()
-	if batch < 1 {
-		batch = 1
-	}
-	pairs := compactroute.SamplePairs(g.N(), queries, seed)
-	if len(pairs) == 0 {
-		return fmt.Errorf("graph too small to sample pairs")
-	}
-	buf := make([]compactroute.LiveResult, min(batch, len(pairs)))
-	s.eng.ResetStats()
-	start := time.Now()
-	for lo := 0; lo < len(pairs); lo += batch {
-		hi := min(lo+batch, len(pairs))
-		for _, res := range s.eng.Query(pairs[lo:hi], buf) {
-			if res.Err != nil {
-				return fmt.Errorf("loadgen: %w", res.Err)
-			}
-		}
-	}
-	elapsed := time.Since(start)
-	st := s.eng.Stats()
-	var tableWords int64
-	for v := 0; v < g.N(); v++ {
-		tableWords += int64(scheme.TableWords(compactroute.Vertex(v)))
-	}
-	sum := loadgenSummary{
-		Scheme: scheme.Name(), Kind: compactroute.SnapshotKind(scheme),
-		N: g.N(), M: g.M(), Workers: s.eng.Workers(), Verify: s.verify,
-		Queries: st.Queries, Errors: st.Errors,
-		ElapsedSec: elapsed.Seconds(), QPS: float64(st.Queries) / elapsed.Seconds(),
-		MeanHops: st.MeanHops, P50Hops: st.P50Hops, P99Hops: st.P99Hops,
-		MaxStretch: st.MaxStretch, Violations: st.BoundViolations,
-		SnapshotBytes: s.snapSize, TableWords: tableWords,
-	}
-	if st.BoundViolations != 0 {
-		return fmt.Errorf("loadgen: %d stretch-bound violations over %d queries", st.BoundViolations, st.Queries)
-	}
-	if s.audit != nil {
-		// Drain the audit backlog so the census below is exact, then hold the
-		// run to the same standard as synchronous verify: zero violations.
-		s.audit.Flush()
-		ast := s.audit.Stats()
-		sum.Audit = &auditStatsReply{
-			Sampled: ast.Sampled, Verified: ast.Verified, Violations: ast.Violations,
-			Stale: ast.Stale, Dropped: ast.Dropped, Backlog: ast.Backlog,
-			MinHeadroom: ast.MinHeadroom, Drift: ast.Drift,
-		}
-		if ast.Violations != 0 {
-			return fmt.Errorf("loadgen: %d audited bound violations over %d sampled queries", ast.Violations, ast.Sampled)
-		}
-	}
-	if s.jsonMode {
-		return json.NewEncoder(out).Encode(sum)
-	}
-	fmt.Fprintf(out, "# loadgen %s on G(n=%d, m=%d): %d workers, verify=%v\n",
-		sum.Scheme, sum.N, sum.M, sum.Workers, sum.Verify)
-	fmt.Fprintf(out, "queries=%d elapsed=%.3fs qps=%.0f\n", sum.Queries, sum.ElapsedSec, sum.QPS)
-	fmt.Fprintf(out, "hops p50=%d p99=%d mean=%.2f\n", sum.P50Hops, sum.P99Hops, sum.MeanHops)
-	fmt.Fprintf(out, "stretch max=%.3f violations=%d\n", sum.MaxStretch, sum.Violations)
-	if a := sum.Audit; a != nil {
-		fmt.Fprintf(out, "audit sampled=%d verified=%d violations=%d stale=%d dropped=%d headroom=%.3f drift=%.3f\n",
-			a.Sampled, a.Verified, a.Violations, a.Stale, a.Dropped, a.MinHeadroom, a.Drift)
-	}
-	fmt.Fprintf(out, "snapshot bytes=%d table words=%d\n", sum.SnapshotBytes, sum.TableWords)
-	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"os"
 	"path/filepath"
@@ -38,20 +39,27 @@ func writeSnapshot(t *testing.T) (path string, n int) {
 }
 
 // TestServeLineProtocol drives a full session over the stdin transport:
-// route, dist, stats, malformed input, quit.
+// route, dist, malformed input, a few thousand verified routes, stats, quit.
+// The final stats line must count every served route with no routing error
+// and no stretch-bound violation.
 func TestServeLineProtocol(t *testing.T) {
-	snap, _ := writeSnapshot(t)
-	in := strings.NewReader(strings.Join([]string{
+	snap, n := writeSnapshot(t)
+	cmds := []string{
 		"route 3 41",
 		"dist 3 41",
 		"route 3",        // malformed: missing vertex
 		"route 3 999999", // out of range
 		"teleport 1 2",   // unknown command
-		"stats",
-		"quit",
-	}, "\n"))
+	}
+	const routes = 3000
+	rng := rand.New(rand.NewSource(2015))
+	for i := 0; i < routes; i++ {
+		cmds = append(cmds, fmt.Sprintf("route %d %d", rng.Intn(n), rng.Intn(n)))
+	}
+	cmds = append(cmds, "stats", "quit")
 	var out strings.Builder
-	if err := run([]string{"-snapshot", snap, "-verify", "-workers", "2"}, in, &out); err != nil {
+	if err := run([]string{"-snapshot", snap, "-verify", "-workers", "2"},
+		strings.NewReader(strings.Join(cmds, "\n")), &out); err != nil {
 		t.Fatal(err)
 	}
 	text := out.String()
@@ -63,11 +71,16 @@ func TestServeLineProtocol(t *testing.T) {
 		"err route: want: route U V",
 		"err route: vertex out of range",
 		"err teleport: unknown command",
-		"stats queries=",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("output missing %q:\n%s", want, text)
 		}
+	}
+	lines := strings.Split(strings.TrimSpace(text), "\n")
+	stats := lines[len(lines)-1]
+	if want := fmt.Sprintf("stats queries=%d ", routes+1); !strings.HasPrefix(stats, want) ||
+		!strings.Contains(stats, " errors=0 viol=0 ") {
+		t.Fatalf("final stats line %q, want prefix %q and errors=0 viol=0", stats, want)
 	}
 }
 
@@ -100,50 +113,16 @@ func TestServeJSONProtocol(t *testing.T) {
 	}
 }
 
-// TestLoadgen runs the closed-loop generator with verification on: every
-// query must deliver within the proved stretch bound, and the JSON summary
-// must report the run.
-func TestLoadgen(t *testing.T) {
-	if testing.Short() {
-		t.Skip("serves thousands of queries; skipped in short mode")
-	}
-	snap, _ := writeSnapshot(t)
-	var out strings.Builder
-	err := run([]string{"-snapshot", snap, "-loadgen", "-queries", "5000",
-		"-batch", "512", "-workers", "4", "-verify", "-json"}, strings.NewReader(""), &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum struct {
-		Scheme     string  `json:"scheme"`
-		Queries    uint64  `json:"queries"`
-		QPS        float64 `json:"qps"`
-		Violations uint64  `json:"violations"`
-		MaxStretch float64 `json:"max_stretch"`
-		SnapBytes  int64   `json:"snapshot_bytes"`
-		TableWords int64   `json:"table_words"`
-	}
-	if err := json.Unmarshal([]byte(out.String()), &sum); err != nil {
-		t.Fatalf("bad summary %q: %v", out.String(), err)
-	}
-	if sum.Scheme != "thm11-5+eps" || sum.Queries != 5000 || sum.Violations != 0 {
-		t.Fatalf("unexpected summary %+v", sum)
-	}
-	if sum.QPS <= 0 || sum.SnapBytes <= 0 || sum.TableWords <= 0 {
-		t.Fatalf("degenerate summary %+v", sum)
-	}
-}
-
 // TestServeLiveAdminSession drives the -live admin protocol over stdin:
 // churn, degraded routing, rebuild+hot-swap, recovered stats.
 func TestServeLiveAdminSession(t *testing.T) {
 	snap, _ := writeSnapshot(t)
 	in := strings.NewReader(strings.Join([]string{
 		"route 3 41",
-		"deledge 3 41",    // may or may not be an edge; either answer is fine
-		"deledge 0 0",     // invalid: self loop
-		"addedge 0 0 2",   // invalid: self loop
-		"setw 1 2 0",      // invalid: non-positive weight (or missing edge)
+		"deledge 3 41",  // may or may not be an edge; either answer is fine
+		"deledge 0 0",   // invalid: self loop
+		"addedge 0 0 2", // invalid: self loop
+		"setw 1 2 0",    // invalid: non-positive weight (or missing edge)
 		"stats",
 		"rebuild",
 		"stats",

@@ -1,10 +1,10 @@
 // Package benchtrack turns the repository's BENCH_*.json artifacts into a
-// comparable performance trajectory: each file contributes a set of keyed
-// points (one per served scheme/size/worker configuration or micro-benchmark),
-// and Compare checks a fresh run against a recorded baseline with a relative
-// tolerance band per metric. cmd/benchgate wraps this into a CI gate, so a
-// qps, ns/op or allocs/op regression fails the build instead of landing
-// silently.
+// comparable performance trajectory: each file is a list of keyed points (one
+// per served scheme/size/worker configuration, snapshot, repair batch or
+// micro-benchmark), written by WriteFile and read by Parse, and Compare
+// checks a fresh run against a recorded baseline with a relative tolerance
+// band per metric. cmd/benchgate wraps this into a CI gate, so a qps, ns/op
+// or allocs/op regression fails the build instead of landing silently.
 package benchtrack
 
 import (
@@ -17,8 +17,8 @@ import (
 // Point is one measured configuration: a stable key (shared across PRs) and
 // its metric values.
 type Point struct {
-	Key     string
-	Metrics map[string]float64
+	Key     string             `json:"key"`
+	Metrics map[string]float64 `json:"metrics"`
 }
 
 // Trajectory is the parsed content of one BENCH_*.json file.
@@ -51,87 +51,19 @@ func GatedMetrics() []string {
 	return ms
 }
 
-// qpsRecord mirrors one entry of the qps_sweep / verified arrays written by
-// the serving benchmarks (BENCH_pr4.json onward). ns/op and allocs/op are
-// optional - pointer fields so an explicit 0 (the zero-alloc hot path) is
-// distinguishable from "not measured".
-type qpsRecord struct {
-	Scheme      string   `json:"scheme"`
-	N           int      `json:"n"`
-	Workers     int      `json:"workers"`
-	QPS         float64  `json:"qps"`
-	NsPerOp     *float64 `json:"ns_per_op,omitempty"`
-	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
-}
-
-// benchValues mirrors a testing-benchmark measurement (BENCH_pr3.json style).
-type benchValues struct {
-	NsPerOp     *float64 `json:"ns_per_op,omitempty"`
-	BytesPerOp  *float64 `json:"bytes_per_op,omitempty"`
-	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
-}
-
-// benchRecord is one before/after micro-benchmark entry; the trajectory
-// keeps the "after" state (that is what the PR shipped).
-type benchRecord struct {
-	Name  string       `json:"name"`
-	After *benchValues `json:"after"`
-}
-
-// snapLoadRecord mirrors one entry of the snapshot_load array (BENCH_pr7.json
-// onward): the cold-start cost of loading one scheme snapshot through one of
-// the two load paths ("decode" reads the whole file and decodes on the heap,
-// "mmap" maps it and aliases the fixed-width sections).
-type snapLoadRecord struct {
-	Scheme string  `json:"scheme"`
-	N      int     `json:"n"`
-	Mode   string  `json:"mode"`
-	LoadMs float64 `json:"load_ms"`
-}
-
-// snapSizeRecord mirrors one entry of the snapshot_size array: the on-disk
-// footprint of one scheme snapshot, absolute and per table word.
-type snapSizeRecord struct {
-	Scheme        string  `json:"scheme"`
-	N             int     `json:"n"`
-	SnapshotBytes float64 `json:"snapshot_bytes"`
-	BytesPerWord  float64 `json:"bytes_per_word"`
-}
-
-// repairRecord mirrors one entry of the repair_sweep array (BENCH_pr8.json
-// onward): the mean per-phase latency of repairing the serving scheme in
-// place after a churn batch, against the mean from-scratch rebuild latency
-// on the same churned graphs. Only repair_ms is gated; the rebuild time and
-// the dirty-set footprint ride along as methodology context.
-type repairRecord struct {
-	Scheme      string  `json:"scheme"`
-	N           int     `json:"n"`
-	Batch       int     `json:"batch"`
-	RepairMs    float64 `json:"repair_ms"`
-	FullMs      float64 `json:"full_rebuild_ms,omitempty"`
-	Escalations int     `json:"escalations,omitempty"`
-}
-
-// benchFile is the superset schema of every BENCH_*.json in the repository.
+// benchFile is the one BENCH_*.json schema: a PR number, a flat list of
+// points, and free-form metadata (method, machine notes, narrative tables)
+// that Parse ignores.
 type benchFile struct {
-	PR           int              `json:"pr"`
-	QPSSweep     []qpsRecord      `json:"qps_sweep"`
-	Verified     []qpsRecord      `json:"verified"`
-	Benchmarks   []benchRecord    `json:"benchmarks"`
-	SnapshotLoad []snapLoadRecord `json:"snapshot_load"`
-	SnapshotSize []snapSizeRecord `json:"snapshot_size"`
-	RepairSweep  []repairRecord   `json:"repair_sweep"`
+	PR     int     `json:"pr"`
+	Points []Point `json:"points"`
 }
 
-// QPSKey is the trajectory key of a serving-throughput record. Keys are the
-// contract between PRs: a future BENCH file gates against a past one only
+// QPSKey is the trajectory key of a serving-throughput measurement. Keys are
+// the contract between PRs: a future BENCH file gates against a past one only
 // where the keys match exactly.
-func QPSKey(scheme string, n, workers int, verified bool) string {
-	k := fmt.Sprintf("qps/%s/n=%d/workers=%d", scheme, n, workers)
-	if verified {
-		k += "/verified"
-	}
-	return k
+func QPSKey(scheme string, n, workers int) string {
+	return fmt.Sprintf("qps/%s/n=%d/workers=%d", scheme, n, workers)
 }
 
 // LoadKey is the trajectory key of a snapshot cold-start measurement; mode is
@@ -152,103 +84,46 @@ func RepairKey(scheme string, n, batch int) string {
 	return fmt.Sprintf("repairms/%s/n=%d/batch=%d", scheme, n, batch)
 }
 
-// Parse reads one BENCH_*.json document. Unknown top-level fields are
-// ignored, so metadata-only sections (method, build_vs_load, notes) never
-// break parsing.
+// Parse reads one BENCH_*.json document. Every top-level field other than
+// pr and points is metadata and ignored. A point needs a key and at least
+// one metric, keys must be unique, and a file without points is an error.
 func Parse(data []byte, file string) (*Trajectory, error) {
 	var bf benchFile
 	if err := json.Unmarshal(data, &bf); err != nil {
 		return nil, fmt.Errorf("benchtrack: %s: %w", file, err)
 	}
-	t := &Trajectory{File: file, PR: bf.PR, Points: make(map[string]Point)}
-	add := func(key string, metrics map[string]float64) error {
-		if _, dup := t.Points[key]; dup {
-			return fmt.Errorf("benchtrack: %s: duplicate point %q", file, key)
+	t := &Trajectory{File: file, PR: bf.PR, Points: make(map[string]Point, len(bf.Points))}
+	for i, p := range bf.Points {
+		if p.Key == "" {
+			return nil, fmt.Errorf("benchtrack: %s: point %d has no key", file, i)
 		}
-		t.Points[key] = Point{Key: key, Metrics: metrics}
-		return nil
-	}
-	qps := func(recs []qpsRecord, verified bool) error {
-		for _, r := range recs {
-			if r.Scheme == "" {
-				return fmt.Errorf("benchtrack: %s: qps record without scheme", file)
-			}
-			m := map[string]float64{"qps": r.QPS}
-			if r.NsPerOp != nil {
-				m["ns_per_op"] = *r.NsPerOp
-			}
-			if r.AllocsPerOp != nil {
-				m["allocs_per_op"] = *r.AllocsPerOp
-			}
-			if err := add(QPSKey(r.Scheme, r.N, r.Workers, verified), m); err != nil {
-				return err
-			}
+		if len(p.Metrics) == 0 {
+			return nil, fmt.Errorf("benchtrack: %s: point %q has no metrics", file, p.Key)
 		}
-		return nil
-	}
-	if err := qps(bf.QPSSweep, false); err != nil {
-		return nil, err
-	}
-	if err := qps(bf.Verified, true); err != nil {
-		return nil, err
-	}
-	for _, r := range bf.SnapshotLoad {
-		if r.Scheme == "" {
-			return nil, fmt.Errorf("benchtrack: %s: snapshot_load record without scheme", file)
+		if _, dup := t.Points[p.Key]; dup {
+			return nil, fmt.Errorf("benchtrack: %s: duplicate point %q", file, p.Key)
 		}
-		if r.Mode != "decode" && r.Mode != "mmap" {
-			return nil, fmt.Errorf("benchtrack: %s: snapshot_load mode %q (want decode or mmap)", file, r.Mode)
-		}
-		if err := add(LoadKey(r.Scheme, r.N, r.Mode), map[string]float64{"load_ms": r.LoadMs}); err != nil {
-			return nil, err
-		}
-	}
-	for _, r := range bf.SnapshotSize {
-		if r.Scheme == "" {
-			return nil, fmt.Errorf("benchtrack: %s: snapshot_size record without scheme", file)
-		}
-		m := map[string]float64{"snapshot_bytes": r.SnapshotBytes, "bytes_per_word": r.BytesPerWord}
-		if err := add(SizeKey(r.Scheme, r.N), m); err != nil {
-			return nil, err
-		}
-	}
-	for _, r := range bf.RepairSweep {
-		if r.Scheme == "" {
-			return nil, fmt.Errorf("benchtrack: %s: repair_sweep record without scheme", file)
-		}
-		m := map[string]float64{"repair_ms": r.RepairMs}
-		if r.FullMs != 0 {
-			m["full_rebuild_ms"] = r.FullMs // informational, never gated
-		}
-		if err := add(RepairKey(r.Scheme, r.N, r.Batch), m); err != nil {
-			return nil, err
-		}
-	}
-	for _, b := range bf.Benchmarks {
-		if b.Name == "" || b.After == nil {
-			continue // narrative entries carry no gateable measurement
-		}
-		m := map[string]float64{}
-		if b.After.NsPerOp != nil {
-			m["ns_per_op"] = *b.After.NsPerOp
-		}
-		if b.After.BytesPerOp != nil {
-			m["bytes_per_op"] = *b.After.BytesPerOp
-		}
-		if b.After.AllocsPerOp != nil {
-			m["allocs_per_op"] = *b.After.AllocsPerOp
-		}
-		if len(m) == 0 {
-			continue
-		}
-		if err := add("bench/"+b.Name, m); err != nil {
-			return nil, err
-		}
+		t.Points[p.Key] = p
 	}
 	if len(t.Points) == 0 {
-		return nil, fmt.Errorf("benchtrack: %s: no gateable points (need qps_sweep, verified or benchmarks)", file)
+		return nil, fmt.Errorf("benchtrack: %s: no points", file)
 	}
 	return t, nil
+}
+
+// WriteFile writes a BENCH file that Parse reads back unchanged: meta's
+// fields plus pr and points, which take precedence over same-named meta.
+func WriteFile(path string, pr int, meta map[string]any, points []Point) error {
+	doc := make(map[string]any, len(meta)+2)
+	for k, v := range meta {
+		doc[k] = v
+	}
+	doc["pr"], doc["points"] = pr, points
+	data, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		return fmt.Errorf("benchtrack: %s: %w", path, err)
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // ParseFile is Parse on the file at path.

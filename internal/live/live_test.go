@@ -96,13 +96,13 @@ func TestOverlayRejectsInvalidUpdates(t *testing.T) {
 		return false
 	})
 	cases := []live.Update{
-		live.DelEdge(3, 3),                       // self loop
-		live.DelEdge(0, 100),                     // out of range
-		live.AddEdge(eu, ev, 2),                  // already exists
-		live.SetWeight(eu, ev, -1),               // bad weight
-		live.SetWeight(eu, ev, math.Inf(1)),      // bad weight
-		live.SetWeight(eu, ev, math.NaN()),       // bad weight
-		{Op: live.Op(99), U: 0, V: 1, W: 1},      // unknown op
+		live.DelEdge(3, 3),                                    // self loop
+		live.DelEdge(0, 100),                                  // out of range
+		live.AddEdge(eu, ev, 2),                               // already exists
+		live.SetWeight(eu, ev, -1),                            // bad weight
+		live.SetWeight(eu, ev, math.Inf(1)),                   // bad weight
+		live.SetWeight(eu, ev, math.NaN()),                    // bad weight
+		{Op: live.Op(99), U: 0, V: 1, W: 1},                   // unknown op
 		live.SetWeight(nonEdge(t, g)[0], nonEdge(t, g)[1], 2), // missing edge
 	}
 	for _, up := range cases {

@@ -12,9 +12,9 @@ import (
 
 // FlightEvent is one notable serving event kept by the FlightRecorder:
 // an audited bound violation (with the offending route and its trace), an
-// edge update, a repair/rebuild/swap transition, a generation retire, or a
-// drift-threshold breach. Numeric route fields are meaningful only for the
-// audit kinds; lifecycle events carry their context in Detail.
+// edge update, a repair/rebuild/swap transition, or a generation retire.
+// Numeric route fields are meaningful only for audit violations; lifecycle
+// events carry their context in Detail.
 type FlightEvent struct {
 	Seq    uint64
 	Unix   int64 // UnixNano timestamp, stamped by Record
@@ -31,7 +31,7 @@ type FlightEvent struct {
 
 // FlightRecorder is the serving black box: a fixed mutex-protected ring of
 // recent FlightEvents, exposed over the admin surface and auto-dumped to a
-// JSON file on the first tripped event (bound violation or drift breach) so
+// JSON file on the first tripped event (an audited bound violation) so
 // an anomaly seen once under production load is diagnosable after the fact.
 // A nil *FlightRecorder is valid and drops everything, so call sites can
 // thread it unconditionally.
@@ -81,7 +81,7 @@ func (fr *FlightRecorder) Register(reg *Registry) {
 	})
 	reg.add(&family{
 		name: "compactroute_flightrec_trips_total",
-		help: "Flight-recorder trips (bound violations or drift breaches); the first trip auto-dumps the ring.",
+		help: "Flight-recorder trips (audited bound violations); the first trip auto-dumps the ring.",
 		typ:  kindCounter, c: fr.trips,
 	})
 }

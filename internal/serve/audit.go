@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,8 +18,8 @@ import (
 // drop-counting channel to a background worker pool that proves the true
 // distance with the bounded bidirectional kernel - no PathSource, no row
 // cache - and checks the routed weight against the scheme's proved stretch
-// bound. This turns the paper's stretch theorem from a loadgen-only
-// assertion into a continuously measured production SLO.
+// bound. This turns the paper's stretch theorem from an offline assertion
+// into a continuously measured production SLO.
 
 // auditDriftWindow is the sliding window (audited deliveries) behind the
 // drift gauge: the windowed mean of observed stretch.
@@ -94,8 +93,6 @@ type Auditor struct {
 	window      [auditDriftWindow]float64
 	wpos, wn    int
 	windowSum   float64
-	driftThresh float64
-	breached    bool
 }
 
 // NewAuditor builds an auditor sampling the given rate (0..1) of delivered
@@ -122,16 +119,6 @@ func NewAuditor(rate float64, workers, bufN int) *Auditor {
 		stale:       &obs.Counter{},
 		lag:         &obs.Gauge{},
 	}
-}
-
-// SetDriftThreshold arms the drift trip: once the windowed mean observed
-// stretch exceeds t (with a full window), the flight recorder trips an
-// audit_drift event. 0 (the default) disables the trip; the drift gauge is
-// always published.
-func (a *Auditor) SetDriftThreshold(t float64) {
-	a.mu.Lock()
-	a.driftThresh = t
-	a.mu.Unlock()
 }
 
 // start launches the worker pool against an engine's backend. Engines call
@@ -242,30 +229,11 @@ func (a *Auditor) note(rec auditRecord, v auditVerdict) {
 	a.window[a.wpos] = stretch
 	a.windowSum += stretch
 	a.wpos = (a.wpos + 1) % auditDriftWindow
-	trip := false
-	if a.driftThresh > 0 && a.wn == auditDriftWindow {
-		if mean := a.windowSum / float64(a.wn); mean > a.driftThresh {
-			if !a.breached {
-				a.breached, trip = true, true
-			}
-		} else {
-			a.breached = false
-		}
-	}
-	thresh, mean := a.driftThresh, a.windowSum/float64(a.wn)
 	a.mu.Unlock()
-	if trip && a.backend.fr != nil {
-		a.backend.fr.Trip(obs.FlightEvent{
-			Kind:   "audit_drift",
-			Detail: fmt.Sprintf("windowed mean stretch %.4f breached drift threshold %.4f", mean, thresh),
-			Src:    rec.src, Dst: rec.dst, Gen: rec.gen,
-			Weight: rec.weight, Dist: v.dist, Bound: v.bound,
-		})
-	}
 }
 
 // Flush blocks until every record enqueued so far has been fully processed.
-// The churn census and the loadgen call this before reading counters, so
+// The churn census and benchgate call this before reading counters, so
 // audit totals compare exactly against the synchronous verify path.
 func (a *Auditor) Flush() {
 	if a == nil {

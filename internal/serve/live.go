@@ -543,14 +543,6 @@ func (l *Live) Refresh() error {
 	return l.Rebuild()
 }
 
-// RefreshAsync starts Refresh in a background goroutine and returns a
-// channel that receives its result (buffered; the goroutine never leaks).
-func (l *Live) RefreshAsync() <-chan error {
-	ch := make(chan error, 1)
-	go func() { ch <- l.Refresh() }()
-	return ch
-}
-
 // RebuildAsync starts Rebuild in a background goroutine and returns a
 // channel that receives its result (buffered; the goroutine never leaks).
 func (l *Live) RebuildAsync() <-chan error {

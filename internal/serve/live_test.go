@@ -354,7 +354,7 @@ func TestLiveUpdateDuringRebuildNotLost(t *testing.T) {
 		eu, ev, w0 = 0, v, w
 		return false
 	})
-	if err := l.ApplyUpdates([]live.Update{live.SetWeight(eu, ev, w0 + 5)}); err != nil {
+	if err := l.ApplyUpdates([]live.Update{live.SetWeight(eu, ev, w0+5)}); err != nil {
 		t.Fatal(err)
 	}
 	done := l.RebuildAsync()
