@@ -82,6 +82,7 @@ import (
 	"sync"
 	"syscall"
 	"time"
+	"unicode/utf8"
 
 	"compactroute"
 )
@@ -352,11 +353,7 @@ func (s *server) serveConn(in io.Reader, out io.Writer) error {
 	defer w.Flush()
 	enc := json.NewEncoder(w)
 	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
-		if len(fields) == 0 {
-			continue
-		}
-		if quit := s.serveCommand(w, enc, fields); quit {
+		if quit := s.serveLine(w, enc, sc.Bytes()); quit {
 			return w.Flush()
 		}
 		if err := w.Flush(); err != nil {
@@ -364,6 +361,23 @@ func (s *server) serveConn(in io.Reader, out io.Writer) error {
 		}
 	}
 	return sc.Err()
+}
+
+// serveLine executes one protocol line; it reports whether the session
+// asked to close. A well-formed route line is parsed in place and answered
+// without allocating in text mode. Every other line, malformed route lines
+// included, goes through strings.Fields and serveCommand, which word the
+// error replies.
+func (s *server) serveLine(w *bufio.Writer, enc *json.Encoder, line []byte) (quit bool) {
+	if u, v, ok := parseRouteLine(line, s.currentScheme().Graph().N()); ok {
+		s.serveRoute(w, enc, u, v)
+		return false
+	}
+	fields := strings.Fields(string(line))
+	if len(fields) == 0 {
+		return false
+	}
+	return s.serveCommand(w, enc, fields)
 }
 
 // serveCommand executes one protocol command; it reports whether the
@@ -447,17 +461,36 @@ func (s *server) serveRoute(w *bufio.Writer, enc *json.Encoder, u, v compactrout
 		_ = enc.Encode(rep)
 		return
 	}
-	fmt.Fprintf(w, "route %d %d hops=%d weight=%g header=%d", u, v, rep.Hops, rep.Weight, rep.Header)
+	// The reply is appended into the writer's free buffer space, which the
+	// per-line flush keeps empty, and matches fmt's %d, %g, %.3f and %v
+	// byte for byte (strconv formats infinities as fmt does: +Inf, -Inf).
+	b := w.AvailableBuffer()
+	b = append(b, "route "...)
+	b = strconv.AppendInt(b, int64(u), 10)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(v), 10)
+	b = append(b, " hops="...)
+	b = strconv.AppendInt(b, int64(rep.Hops), 10)
+	b = append(b, " weight="...)
+	b = strconv.AppendFloat(b, rep.Weight, 'g', -1, 64)
+	b = append(b, " header="...)
+	b = strconv.AppendInt(b, int64(rep.Header), 10)
 	if s.verify {
-		fmt.Fprintf(w, " dist=%g", rep.Dist)
+		b = append(b, " dist="...)
+		b = strconv.AppendFloat(b, rep.Dist, 'g', -1, 64)
 		if rep.Dist > 0 {
-			fmt.Fprintf(w, " stretch=%.3f", rep.Stretch)
+			b = append(b, " stretch="...)
+			b = strconv.AppendFloat(b, rep.Stretch, 'f', 3, 64)
 		}
 	}
 	if rep.Stale {
-		fmt.Fprintf(w, " stale=1 detours=%d fallback=%v", rep.Detours, rep.Fallback)
+		b = append(b, " stale=1 detours="...)
+		b = strconv.AppendInt(b, int64(rep.Detours), 10)
+		b = append(b, " fallback="...)
+		b = strconv.AppendBool(b, rep.Fallback)
 	}
-	fmt.Fprintln(w)
+	b = append(b, '\n')
+	_, _ = w.Write(b) // a write error sticks to w and surfaces at serveConn's Flush
 }
 
 // serveAdmin executes one live-engine admin command.
@@ -612,6 +645,53 @@ func (s *server) errLine(w io.Writer, enc *json.Encoder, op string, err error) {
 	} else {
 		fmt.Fprintf(w, "err %s: %v\n", op, err)
 	}
+}
+
+// parseRouteLine recognizes a well-formed "route U V" line: three fields
+// split on ASCII whitespace as strings.Fields splits them, and vertices
+// that strconv.Atoi parses into [0, n). It does not allocate. ok is false
+// for any other line, including one with a non-ASCII byte, since
+// strings.Fields also splits on Unicode spaces.
+func parseRouteLine(line []byte, n int) (u, v compactroute.Vertex, ok bool) {
+	var f [3][]byte
+	k := 0
+	for i := 0; i < len(line); {
+		c := line[i]
+		if c >= utf8.RuneSelf {
+			return 0, 0, false
+		}
+		if asciiSpace(c) {
+			i++
+			continue
+		}
+		j := i + 1
+		for j < len(line) && line[j] < utf8.RuneSelf && !asciiSpace(line[j]) {
+			j++
+		}
+		if k == len(f) {
+			return 0, 0, false
+		}
+		f[k], k = line[i:j], k+1
+		i = j
+	}
+	if k != 3 || string(f[0]) != "route" {
+		return 0, 0, false
+	}
+	ui, err := strconv.Atoi(string(f[1]))
+	if err != nil || ui < 0 || ui >= n {
+		return 0, 0, false
+	}
+	vi, err := strconv.Atoi(string(f[2]))
+	if err != nil || vi < 0 || vi >= n {
+		return 0, 0, false
+	}
+	return compactroute.Vertex(ui), compactroute.Vertex(vi), true
+}
+
+// asciiSpace reports whether c is one of the ASCII bytes strings.Fields
+// treats as space.
+func asciiSpace(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r'
 }
 
 func parsePair(fields []string, n int) (u, v compactroute.Vertex, err error) {

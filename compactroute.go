@@ -43,8 +43,8 @@
 //	fmt.Println(out[0].Hops, eng.Stats().QPS)
 //
 // cmd/routebench -save/-load writes and replays snapshots for the Table 1
-// rows; cmd/routeserve serves a snapshot over a line/JSON protocol and
-// contains the closed-loop load generator behind experiment E13.
+// rows; cmd/routeserve serves a snapshot over a line/JSON protocol
+// (experiment E13 pipes route lines into it).
 //
 // Live serving under churn: the same engine (ServeLive wraps an in-memory
 // scheme) keeps answering while the graph changes underneath it. Edge updates

@@ -10,7 +10,8 @@
 // Router that executes a preprocessed scheme hop by hop and patches its
 // decisions against the overlay: dead edges are bypassed with a bounded
 // local search over the effective graph, and when the detour budget is
-// exhausted the query falls back to one exact search. Routes stay finite;
+// exhausted the query falls back to one exact bidirectional search from the
+// abandon point (the kernel of Overlay.BoundedBidiDist). Routes stay finite;
 // the proved stretch bound is traded for a *measured* staleness stretch
 // (weight over the true distance in the churned graph, see
 // Overlay.BoundedBidiDist).
@@ -113,10 +114,14 @@ type halfAdd struct {
 // lock-free (see State). The zero value is not usable; construct with
 // NewOverlay.
 type Overlay struct {
-	mu      sync.RWMutex
-	base    *graph.Graph
-	states  map[edgeKey]edgeState
-	added   map[graph.Vertex][]halfAdd // alive non-base edges, sorted by neighbor
+	mu     sync.RWMutex
+	base   *graph.Graph
+	states map[edgeKey]edgeState
+	added  map[graph.Vertex][]halfAdd // alive non-base edges, sorted by neighbor
+	// touch is the touch index: touch[u] counts the entries of states
+	// incident to u. A vertex with touch 0 has exactly its base adjacency in
+	// the effective graph, so searches relax it straight from the base CSR.
+	touch   []int32
 	version uint64
 	// pub is the (version, entry count) pair republished under mu by every
 	// mutation, so per-query readers load both with one atomic read.
@@ -140,6 +145,7 @@ func NewOverlay(base *graph.Graph) *Overlay {
 		base:   base,
 		states: make(map[edgeKey]edgeState),
 		added:  make(map[graph.Vertex][]halfAdd),
+		touch:  make([]int32, base.N()),
 	}
 	ov.publish()
 	return ov
@@ -234,9 +240,9 @@ func (ov *Overlay) Apply(up Update) error {
 			return fmt.Errorf("live: deledge {%d,%d}: no such edge", up.U, up.V)
 		}
 		if baseHas {
-			ov.states[k] = edgeState{alive: false}
+			ov.putState(k, edgeState{alive: false})
 		} else {
-			delete(ov.states, k) // inserted edge removed: back to base state
+			ov.dropState(k) // inserted edge removed: back to base state
 			ov.dropAdded(k)
 		}
 	case OpAddEdge:
@@ -263,18 +269,36 @@ func (ov *Overlay) Apply(up Update) error {
 func (ov *Overlay) setAlive(k edgeKey, w float64, baseHas bool, baseW float64) {
 	if baseHas {
 		if w == baseW {
-			delete(ov.states, k) // state equals base: drop the entry
+			ov.dropState(k) // state equals base: drop the entry
 		} else {
-			ov.states[k] = edgeState{w: w, alive: true}
+			ov.putState(k, edgeState{w: w, alive: true})
 		}
 		return
 	}
-	_, wasTracked := ov.states[k]
-	ov.states[k] = edgeState{w: w, alive: true}
-	if wasTracked {
+	if ov.putState(k, edgeState{w: w, alive: true}) {
 		ov.updateAdded(k, w)
 	} else {
 		ov.insertAdded(k, w)
+	}
+}
+
+// putState records st as edge k's entry, counting a new entry against the
+// touch index of both endpoints. It reports whether k already had an entry.
+func (ov *Overlay) putState(k edgeKey, st edgeState) (had bool) {
+	if _, had = ov.states[k]; !had {
+		ov.touch[k.u]++
+		ov.touch[k.v]++
+	}
+	ov.states[k] = st
+	return had
+}
+
+// dropState removes edge k's entry, if any, and its touch counts.
+func (ov *Overlay) dropState(k edgeKey) {
+	if _, had := ov.states[k]; had {
+		delete(ov.states, k)
+		ov.touch[k.u]--
+		ov.touch[k.v]--
 	}
 }
 
@@ -330,6 +354,11 @@ func (ov *Overlay) dropAdded(k edgeKey) {
 func (ov *Overlay) EdgeState(u, v graph.Vertex) (w float64, alive bool) {
 	ov.mu.RLock()
 	defer ov.mu.RUnlock()
+	return ov.edgeStateLocked(u, v)
+}
+
+// edgeStateLocked is EdgeState for callers already holding ov.mu.
+func (ov *Overlay) edgeStateLocked(u, v graph.Vertex) (w float64, alive bool) {
 	if st, ok := ov.states[keyOf(u, v)]; ok {
 		return st.w, st.alive
 	}
@@ -366,8 +395,13 @@ func (ov *Overlay) Neighbors(u graph.Vertex, fn func(v graph.Vertex, w float64) 
 
 // neighborsLocked is Neighbors for callers already holding ov.mu: a merge of
 // the base adjacency (dead edges skipped, overrides applied) with the
-// inserted half-edges, both sorted by neighbor id.
+// inserted half-edges, both sorted by neighbor id. A vertex no entry touches
+// has exactly its base adjacency, which is read with no map probe.
 func (ov *Overlay) neighborsLocked(u graph.Vertex, fn func(v graph.Vertex, w float64) bool) {
+	if ov.touch[u] == 0 {
+		ov.base.Neighbors(u, func(_ graph.Port, v graph.Vertex, w float64) bool { return fn(v, w) })
+		return
+	}
 	adds := ov.added[u]
 	i := 0
 	done := false
@@ -488,7 +522,7 @@ func (ov *Overlay) Rebase(newBase *graph.Graph) error {
 		bw, err := newBase.EdgeWeight(k.u, k.v)
 		baseHas := err == nil
 		if (st.alive && baseHas && st.w == bw) || (!st.alive && !baseHas) {
-			delete(ov.states, k)
+			ov.dropState(k)
 		}
 	}
 	ov.base = newBase
@@ -553,7 +587,7 @@ func (ov *Overlay) RestoreEntries(entries []Entry, version uint64) error {
 			if !baseHas {
 				return fmt.Errorf("live: restore: dead entry {%d,%d} is not a base edge", e.U, e.V)
 			}
-			ov.states[k] = edgeState{alive: false}
+			ov.putState(k, edgeState{alive: false})
 			continue
 		}
 		if !(e.W > 0) || math.IsInf(e.W, 1) || math.IsNaN(e.W) {
@@ -562,7 +596,7 @@ func (ov *Overlay) RestoreEntries(entries []Entry, version uint64) error {
 		if baseHas && e.W == bw {
 			return fmt.Errorf("live: restore: entry {%d,%d} equals its base edge", e.U, e.V)
 		}
-		ov.states[k] = edgeState{w: e.W, alive: true}
+		ov.putState(k, edgeState{w: e.W, alive: true})
 		if !baseHas {
 			ov.insertAdded(k, e.W)
 		}

@@ -30,8 +30,8 @@ type Result struct {
 	Detours    int
 	DetourHops int
 	// Fallback reports that the route was completed by a per-query exact
-	// search (detour budget exhausted, hop budget exhausted, or the scheme
-	// failed on its own state).
+	// bidirectional search from the abandon point (detour budget exhausted,
+	// hop budget exhausted, or the scheme failed on its own state).
 	Fallback bool
 	Err      error
 }
@@ -160,13 +160,13 @@ func (r *Router) RouteInto(scratch simnet.Packet, src, dst graph.Vertex, tr *obs
 			if tr != nil {
 				tr.Step(int32(at), obs.PhaseDetour)
 			}
-			path, pw, ok := r.ov.detour(at, next, r.budget, false)
+			hops, pw, ok := r.ov.detour(at, next, r.budget, false, nil)
 			if !ok {
 				return r.fallbackTraced(res, at, dst, tr), pkt
 			}
 			res.Detours++
-			res.DetourHops += len(path) - 1
-			res.Hops += len(path) - 1
+			res.DetourHops += hops
+			res.Hops += hops
 			res.Weight += pw
 			at = next
 		}
@@ -188,7 +188,7 @@ func (r *Router) abandon(res Result, patched bool, at graph.Vertex, tr *obs.Trac
 }
 
 // fallbackTraced completes the route from the packet's current position with
-// one exact search over the effective graph.
+// one exact bidirectional search over the effective graph.
 func (r *Router) fallbackTraced(res Result, at, dst graph.Vertex, tr *obs.Trace) Result {
 	res.Fallback = true
 	if tr != nil {
@@ -198,12 +198,12 @@ func (r *Router) fallbackTraced(res Result, at, dst graph.Vertex, tr *obs.Trace)
 	if at == dst {
 		return res
 	}
-	path, w, ok := r.ov.exact(at, dst)
+	hops, w, ok := r.ov.shortestPath(at, dst)
 	if !ok {
 		res.Err = fmt.Errorf("live: routing %d->%d: %w", res.Src, dst, ErrUnreachable)
 		return res
 	}
-	res.Hops += len(path) - 1
+	res.Hops += hops
 	res.Weight += w
 	return res
 }

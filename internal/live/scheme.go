@@ -88,7 +88,8 @@ func (p *PatchedScheme) Next(at graph.Vertex, pk simnet.Packet) (simnet.Decision
 	// Dead edge: compute a surviving-base-edge detour at..next and emit it
 	// port by port. The inner packet is left exactly as if the packet had
 	// crossed {at, next} directly.
-	path, _, found := p.ov.detour(at, next, p.budget, true)
+	var path []graph.Vertex
+	_, _, found := p.ov.detour(at, next, p.budget, true, &path)
 	if !found {
 		return simnet.Decision{}, fmt.Errorf("live: no detour within budget %d around dead edge {%d,%d}", p.budget, at, next)
 	}

@@ -4,22 +4,24 @@ import (
 	"compactroute/internal/graph"
 )
 
-// This file holds the search kernels that run over the *effective* graph
-// (base + overlay) without materializing it: the bounded local search that
-// detours a packet around a dead edge and the per-query exact search the
-// router falls back to (the bidirectional distance kernel is in bidi.go).
-// Every search holds the overlay's read lock for its whole run, so it
-// observes one consistent effective graph even while updates land
-// concurrently, and all of them use the exact tie-break discipline of
-// graph.ShortestPaths ((dist, id) finalization order, first labeling wins),
-// so their results coincide with searches over Overlay.Materialize().
+// This file holds the bounded local search that detours a packet around a
+// dead edge; the bidirectional kernel behind distances and the router's
+// exact fallback is in bidi.go. Every search holds the overlay's read lock
+// for its whole run, so it observes one consistent effective graph even
+// while updates land concurrently. Their distances and path weights
+// coincide with searches over Overlay.Materialize(). The detour also keeps
+// the tie-break of graph.ShortestPaths ((dist, id) finalization order,
+// first labeling wins), so it picks the same path; the bidirectional
+// fallback may pick a different one of several tied shortest paths.
 
 // detour runs a bounded Dijkstra over the effective graph from src looking
 // for target. At most budget vertices are finalized; when target is reached
-// within the budget, the effective path src..target (inclusive) and its
-// weight are returned. baseOnly restricts the search to base edges (alive
-// ones), for executors that can only cross preprocessed ports (netsim).
-func (ov *Overlay) detour(src, target graph.Vertex, budget int, baseOnly bool) (path []graph.Vertex, w float64, ok bool) {
+// within the budget, it returns the hop count and weight of the effective
+// path src..target, and with a non-nil path also stores the path's vertices
+// (src..target inclusive) there. baseOnly restricts the search to base
+// edges (alive ones), for executors that can only cross preprocessed ports
+// (netsim).
+func (ov *Overlay) detour(src, target graph.Vertex, budget int, baseOnly bool, path *[]graph.Vertex) (hops int, w float64, ok bool) {
 	ov.mu.RLock()
 	defer ov.mu.RUnlock()
 	ws := ov.base.AcquireWorkspace()
@@ -29,43 +31,25 @@ func (ov *Overlay) detour(src, target graph.Vertex, budget int, baseOnly bool) (
 	for settled < budget {
 		u, d, popped := ws.Pop()
 		if !popped {
-			return nil, 0, false
+			return 0, 0, false
 		}
 		if u == target {
-			return reconstruct(ws, src, target), d, true
+			if path != nil {
+				*path = reconstruct(ws, src, target)
+			}
+			return chainHops(ws, target), d, true
 		}
 		settled++
 		ov.relaxFrom(ws, u, d, baseOnly)
 	}
-	return nil, 0, false
-}
-
-// exact runs a full Dijkstra over the effective graph from src, stopping as
-// soon as dst is finalized, and returns the effective path and its weight.
-// ok is false when dst is unreachable in the effective graph.
-func (ov *Overlay) exact(src, dst graph.Vertex) (path []graph.Vertex, w float64, ok bool) {
-	ov.mu.RLock()
-	defer ov.mu.RUnlock()
-	ws := ov.base.AcquireWorkspace()
-	defer ov.base.ReleaseWorkspace(ws)
-	ws.Start(src)
-	for {
-		u, d, popped := ws.Pop()
-		if !popped {
-			return nil, 0, false
-		}
-		if u == dst {
-			return reconstruct(ws, src, dst), d, true
-		}
-		ov.relaxFrom(ws, u, d, false)
-	}
+	return 0, 0, false
 }
 
 // relaxFrom relaxes every alive effective edge out of u. Neighbors come in
 // ascending id order; Relax only accepts strict improvements, so the first
 // labeling at a given distance wins - the canonical tie-break.
 func (ov *Overlay) relaxFrom(ws *graph.Workspace, u graph.Vertex, d float64, baseOnly bool) {
-	if baseOnly {
+	if baseOnly && ov.touch[u] != 0 {
 		ov.base.Neighbors(u, func(_ graph.Port, v graph.Vertex, w float64) bool {
 			if st, touched := ov.states[keyOf(u, v)]; touched {
 				if !st.alive {
@@ -82,6 +66,16 @@ func (ov *Overlay) relaxFrom(ws *graph.Workspace, u graph.Vertex, d float64, bas
 		ws.Relax(v, d+w, u)
 		return true
 	})
+}
+
+// chainHops counts the edges on the workspace parent chain from x back to
+// the search root.
+func chainHops(ws *graph.Workspace, x graph.Vertex) int {
+	hops := 0
+	for p := ws.Parent(x); p != graph.NoVertex; p = ws.Parent(p) {
+		hops++
+	}
+	return hops
 }
 
 // reconstruct walks the workspace parent chain from dst back to src and

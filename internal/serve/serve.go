@@ -25,8 +25,7 @@
 //
 // The evaluation harness (compactroute.EvaluateBatched) is a client of this
 // engine, so offline evaluation and online serving exercise the same code
-// path; cmd/routeserve drives it from a snapshot over a line/JSON protocol
-// and a built-in closed-loop load generator.
+// path; cmd/routeserve drives it from a snapshot over a line/JSON protocol.
 package serve
 
 import (
