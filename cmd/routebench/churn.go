@@ -29,8 +29,8 @@ type churnConfig struct {
 
 // decisionCensus renders per-serving-phase deltas of the trace sink's
 // routing-decision counters: which fraction of hop decisions were vicinity
-// hits, tree descents, overlay detours, exact fallbacks. A nil census (no
-// -trace) renders nothing.
+// hits, tree descents, exact fallbacks. A nil census (no -trace) renders
+// nothing.
 type decisionCensus struct {
 	sink    *compactroute.TraceSink
 	prev    []uint64
@@ -207,9 +207,9 @@ func runChurn(out io.Writer, cfg churnConfig) error {
 	if degraded.BoundViolations != 0 {
 		return fmt.Errorf("churn: degraded phase charged %d violations (must be staleness)", degraded.BoundViolations)
 	}
-	fmt.Fprintf(out, "degraded:  queries=%d deleted=%d stale-served=%d dead-hits=%d detours=%d fallbacks=%d max-stale=%.3f\n",
+	fmt.Fprintf(out, "degraded:  queries=%d deleted=%d stale-served=%d dead-hits=%d fallbacks=%d max-stale=%.3f\n",
 		degraded.Queries, degraded.Overlay.Deleted, degraded.StaleServed,
-		degraded.DeadEdgeHits, degraded.Detours, degraded.Fallbacks, degraded.MaxStaleStretch)
+		degraded.DeadEdgeHits, degraded.Fallbacks, degraded.MaxStaleStretch)
 	fmt.Fprintf(out, "stale-hist:%s\n", histLine(degraded.StaleHist))
 	if census != nil {
 		fmt.Fprintf(out, "trace[degraded]: %s\n", census.line())

@@ -39,9 +39,9 @@
 //
 // -trace (with either churn mode) attaches a full-rate route-trace sink and
 // prints a per-serving-phase routing-decision census: how many hop decisions
-// were vicinity hits, landmark-sequence walks, tree descents, overlay
-// detours or exact fallbacks, plus the per-phase fallback rate - the
-// measurement behind experiment E18's churn census.
+// were vicinity hits, landmark-sequence walks, tree descents or exact
+// fallbacks, plus the per-phase fallback rate - the measurement behind
+// experiment E18's churn census.
 //
 // -workers caps the worker count of both the parallel preprocessing phase
 // and the batched evaluation engine (0 = all cores). -pathsource selects how
@@ -168,7 +168,7 @@ func run(args []string, out io.Writer) (err error) {
 		repair      = fs.Bool("repair", false, "with -churn: incremental-repair mode (E17) - repair the scheme in place after each batch, time it against a from-scratch build, check bit-identity")
 		churnBatch  = fs.Int("churn-batch", 1, "repair mode: trace ops applied per repair phase")
 		churnPhases = fs.Int("churn-phases", 4, "repair mode: number of repair phases (0 = replay the whole trace)")
-		churnTrace  = fs.Bool("trace", false, "churn modes: trace every query and print a per-phase routing-decision census (vicinity/tree/detour/fallback rates)")
+		churnTrace  = fs.Bool("trace", false, "churn modes: trace every query and print a per-phase routing-decision census (vicinity/tree/fallback rates)")
 		save        = fs.String("save", "", "write snapshots of the snapshot-capable rows to <prefix>-<row>.snap after construction and evaluate only those rows")
 		load        = fs.String("load", "", "load the snapshot-capable rows from <prefix>-<row>.snap (written by -save) instead of constructing; the evaluation output is byte-identical to the -save run")
 		schemes     = fs.String("schemes", "", "comma-separated row filter (e.g. thm11,tz-k2); restricts construction and evaluation to the named rows")

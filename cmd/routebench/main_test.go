@@ -154,8 +154,8 @@ func TestChurnReplay(t *testing.T) {
 
 // TestChurnTraceCensus pins the -trace decision census of the churn replay:
 // every serving phase reports its sampled queries and per-phase decision
-// counts, and the degraded phase must show a non-zero fallback or detour
-// share (the staleness the census exists to measure).
+// counts, and the degraded phase must show a non-zero fallback share (the
+// staleness the census exists to measure).
 func TestChurnTraceCensus(t *testing.T) {
 	var out strings.Builder
 	if err := run([]string{"-churn", "-n", "200", "-pairs", "150", "-churn-seed", "3", "-trace"}, &out); err != nil {
@@ -174,11 +174,16 @@ func TestChurnTraceCensus(t *testing.T) {
 		}
 	}
 	// The fresh phase serves on an intact scheme: its census must not record
-	// detours or fallbacks.
+	// fallbacks. The degraded phase serves over dead edges: its census must.
 	for _, line := range strings.Split(text, "\n") {
-		if strings.HasPrefix(line, "trace[fresh]:") {
-			if strings.Contains(line, "detour=") || strings.Contains(line, " fallback=") {
+		switch {
+		case strings.HasPrefix(line, "trace[fresh]:"):
+			if strings.Contains(line, " fallback=") {
 				t.Errorf("fresh census records degraded decisions: %s", line)
+			}
+		case strings.HasPrefix(line, "trace[degraded]:"):
+			if !strings.Contains(line, " fallback=") {
+				t.Errorf("degraded census records no fallback: %s", line)
 			}
 		}
 	}

@@ -89,7 +89,7 @@ func (s *server) refServeLine(w *bufio.Writer, enc *json.Encoder, line []byte) (
 	}
 	rep := routeReply{Op: "route", Src: int(u), Dst: int(v), Hops: res.Hops,
 		Weight: res.Weight, Header: res.HeaderWords,
-		Stale: res.Stale(), Detours: res.Detours, Fallback: res.Fallback}
+		Stale: res.Stale(), Fallback: res.Fallback}
 	if s.verify {
 		rep.Dist = s.eng.Overlay().BoundedBidiDist(u, v, math.Inf(1))
 		if rep.Dist > 0 {
@@ -108,7 +108,7 @@ func (s *server) refServeLine(w *bufio.Writer, enc *json.Encoder, line []byte) (
 		}
 	}
 	if rep.Stale {
-		fmt.Fprintf(w, " stale=1 detours=%d fallback=%v", rep.Detours, rep.Fallback)
+		fmt.Fprintf(w, " stale=1 fallback=%v", rep.Fallback)
 	}
 	fmt.Fprintln(w)
 	return false

@@ -32,11 +32,11 @@
 //	                invalidation; Theorem 11 schemes built by this process)
 //	refresh         policy-driven: repair small deltas, rebuild large ones
 //
-// Queries keep flowing during churn (dead edges are detoured around,
-// reported as measured staleness stretch in stats) and during a rebuild
-// (the swap is one atomic pointer flip). -eps/-seed/-tz-k parameterize the
-// rebuild constructor; dist reports distances in the *effective* (churned)
-// graph.
+// Queries keep flowing during churn (a route that meets a dead edge is
+// finished by one exact search, reported as measured staleness stretch in
+// stats) and during a rebuild (the swap is one atomic pointer flip).
+// -eps/-seed/-tz-k parameterize the rebuild constructor; dist reports
+// distances in the *effective* (churned) graph.
 //
 // With -admin-addr the process additionally serves an HTTP admin surface:
 // /metrics (Prometheus text exposition of every serving, churn and snapshot
@@ -327,10 +327,9 @@ type routeReply struct {
 	Header  int     `json:"header"`
 	Dist    float64 `json:"dist"`
 	Stretch float64 `json:"stretch"`
-	// Live-mode extras: a route that crossed a detour or fell back to the
-	// exact search is flagged stale.
+	// Live-mode extras: a route finished by the exact fallback is flagged
+	// stale.
 	Stale    bool   `json:"stale,omitempty"`
-	Detours  int    `json:"detours,omitempty"`
 	Fallback bool   `json:"fallback,omitempty"`
 	Err      string `json:"err,omitempty"`
 }
@@ -450,7 +449,7 @@ func (s *server) serveRoute(w *bufio.Writer, enc *json.Encoder, u, v compactrout
 	}
 	rep := routeReply{Op: "route", Src: int(u), Dst: int(v), Hops: res.Hops,
 		Weight: res.Weight, Header: res.HeaderWords,
-		Stale: res.Stale(), Detours: res.Detours, Fallback: res.Fallback}
+		Stale: res.Stale(), Fallback: res.Fallback}
 	if s.verify {
 		rep.Dist = s.eng.Overlay().BoundedBidiDist(u, v, math.Inf(1))
 		if rep.Dist > 0 {
@@ -484,9 +483,7 @@ func (s *server) serveRoute(w *bufio.Writer, enc *json.Encoder, u, v compactrout
 		}
 	}
 	if rep.Stale {
-		b = append(b, " stale=1 detours="...)
-		b = strconv.AppendInt(b, int64(rep.Detours), 10)
-		b = append(b, " fallback="...)
+		b = append(b, " stale=1 fallback="...)
 		b = strconv.AppendBool(b, rep.Fallback)
 	}
 	b = append(b, '\n')
@@ -575,8 +572,7 @@ func (s *server) auditSegment(v map[string]float64) (string, *auditStatsReply) {
 
 // writeStats formats the stats reply from the obs registry - the same
 // collect pass /metrics scrapes - so the line protocol and the admin surface
-// are one source of truth. The line formats are part of the protocol and
-// unchanged from the pre-registry implementation.
+// are one source of truth. The line formats are part of the protocol.
 func (s *server) writeStats(w *bufio.Writer, enc *json.Encoder) {
 	v := s.reg.Values()
 	auditSeg, auditRep := s.auditSegment(v)
@@ -602,7 +598,6 @@ func (s *server) writeStats(w *bufio.Writer, enc *json.Encoder) {
 			StaleServed:    uint64(v["compactroute_live_stale_served_total"]),
 			MaxStale:       v["compactroute_live_stale_stretch_max"],
 			DeadEdgeHits:   uint64(v["compactroute_live_dead_edge_hits_total"]),
-			Detours:        uint64(v["compactroute_live_detours_total"]),
 			Fallbacks:      uint64(v["compactroute_live_fallbacks_total"]),
 			Rebuilds:       uint64(v["compactroute_live_rebuilds_total"]),
 			Swaps:          uint64(v["compactroute_live_swaps_total"]),
@@ -619,11 +614,11 @@ func (s *server) writeStats(w *bufio.Writer, enc *json.Encoder) {
 			_ = enc.Encode(rep)
 		} else {
 			lastRepair := time.Duration(rep.LastRepairSec * float64(time.Second))
-			fmt.Fprintf(w, "stats queries=%d qps=%.0f errors=%d viol=%d hops(p50=%d p99=%d mean=%.2f) stretch(max=%.3f) gen=%d overlay(del=%d add=%d setw=%d v=%d) stale(served=%d max=%.3f) detours=%d fallbacks=%d rebuilds=%d repairs=%d escalations=%d swaps=%d repair(last=%s vics=%d clusters=%d seqs=%d labels=%d)%s\n",
+			fmt.Fprintf(w, "stats queries=%d qps=%.0f errors=%d viol=%d hops(p50=%d p99=%d mean=%.2f) stretch(max=%.3f) gen=%d overlay(del=%d add=%d setw=%d v=%d) stale(served=%d max=%.3f) fallbacks=%d rebuilds=%d repairs=%d escalations=%d swaps=%d repair(last=%s vics=%d clusters=%d seqs=%d labels=%d)%s\n",
 				rep.Queries, rep.QPS, rep.Errors, rep.Violations,
 				rep.P50Hops, rep.P99Hops, rep.MeanHops, rep.MaxStretch,
 				rep.Generation, rep.OverlayDel, rep.OverlayAdd, rep.OverlaySetw, rep.OverlayVersion,
-				rep.StaleServed, rep.MaxStale, rep.Detours, rep.Fallbacks,
+				rep.StaleServed, rep.MaxStale, rep.Fallbacks,
 				rep.Rebuilds, rep.Repairs, rep.Escalations, rep.Swaps,
 				lastRepair.Round(time.Millisecond), rep.RepairVics,
 				rep.RepairClusters, rep.RepairSeqs, rep.RepairLabels, auditSeg)
@@ -766,7 +761,6 @@ type liveStatsReply struct {
 	StaleServed    uint64  `json:"stale_served"`
 	MaxStale       float64 `json:"max_stale_stretch"`
 	DeadEdgeHits   uint64  `json:"dead_edge_hits"`
-	Detours        uint64  `json:"detours"`
 	Fallbacks      uint64  `json:"fallbacks"`
 	Rebuilds       uint64  `json:"rebuilds"`
 	Swaps          uint64  `json:"swaps"`

@@ -48,16 +48,15 @@
 //
 // Live serving under churn: the same engine (ServeLive wraps an in-memory
 // scheme) keeps answering while the graph changes underneath it. Edge updates
-// (ApplyUpdates) accumulate in a delta overlay; routes detour around dead
-// edges with bounded local search (falling back to one exact search) and
-// report measured staleness stretch; Rebuild preprocesses a fresh scheme
-// for the churned graph in the background and hot-swaps it without
-// blocking a query:
+// (ApplyUpdates) accumulate in a delta overlay; a route that meets a dead
+// edge is finished by one exact search from there and reports measured
+// staleness stretch; Rebuild preprocesses a fresh scheme for the churned
+// graph in the background and hot-swaps it without blocking a query:
 //
 //	lv, _ := compactroute.ServeLive(scheme, compactroute.LiveServeOptions{
 //		Verify: true, Build: build})
 //	_ = lv.ApplyUpdates([]compactroute.EdgeUpdate{compactroute.RemoveEdge(3, 41)})
-//	res := lv.Route(3, 977)            // detours around the dead edge
+//	res := lv.Route(3, 977)            // falls back if it meets the dead edge
 //	_ = lv.Rebuild()                   // background rebuild + atomic hot-swap
 //
 // cmd/routeserve -live exposes the same over the line protocol (addedge /

@@ -13,8 +13,8 @@ import (
 // preallocated, neither the batched Query path nor the single-query Route
 // path may allocate, for the headline scheme (thm11), the Thorup-Zwick
 // baseline and the exact baseline. The degraded case serves thm11 over a
-// deletion overlay, where routes detour and fall back to the exact search:
-// those paths are held to zero allocations too.
+// deletion overlay, where routes that meet a dead edge fall back to the
+// exact search: that path is held to zero allocations too.
 func TestQueryHotPathAllocs(t *testing.T) {
 	g, err := compactroute.GNM(96, 384, 3, true, 8)
 	if err != nil {

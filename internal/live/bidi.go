@@ -127,3 +127,13 @@ func (ov *Overlay) bidiExpand(ws, other *graph.Workspace, m *meeting, forward bo
 		return true
 	})
 }
+
+// chainHops counts the edges on the workspace parent chain from x back to
+// the search root.
+func chainHops(ws *graph.Workspace, x graph.Vertex) int {
+	hops := 0
+	for p := ws.Parent(x); p != graph.NoVertex; p = ws.Parent(p) {
+		hops++
+	}
+	return hops
+}

@@ -32,6 +32,22 @@ func (ov *Overlay) FallbackPath(src, dst graph.Vertex) (path []graph.Vertex, hop
 	return path, hops, w, ok
 }
 
+// reconstruct walks the workspace parent chain from dst back to src and
+// reverses it into a src..dst path.
+func reconstruct(ws *graph.Workspace, src, dst graph.Vertex) []graph.Vertex {
+	var rev []graph.Vertex
+	for x := dst; x != graph.NoVertex; x = ws.Parent(x) {
+		rev = append(rev, x)
+		if x == src {
+			break
+		}
+	}
+	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
+		rev[i], rev[j] = rev[j], rev[i]
+	}
+	return rev
+}
+
 // CheckTouchIndex reports an error unless every vertex's touch count equals
 // the number of overlay entries incident to it.
 func (ov *Overlay) CheckTouchIndex() error {

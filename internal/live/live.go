@@ -7,11 +7,11 @@
 // churn: links fail, recover and change cost continuously. This package
 // models churn as an edge-delta Overlay over the immutable base graph - an
 // absolute statement of the current state of every touched edge - plus a
-// Router that executes a preprocessed scheme hop by hop and patches its
-// decisions against the overlay: dead edges are bypassed with a bounded
-// local search over the effective graph, and when the detour budget is
-// exhausted the query falls back to one exact bidirectional search from the
-// abandon point (the kernel of Overlay.BoundedBidiDist). Routes stay finite;
+// Router that executes a preprocessed scheme hop by hop against the
+// overlay: scheme decisions are taken while their edges are alive, and the
+// first one that chooses a dead edge ends the scheme walk there - the
+// abandon point - from which one exact bidirectional search (the kernel of
+// Overlay.BoundedBidiDist) finishes the route. Routes stay finite;
 // the proved stretch bound is traded for a *measured* staleness stretch
 // (weight over the true distance in the churned graph, see
 // Overlay.BoundedBidiDist).

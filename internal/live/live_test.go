@@ -207,59 +207,65 @@ func materializedDist(t *testing.T, ov *live.Overlay) graph.PathSource {
 	return graph.AllPairs(mat)
 }
 
-// TestRouterDetoursAroundDeadEdges: on a deletion trace, every query routes
-// to a finite effective walk, and routes that dodge dead edges are flagged
-// stale.
-func TestRouterDetoursAroundDeadEdges(t *testing.T) {
+// TestRouterFallsBackAtDeadEdges: on a deletion trace, every query routes
+// to a finite effective walk no shorter than the true effective distance,
+// and a dead edge has one outcome: the first dead hit ends the scheme walk
+// and the exact fallback finishes the route, which alone makes it stale.
+func TestRouterFallsBackAtDeadEdges(t *testing.T) {
 	g := testutil.MustGNM(t, 80, 240, 11, gen.UniformInt)
-	apsp := graph.AllPairs(g)
-	s, err := scheme5.New(g, apsp, scheme5.Params{Eps: 0.5, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name    string
+		build   func() (simnet.Scheme, error)
+		delFrac float64
+		seed    int64
+		dstStep int
+	}{
+		{"thm11", func() (simnet.Scheme, error) {
+			return scheme5.New(g, graph.AllPairs(g), scheme5.Params{Eps: 0.5, Seed: 11})
+		}, 0.12, 42, 13},
+		{"exact", func() (simnet.Scheme, error) { return exact.New(g) }, 0.15, 4, 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := tc.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ov := live.NewOverlay(g)
+			trace := live.DeletionTrace(g, tc.delFrac, tc.seed)
+			if len(trace) == 0 {
+				t.Fatal("empty deletion trace")
+			}
+			mustApply(t, ov, trace...)
+			r, err := live.NewRouter(s, ov)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dist := materializedDist(t, ov)
+			fallbacks := 0
+			for _, p := range testutil.Pairs(g.N(), 2, tc.dstStep) {
+				res := r.Route(p[0], p[1])
+				if res.Err != nil {
+					t.Fatalf("route %d->%d: %v", p[0], p[1], res.Err)
+				}
+				d := dist.Dist(p[0], p[1])
+				if math.IsInf(d, 1) {
+					t.Fatalf("pair %v unreachable in a connected effective graph", p)
+				}
+				if res.Weight < d-1e-9 {
+					t.Fatalf("route %d->%d weight %v beats true effective distance %v", p[0], p[1], res.Weight, d)
+				}
+				if res.DeadHits > 1 || (res.DeadHits == 1) != res.Fallback || res.Stale() != res.Fallback || res.Detours != 0 {
+					t.Fatalf("route %d->%d: a dead hit must end in exactly one fallback: %+v", p[0], p[1], res)
+				}
+				if res.Fallback {
+					fallbacks++
+				}
+			}
+			if fallbacks == 0 {
+				t.Fatalf("%.0f%% deletions should have sent at least one route to the fallback", 100*tc.delFrac)
+			}
+		})
 	}
-	ov := live.NewOverlay(g)
-	trace := live.DeletionTrace(g, 0.12, 42)
-	if len(trace) == 0 {
-		t.Fatal("empty deletion trace")
-	}
-	for _, up := range trace {
-		mustApply(t, ov, up)
-	}
-	r, err := live.NewRouter(s, ov, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dist := materializedDist(t, ov)
-	stale := 0
-	for _, p := range testutil.Pairs(g.N(), 2, 13) {
-		res := r.Route(p[0], p[1])
-		if res.Err != nil {
-			t.Fatalf("route %d->%d: %v", p[0], p[1], res.Err)
-		}
-		d := dist.Dist(p[0], p[1])
-		if math.IsInf(d, 1) {
-			t.Fatalf("pair %v unreachable in a connected effective graph", p)
-		}
-		if res.Weight < d-1e-9 {
-			t.Fatalf("route %d->%d weight %v beats true effective distance %v", p[0], p[1], res.Weight, d)
-		}
-		if res.Stale() {
-			stale++
-		}
-		if res.DeadHits > 0 && res.Detours+boolToInt(res.Fallback) == 0 {
-			t.Fatalf("dead hits without detour or fallback: %+v", res)
-		}
-	}
-	if stale == 0 {
-		t.Fatal("a 12% deletion trace should have patched at least one route")
-	}
-}
-
-func boolToInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // TestRouterCleanOverlayMatchesSimnet: with an empty overlay, the patched
@@ -272,7 +278,7 @@ func TestRouterCleanOverlayMatchesSimnet(t *testing.T) {
 		t.Fatal(err)
 	}
 	ov := live.NewOverlay(g)
-	r, err := live.NewRouter(s, ov, 0, 0)
+	r, err := live.NewRouter(s, ov)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,42 +296,6 @@ func TestRouterCleanOverlayMatchesSimnet(t *testing.T) {
 			t.Fatalf("pair %v: router (%d, %v, %d) != simnet (%d, %v, %d)",
 				p, res.Hops, res.Weight, res.HeaderWords, ref.Hops, ref.Weight, ref.HeaderWords)
 		}
-	}
-}
-
-// TestRouterFallbackOnExhaustedBudget: with a detour budget of 1 the local
-// search cannot bypass anything, so dead-edge hits must fall back to the
-// exact search and still deliver.
-func TestRouterFallbackOnExhaustedBudget(t *testing.T) {
-	g := testutil.MustGNM(t, 80, 240, 11, gen.UniformInt)
-	s, err := exact.New(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ov := live.NewOverlay(g)
-	for _, up := range live.DeletionTrace(g, 0.15, 4) {
-		mustApply(t, ov, up)
-	}
-	r, err := live.NewRouter(s, ov, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dist := materializedDist(t, ov)
-	sawFallback := false
-	for _, p := range testutil.Pairs(g.N(), 2, 5) {
-		res := r.Route(p[0], p[1])
-		if res.Err != nil {
-			t.Fatalf("route %v: %v", p, res.Err)
-		}
-		if res.Fallback {
-			sawFallback = true
-		}
-		if d := dist.Dist(p[0], p[1]); res.Weight < d-1e-9 {
-			t.Fatalf("route %v weight %v beats distance %v", p, res.Weight, d)
-		}
-	}
-	if !sawFallback {
-		t.Fatal("budget 1 with 15% deletions should have forced a fallback")
 	}
 }
 

@@ -9,11 +9,6 @@ import (
 	"compactroute/internal/simnet"
 )
 
-// DefaultDetourBudget is the number of vertices a dead-edge local search may
-// finalize before the router gives up on detouring and falls back to one
-// exact search for the whole remaining route.
-const DefaultDetourBudget = 64
-
 // ErrUnreachable reports a destination with no finite effective route.
 var ErrUnreachable = errors.New("live: destination unreachable in the effective graph")
 
@@ -23,57 +18,53 @@ type Result struct {
 	Hops        int
 	Weight      float64 // effective (current) weight of the traversed walk
 	HeaderWords int
-	// DeadHits counts scheme decisions that chose a dead edge.
+	// DeadHits counts scheme decisions that chose a dead edge: at most one,
+	// since the first ends the scheme walk at the abandon point.
 	DeadHits int
-	// Detours counts dead edges successfully bypassed by bounded local
-	// search; DetourHops is the total length of those bypasses.
-	Detours    int
-	DetourHops int
+	// Detours is always 0.
+	//
+	// Deprecated: the bounded local detour around a dead edge is gone; a
+	// dead hit now always ends in the exact fallback. The field stays so
+	// readers of earlier results keep compiling.
+	Detours int
 	// Fallback reports that the route was completed by a per-query exact
-	// bidirectional search from the abandon point (detour budget exhausted,
-	// hop budget exhausted, or the scheme failed on its own state).
+	// bidirectional search from the abandon point (a dead hit, the hop
+	// budget exhausted, or the scheme failed on its own state).
 	Fallback bool
 	Err      error
 }
 
-// Stale reports whether the route was served degraded: it crossed at least
-// one overlay-patched decision (detour or fallback). A non-stale route is
-// exactly the walk the preprocessed scheme would have taken on its own
-// graph.
-func (r Result) Stale() bool { return r.DeadHits > 0 || r.Fallback }
+// Stale reports whether the route was served degraded: it was completed by
+// the exact fallback. A non-stale route is exactly the walk the preprocessed
+// scheme would have taken on its own graph.
+func (r Result) Stale() bool { return r.Fallback }
 
 // Router executes one preprocessed scheme hop by hop against the current
 // effective graph: scheme decisions are taken verbatim while their edges are
-// alive (at current weights), dead edges are bypassed with bounded local
-// search, and a per-query exact search finishes any route the scheme can no
-// longer complete. A Router is immutable and safe for concurrent use; the
-// overlay it consults is shared and live.
+// alive (at current weights), and the first decision that chooses a dead
+// edge - or any failure of the scheme itself - ends the walk at that vertex,
+// the abandon point, from which one exact search finishes the route. A
+// Router is immutable and safe for concurrent use; the overlay it consults
+// is shared and live.
 type Router struct {
 	scheme  simnet.Scheme
 	reuse   simnet.ReusableScheme // non-nil when scheme supports packet reuse
 	phaser  simnet.PhaseReporter  // non-nil when scheme reports routing phases
 	g       *graph.Graph
 	ov      *Overlay
-	budget  int
 	maxHops int
 }
 
-// NewRouter wraps a preprocessed scheme for overlay-patched execution.
-// budget <= 0 selects DefaultDetourBudget; maxHops <= 0 keeps the simnet
-// default of 8n+64. The scheme's graph must have the overlay's vertex count
-// (schemes of any generation route against the same vertex set).
-func NewRouter(s simnet.Scheme, ov *Overlay, budget, maxHops int) (*Router, error) {
+// NewRouter wraps a preprocessed scheme for overlay-patched execution. The
+// scheme walk's hop budget is simnet's loop-protection default of 8n+64.
+// The scheme's graph must have the overlay's vertex count (schemes of any
+// generation route against the same vertex set).
+func NewRouter(s simnet.Scheme, ov *Overlay) (*Router, error) {
 	g := s.Graph()
 	if g.N() != ov.N() {
 		return nil, fmt.Errorf("live: scheme graph has %d vertices, overlay %d", g.N(), ov.N())
 	}
-	if budget <= 0 {
-		budget = DefaultDetourBudget
-	}
-	if maxHops <= 0 {
-		maxHops = 8*g.N() + 64
-	}
-	r := &Router{scheme: s, g: g, ov: ov, budget: budget, maxHops: maxHops}
+	r := &Router{scheme: s, g: g, ov: ov, maxHops: 8*g.N() + 64}
 	r.reuse, _ = s.(simnet.ReusableScheme)
 	r.phaser, _ = s.(simnet.PhaseReporter)
 	return r, nil
@@ -92,17 +83,17 @@ func (r *Router) Route(src, dst graph.Vertex) Result {
 // RouteInto on this router (or nil); with a simnet.ReusableScheme the route
 // prepares into it, and the packet used is returned for the caller to pass
 // back in. tr, when non-nil, records the scheme phase about to act at each
-// hop and the overlay's detour and fallback steps.
+// hop and the overlay's fallback step.
 //
 // When the overlay is empty at route start the effective graph is the
 // scheme's own graph: the walk reads base weights, never takes the overlay
 // lock, and a scheme failure (Prepare/Next error, bad port, hop limit) is
 // the routing error simnet.Network reports. Over a non-empty overlay every
 // returned route is a real walk in the effective graph with its current
-// weights; when the scheme alone cannot produce one, the route is completed
-// by detour or exact fallback and the Result says so, and Err is non-nil
-// only for invalid pairs, unreachable destinations or a delivery at the
-// wrong vertex.
+// weights; when the scheme alone cannot produce one (a dead hit or a scheme
+// failure), the exact fallback completes it from the abandon point and the
+// Result says so, and Err is non-nil only for invalid pairs, unreachable
+// destinations or a delivery at the wrong vertex.
 func (r *Router) RouteInto(scratch simnet.Packet, src, dst graph.Vertex, tr *obs.Trace) (Result, simnet.Packet) {
 	res := Result{Src: src, Dst: dst}
 	if n := graph.Vertex(r.g.N()); src < 0 || src >= n || dst < 0 || dst >= n {
@@ -151,25 +142,13 @@ func (r *Router) RouteInto(scratch simnet.Packet, src, dst graph.Vertex, tr *obs
 		if patched {
 			w, alive = r.ov.EffectiveWeight(at, next, w)
 		}
-		if alive {
-			res.Hops++
-			res.Weight += w
-			at = next
-		} else {
+		if !alive {
 			res.DeadHits++
-			if tr != nil {
-				tr.Step(int32(at), obs.PhaseDetour)
-			}
-			hops, pw, ok := r.ov.detour(at, next, r.budget, false, nil)
-			if !ok {
-				return r.fallbackTraced(res, at, dst, tr), pkt
-			}
-			res.Detours++
-			res.DetourHops += hops
-			res.Hops += hops
-			res.Weight += pw
-			at = next
+			return r.fallbackTraced(res, at, dst, tr), pkt
 		}
+		res.Hops++
+		res.Weight += w
+		at = next
 		if res.Hops > r.maxHops {
 			return r.abandon(res, patched, at, tr, fmt.Errorf("routing %d->%d: %w (limit %d)", src, dst, simnet.ErrHopLimit, r.maxHops)), pkt
 		}

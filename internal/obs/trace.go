@@ -10,9 +10,9 @@ import (
 // Phase classifies the routing decision a scheme is about to execute at a
 // hop. The paper's schemes are multi-stage (vicinity table hit, Lemma 8
 // landmark sequence, tree/cluster descent, name-dictionary lookup); the live
-// layer adds overlay detours and exact fallbacks on top. Every scheme maps
-// its internal packet phases onto this shared vocabulary so traces and the
-// per-decision counters are comparable across schemes.
+// layer adds the exact fallback on top. Every scheme maps its internal
+// packet phases onto this shared vocabulary so traces and the per-decision
+// counters are comparable across schemes.
 type Phase uint8
 
 const (
@@ -37,10 +37,9 @@ const (
 	PhaseDictionary
 	// PhaseExact: exact-baseline next-hop (full routing table).
 	PhaseExact
-	// PhaseDetour: live overlay detour around a dead or reweighted edge.
-	PhaseDetour
-	// PhaseFallback: live exact-fallback (overlay routing gave up and the
-	// query was answered from the exact side table).
+	// PhaseFallback: live exact fallback - the scheme walk was abandoned
+	// (a dead edge or a scheme failure) and one bidirectional search over
+	// the effective graph finished the route from the abandon point.
 	PhaseFallback
 
 	// NumPhases is the size of the phase vocabulary.
@@ -49,7 +48,7 @@ const (
 
 var phaseNames = [NumPhases]string{
 	"none", "vicinity", "sequence", "to_landmark", "tree",
-	"intra", "dictionary", "exact", "detour", "fallback",
+	"intra", "dictionary", "exact", "fallback",
 }
 
 func (p Phase) String() string {

@@ -184,7 +184,7 @@ func NewLiveWithOverlay(s simnet.Scheme, ov *live.Overlay, o LiveOptions) (*Live
 	if o.Workers <= 0 {
 		o.Workers = parallel.Workers()
 	}
-	router, err := live.NewRouter(s, ov, o.DetourBudget, o.MaxHops)
+	router, err := live.NewRouter(s, ov)
 	if err != nil {
 		return nil, err
 	}
@@ -407,7 +407,7 @@ func (l *Live) swapTo(s simnet.Scheme, g *graph.Graph) error {
 	if s.Graph().N() != g.N() || s.Graph().Fingerprint() != g.Fingerprint() {
 		return errors.New("serve: scheme preprocessed for a different graph than the effective one")
 	}
-	router, err := live.NewRouter(s, l.ov, l.opts.DetourBudget, l.opts.MaxHops)
+	router, err := live.NewRouter(s, l.ov)
 	if err != nil {
 		return err
 	}
@@ -563,10 +563,14 @@ type LiveStats struct {
 	OverlayVersion uint64
 	Overlay        live.Breakdown
 	DeadEdgeHits   uint64
-	Detours        uint64
-	DetourHops     uint64
-	Fallbacks      uint64
-	// StaleServed counts deliveries answered degraded: through a detour or
+	// Detours is always 0.
+	//
+	// Deprecated: the bounded local detour around a dead edge is gone; every
+	// dead edge hit now ends in one fallback. The field stays so readers of
+	// earlier statistics keep compiling.
+	Detours   uint64
+	Fallbacks uint64
+	// StaleServed counts deliveries answered degraded: completed by the
 	// fallback, over a non-empty overlay, or racing an update or swap.
 	StaleServed uint64
 	// MaxStaleStretch / StaleHist measure routed weight over the true
@@ -601,8 +605,6 @@ func (l *Live) Stats() LiveStats {
 		OverlayVersion:  l.ov.Version(),
 		Overlay:         l.ov.Breakdown(),
 		DeadEdgeHits:    m.deadHits,
-		Detours:         m.detours,
-		DetourHops:      m.detourHops,
 		Fallbacks:       m.fallbacks,
 		StaleServed:     m.stale,
 		MaxStaleStretch: m.maxStale,

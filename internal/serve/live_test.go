@@ -581,9 +581,9 @@ func TestLiveStaleServedWithoutVerify(t *testing.T) {
 	}
 }
 
-// TestLiveQueryDeterministicAcrossWorkers: over a churned overlay - detours,
-// fallbacks, staleness stretch - the per-pair results and every counter of
-// the merged statistics are independent of the worker count.
+// TestLiveQueryDeterministicAcrossWorkers: over a churned overlay - dead
+// hits, fallbacks, staleness stretch - the per-pair results and every
+// counter of the merged statistics are independent of the worker count.
 func TestLiveQueryDeterministicAcrossWorkers(t *testing.T) {
 	const n, seed = 200, 5
 	g := testutil.MustGNM(t, n, 4*n, seed, gen.UniformInt)
@@ -610,7 +610,7 @@ func TestLiveQueryDeterministicAcrossWorkers(t *testing.T) {
 		return out, st
 	}
 	want, wantSt := run(1)
-	if wantSt.StaleServed == 0 || wantSt.Detours == 0 {
+	if wantSt.StaleServed == 0 || wantSt.Fallbacks == 0 {
 		t.Fatalf("5%% deletions served nothing degraded: %+v", wantSt)
 	}
 	for _, workers := range []int{2, 4} {

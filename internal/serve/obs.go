@@ -177,17 +177,11 @@ func (l *Live) registerObs(reg *obs.Registry) {
 	reg.CounterFunc("compactroute_live_dead_edge_hits_total",
 		"Scheme decisions that chose a dead edge.",
 		func() float64 { return float64(c.deadHits) })
-	reg.CounterFunc("compactroute_live_detours_total",
-		"Dead edges bypassed by bounded local search.",
-		func() float64 { return float64(c.detours) })
-	reg.CounterFunc("compactroute_live_detour_hops_total",
-		"Total length of detour bypasses.",
-		func() float64 { return float64(c.detourHops) })
 	reg.CounterFunc("compactroute_live_fallbacks_total",
 		"Routes completed by a per-query exact search.",
 		func() float64 { return float64(c.fallbacks) })
 	reg.CounterFunc("compactroute_live_stale_served_total",
-		"Deliveries served degraded (detour/fallback, non-empty overlay, or racing an update or swap).",
+		"Deliveries served degraded (completed by the fallback, non-empty overlay, or racing an update or swap).",
 		func() float64 { return float64(c.stale) })
 	reg.GaugeFunc("compactroute_live_stale_stretch_max",
 		"Maximum measured staleness stretch over degraded deliveries.",

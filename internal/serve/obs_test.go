@@ -100,7 +100,7 @@ func TestLiveObsRegistry(t *testing.T) {
 	lv.Query(pairs, nil)
 
 	// Kill one edge actually used by routes, then route across it so the
-	// overlay records dead hits / detours / fallbacks.
+	// overlay records dead hits and fallbacks.
 	u := pairs[0][0]
 	v, _, _ := g.Endpoint(u, 0)
 	if err := lv.ApplyUpdates([]live.Update{{U: u, V: v, Op: live.OpDelEdge}}); err != nil {

@@ -62,17 +62,12 @@ type LiveOptions struct {
 	// (churned) graph with one unbounded run of the overlay-aware
 	// bidirectional kernel (live.Overlay.BoundedBidiDist), whose distances
 	// are bit-identical to graph.ShortestPaths over the materialized graph.
-	// Deliveries served clean (empty overlay, no detours, no race with
+	// Deliveries served clean (empty overlay, no fallback, no race with
 	// churn) are checked against the scheme's proved stretch bound; degraded
 	// deliveries are reported as measured staleness stretch instead - the
 	// bound is not a promise the preprocessed scheme ever made about a
 	// different graph.
 	Verify bool
-	// DetourBudget bounds the local search around one dead edge (finalized
-	// vertices); <= 0 selects live.DefaultDetourBudget.
-	DetourBudget int
-	// MaxHops overrides the scheme-walk hop budget (0 keeps 8n+64).
-	MaxHops int
 	// Build rebuilds a scheme for the materialized effective graph; nil
 	// disables Rebuild.
 	Build BuildFunc
@@ -97,7 +92,7 @@ type LiveOptions struct {
 	Obs *obs.Registry
 	// Trace, when non-nil, samples per-query route traces (deterministic
 	// hash-based selection; see obs.TraceSink), including the overlay's
-	// detour and fallback decisions. Untraced queries pay one hash and one
+	// fallback decisions. Untraced queries pay one hash and one
 	// branch; a nil Trace pays one nil check.
 	Trace *obs.TraceSink
 	// Audit, when non-nil, shadow-verifies a deterministic sample of
@@ -202,8 +197,6 @@ type counters struct {
 	latCount    uint64
 	latSum      uint64 // nanoseconds over sampled queries
 	deadHits    uint64
-	detours     uint64
-	detourHops  uint64
 	fallbacks   uint64
 	stale       uint64 // deliveries that were not provably clean
 	maxStale    float64
@@ -234,8 +227,6 @@ func (c *counters) record(r *live.Result, o outcome, s simnet.Scheme) {
 		c.latHist[latBucket(o.lat)]++
 	}
 	c.deadHits += uint64(r.DeadHits)
-	c.detours += uint64(r.Detours)
-	c.detourHops += uint64(r.DetourHops)
 	if r.Fallback {
 		c.fallbacks++
 	}
@@ -286,8 +277,6 @@ func (c *counters) mergeFrom(o *counters) {
 	c.latCount += o.latCount
 	c.latSum += o.latSum
 	c.deadHits += o.deadHits
-	c.detours += o.detours
-	c.detourHops += o.detourHops
 	c.fallbacks += o.fallbacks
 	c.stale += o.stale
 	c.maxStale = max(c.maxStale, o.maxStale)

@@ -21,17 +21,17 @@ type (
 	// preprocessed scheme from many workers at once, keeps serving
 	// statistics, and keeps answering while the graph churns underneath
 	// the scheme - an edge-delta overlay records updates, an
-	// overlay-patched router detours around dead edges (bounded local
-	// search, exact fallback), and a background rebuild hot-swaps in a
-	// fresh generation with an RCU-style pointer flip. A static scheme is
-	// served by an engine whose overlay never changes.
+	// overlay-patched router finishes any route that meets a dead edge
+	// with one exact search from there, and a background rebuild hot-swaps
+	// in a fresh generation with an RCU-style pointer flip. A static scheme
+	// is served by an engine whose overlay never changes.
 	LiveEngine = serve.Live
 	// LiveServeOptions configures a LiveEngine (workers, verification,
-	// detour budget, the rebuild constructor, observability).
+	// the rebuild constructor, observability).
 	LiveServeOptions = serve.LiveOptions
 	// LiveStats extends the serving statistics with churn counters:
-	// overlay breakdown, dead-edge hits, detours, fallbacks, measured
-	// staleness stretch, rebuilds and swaps.
+	// overlay breakdown, dead-edge hits, fallbacks, measured staleness
+	// stretch, rebuilds and swaps.
 	LiveStats = serve.LiveStats
 	// LiveResult is the outcome of one overlay-patched route.
 	LiveResult = live.Result

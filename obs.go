@@ -22,7 +22,7 @@ type (
 	// RouteTrace is one sampled query's decision chain.
 	RouteTrace = obs.Trace
 	// RoutePhase classifies one routing decision (vicinity hit, landmark
-	// sequence, tree descent, overlay detour, exact fallback, ...).
+	// sequence, tree descent, exact fallback, ...).
 	RoutePhase = obs.Phase
 	// SnapshotLoadEvent describes one completed snapshot load (bytes,
 	// mapped or not, and where the time went).
