@@ -4,12 +4,15 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"path/filepath"
 	"strings"
 	"testing"
+	"testing/iotest"
+	"time"
 
 	"compactroute"
 )
@@ -116,7 +119,9 @@ func (s *server) refServeLine(w *bufio.Writer, enc *json.Encoder, line []byte) (
 
 // TestRouteLineAllocs pins a warm text-mode route line - parse, route and
 // reply into a reused writer - at zero allocations, on a clean engine and on
-// one serving a deletion overlay, over a line whose route falls back.
+// one serving a deletion overlay, over a line whose route falls back. It
+// serves the lines once with a flush after each and once back to back into
+// one writer that is never flushed, as replies to pipelined lines are.
 func TestRouteLineAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; allocs/op is only meaningful without -race")
@@ -152,8 +157,28 @@ func TestRouteLineAllocs(t *testing.T) {
 			}); allocs != 0 {
 				t.Errorf("warm route line: %v allocs/op, want 0", allocs)
 			}
+			if allocs := testing.AllocsPerRun(10, func() {
+				for range 200 {
+					s.serveLine(w, enc, lines[i%len(lines)])
+					i++
+				}
+			}); allocs != 0 {
+				t.Errorf("200 warm route lines back to back: %v allocs/run, want 0", allocs)
+			}
 		})
 	}
+}
+
+// protocolModes returns copies of s in the three reply modes the protocol
+// fuzzers compare: text, text with -verify, and JSON with -verify.
+func protocolModes(s *server) []*server {
+	var modes []*server
+	for _, m := range []struct{ json, verify bool }{{false, false}, {false, true}, {true, true}} {
+		ms := *s
+		ms.jsonMode, ms.verify = m.json, m.verify
+		modes = append(modes, &ms)
+	}
+	return modes
 }
 
 // FuzzProtocolLine feeds arbitrary line bytes to serveLine and to the
@@ -187,12 +212,7 @@ func FuzzProtocolLine(f *testing.F) {
 	} {
 		f.Add([]byte(seed))
 	}
-	modes := []*server{}
-	for _, m := range []struct{ json, verify bool }{{false, false}, {false, true}, {true, true}} {
-		ms := *s
-		ms.jsonMode, ms.verify = m.json, m.verify
-		modes = append(modes, &ms)
-	}
+	modes := protocolModes(s)
 	f.Fuzz(func(t *testing.T, line []byte) {
 		if fields := strings.Fields(string(line)); len(fields) > 0 && fields[0] == "stats" {
 			return
@@ -207,6 +227,169 @@ func FuzzProtocolLine(f *testing.F) {
 			if gq != wq || !bytes.Equal(got.Bytes(), want.Bytes()) {
 				t.Fatalf("json=%v verify=%v line %q:\nserveLine quit=%v %q\nreference quit=%v %q",
 					ms.jsonMode, ms.verify, line, gq, got.String(), wq, want.String())
+			}
+		}
+	})
+}
+
+// refServeSession is serveConn as it was before replies were coalesced:
+// bufio.ScanLines under the same line limit, refServeLine on each line, a
+// flush after every line and an end at quit. FuzzProtocolSession holds
+// serveConn to its bytes.
+func (s *server) refServeSession(in io.Reader, out io.Writer) error {
+	sc := bufio.NewScanner(in)
+	sc.Buffer(make([]byte, 64*1024), 64*1024)
+	w := bufio.NewWriter(out)
+	defer w.Flush()
+	enc := json.NewEncoder(w)
+	for sc.Scan() {
+		if quit := s.refServeLine(w, enc, sc.Bytes()); quit {
+			return w.Flush()
+		}
+		if err := w.Flush(); err != nil {
+			return err
+		}
+	}
+	return sc.Err()
+}
+
+// writeCounter records what a session writes to its connection and how many
+// Write calls it takes.
+type writeCounter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (c *writeCounter) Write(p []byte) (int, error) {
+	c.writes++
+	return c.Buffer.Write(p)
+}
+
+// TestServeConnCoalescesReplies pins serveConn's flush rule: replies are
+// written once no complete line waits in the input. Lines that arrive in one
+// read get one write; lines that arrive a byte at a time get one write each,
+// with the same bytes; and the replies to complete lines are written while
+// a partial line waits for its end, which a client may only send after it
+// has read them.
+func TestServeConnCoalescesReplies(t *testing.T) {
+	s, _ := lineServer(t, false)
+	const lines = 32
+	var stream, want bytes.Buffer
+	ww := bufio.NewWriter(&want)
+	enc := json.NewEncoder(ww)
+	for i := range lines {
+		line := fmt.Sprintf("route %d %d", (7*i)%72, (31*i+5)%72)
+		stream.WriteString(line + "\n")
+		s.refServeLine(ww, enc, []byte(line))
+	}
+	ww.Flush()
+
+	for _, c := range []struct {
+		name   string
+		in     io.Reader
+		writes int
+	}{
+		{"one read", bytes.NewReader(stream.Bytes()), 1},
+		{"one byte per read", iotest.OneByteReader(bytes.NewReader(stream.Bytes())), lines},
+	} {
+		var out writeCounter
+		if err := s.serveConn(c.in, &out); err != nil {
+			t.Fatal(err)
+		}
+		if out.writes != c.writes {
+			t.Errorf("%s: %d writes for %d lines, want %d", c.name, out.writes, lines, c.writes)
+		}
+		if !bytes.Equal(out.Bytes(), want.Bytes()) {
+			t.Errorf("%s: replies\n%s\nwant\n%s", c.name, out.String(), want.String())
+		}
+	}
+
+	inR, inW := io.Pipe()
+	outR, outW := io.Pipe()
+	done := make(chan error, 1)
+	go func() {
+		err := s.serveConn(inR, outW)
+		outW.Close()
+		done <- err
+	}()
+	replies := make(chan string, lines)
+	go func() {
+		sc := bufio.NewScanner(outR)
+		for sc.Scan() {
+			replies <- sc.Text()
+		}
+		close(replies)
+	}()
+	wantLines := strings.Split(want.String(), "\n")
+	next := 0
+	expect := func(k int) {
+		t.Helper()
+		for ; k > 0; k-- {
+			select {
+			case got := <-replies:
+				if got != wantLines[next] {
+					t.Fatalf("reply %d = %q, want %q", next, got, wantLines[next])
+				}
+				next++
+			case <-time.After(5 * time.Second):
+				t.Fatalf("reply %d not written within 5s", next)
+			}
+		}
+	}
+	send := func(b string) {
+		t.Helper()
+		if _, err := io.WriteString(inW, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The first two lines and the third up to its last field, then the rest.
+	head := strings.SplitAfterN(stream.String(), "\n", 4)
+	cut := strings.LastIndexByte(head[2], ' ')
+	send(head[0] + head[1] + head[2][:cut])
+	expect(2)
+	send(head[2][cut:])
+	expect(1)
+	inW.Close()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// FuzzProtocolSession feeds arbitrary bytes as one whole session to
+// serveConn, once in a single read and once a byte per read, over a snapshot
+// with a deletion overlay. Both outputs must be byte-identical to
+// refServeSession's in text mode (with and without -verify) and in JSON
+// mode, so coalescing moves only write boundaries: error replies stay in
+// order, and lines after quit stay unanswered. Sessions that mention stats
+// are skipped: its qps field reads the clock.
+func FuzzProtocolSession(f *testing.F) {
+	s, fb := lineServer(f, true)
+	for _, seed := range []string{
+		"route 3 41\nroute 3\nroute 70 0\n",
+		"route 3 41\r\nroute 70 0\r\n",
+		"\n\nroute 3 41\n\n  \nroute 70 0\n",
+		"route 3 41\nroute 70 0",
+		"route 3 41\nquit\nroute 70 0\n",
+		"route 3 41\r",
+		fmt.Sprintf("route %d %d\nteleport 1 2\ndist 3 41\ntrace 2\nroute 72 3\n", fb[0], fb[1]),
+	} {
+		f.Add([]byte(seed))
+	}
+	modes := protocolModes(s)
+	f.Fuzz(func(t *testing.T, session []byte) {
+		if bytes.Contains(session, []byte("stats")) {
+			return
+		}
+		for _, ms := range modes {
+			var want bytes.Buffer
+			wantErr := ms.refServeSession(bytes.NewReader(session), &want)
+			for _, in := range []io.Reader{bytes.NewReader(session), iotest.OneByteReader(bytes.NewReader(session))} {
+				var got bytes.Buffer
+				err := ms.serveConn(in, &got)
+				if !errors.Is(err, wantErr) || !bytes.Equal(got.Bytes(), want.Bytes()) {
+					t.Fatalf("json=%v verify=%v session %q (%T):\nserveConn err=%v %q\nreference err=%v %q",
+						ms.jsonMode, ms.verify, session, in, err, got.String(), wantErr, want.String())
+				}
 			}
 		}
 	})

@@ -19,6 +19,11 @@
 //	trace [N]    dump the last N sampled route traces as JSON (-trace-sample)
 //	quit         close the session
 //
+// A client may pipeline: it can keep any number of requests in flight on a
+// session, and the replies come back in request order. The server writes the
+// replies it holds before it waits for more input, so the replies to lines
+// that arrived together leave in one write.
+//
 // Every mode serves the memory-mapped snapshot through the same engine (a
 // snapshot carrying an overlay journal, written by SaveLiveState, restores
 // its churned state). With -live the protocol gains admin commands and the
@@ -68,6 +73,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -219,15 +225,44 @@ func run(args []string, in io.Reader, out io.Writer) error {
 		return srv.listenAndServe(*listen, out, sig)
 	}
 	srv.banner(out)
+	return srv.serveStdin(in, out, sig)
+}
+
+// serveStdin speaks the line protocol on in until the session ends or a
+// shutdown signal arrives. On signal it waits until the session is parked in
+// Read, so every line it has read is answered and flushed, then prints the
+// final stats line and returns nil; the session stays parked until the
+// process exits, so nothing follows the stats line.
+func (s *server) serveStdin(in io.Reader, out io.Writer, sig <-chan os.Signal) error {
+	// The session holds mu except inside Read.
+	var mu sync.Mutex
+	mu.Lock()
 	done := make(chan error, 1)
-	go func() { done <- srv.serveConn(in, out) }()
+	go func() {
+		err := s.serveConn(unlockedReader{&mu, in}, out)
+		mu.Unlock()
+		done <- err
+	}()
 	select {
 	case err := <-done:
 		return err
 	case <-sig:
-		srv.finalStats(out)
+		mu.Lock()
+		s.finalStats(out)
 		return nil
 	}
+}
+
+// unlockedReader releases mu for the duration of each Read.
+type unlockedReader struct {
+	mu *sync.Mutex
+	r  io.Reader
+}
+
+func (u unlockedReader) Read(p []byte) (int, error) {
+	u.mu.Unlock()
+	defer u.mu.Lock()
+	return u.r.Read(p)
 }
 
 func (s *server) banner(out io.Writer) {
@@ -301,8 +336,9 @@ func (s *server) listenAndServe(addr string, out io.Writer, sig <-chan os.Signal
 		return err
 	case <-sig:
 		l.Close()
-		// Unblock sessions parked in Read; in-flight commands finish first
-		// because each command is served and written before the next Read.
+		// Unblock sessions parked in Read; in-flight commands finish first,
+		// and their replies are written, because a session flushes before
+		// any Read that can block.
 		mu.Lock()
 		draining = true
 		for conn := range open {
@@ -344,16 +380,31 @@ type adminReply struct {
 }
 
 // serveConn runs the line protocol until EOF or "quit". Malformed commands
-// produce an error line and the session continues.
+// produce an error line and the session continues. Replies are buffered
+// while another complete line waits in the input and written once none does,
+// so every read that can block comes after a flush: a pipelining client gets
+// one write per segment it sent, a client at depth 1 one write per line.
 func (s *server) serveConn(in io.Reader, out io.Writer) error {
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 64*1024), 64*1024)
+	// more reports whether a complete line follows the token just scanned. A
+	// partial line does not count: its client may be waiting for the replies
+	// before it sends the rest.
+	more := false
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		advance, token, err := bufio.ScanLines(data, atEOF)
+		more = bytes.IndexByte(data[advance:], '\n') >= 0
+		return advance, token, err
+	})
 	w := bufio.NewWriter(out)
 	defer w.Flush()
 	enc := json.NewEncoder(w)
 	for sc.Scan() {
 		if quit := s.serveLine(w, enc, sc.Bytes()); quit {
 			return w.Flush()
+		}
+		if more {
+			continue
 		}
 		if err := w.Flush(); err != nil {
 			return err
@@ -441,6 +492,11 @@ func (s *server) serveCommand(w *bufio.Writer, enc *json.Encoder, fields []strin
 	return false
 }
 
+// maxRouteReply bounds the length of a text route reply: two vertices, three
+// ints, three %g floats, the stale suffix and any stretch below 1e70 fit. A
+// longer reply is still written whole; it only allocates.
+const maxRouteReply = 256
+
 func (s *server) serveRoute(w *bufio.Writer, enc *json.Encoder, u, v compactroute.Vertex) {
 	res := s.eng.Route(u, v)
 	if res.Err != nil {
@@ -460,9 +516,14 @@ func (s *server) serveRoute(w *bufio.Writer, enc *json.Encoder, u, v compactrout
 		_ = enc.Encode(rep)
 		return
 	}
-	// The reply is appended into the writer's free buffer space, which the
-	// per-line flush keeps empty, and matches fmt's %d, %g, %.3f and %v
-	// byte for byte (strconv formats infinities as fmt does: +Inf, -Inf).
+	// The reply is appended into the writer's free buffer space, and matches
+	// fmt's %d, %g, %.3f and %v byte for byte (strconv formats infinities as
+	// fmt does: +Inf, -Inf). Replies to pipelined lines share the buffer, so
+	// it is flushed first when the space left might not hold this reply;
+	// otherwise append would grow the slice and allocate.
+	if w.Available() < maxRouteReply {
+		_ = w.Flush() // a write error sticks to w and surfaces at serveConn's Flush
+	}
 	b := w.AvailableBuffer()
 	b = append(b, "route "...)
 	b = strconv.AppendInt(b, int64(u), 10)

@@ -324,6 +324,98 @@ func TestServeLiveChurnOverTCP(t *testing.T) {
 	}
 }
 
+// TestServeStdinShutdownDrains sends SIGINT in the middle of a burst of route
+// lines on the stdin transport. Every route the session served must have its
+// reply written before the "# shutdown:" stats line, whose queries= count must
+// match them, and no line may follow it.
+func TestServeStdinShutdownDrains(t *testing.T) {
+	snap, n := writeSnapshot(t)
+	inR, inW := io.Pipe()
+	outR, outW := io.Pipe()
+	done := make(chan error, 1)
+	go func() {
+		done <- run([]string{"-snapshot", snap, "-workers", "2"}, inR, outW)
+	}()
+	lines := make(chan string, 64)
+	go func() {
+		sc := bufio.NewScanner(outR)
+		for sc.Scan() {
+			lines <- sc.Text()
+		}
+		close(lines)
+	}()
+	// run prints the banner after it has registered for the signal.
+	if banner := <-lines; !strings.HasPrefix(banner, "# serving ") {
+		t.Fatalf("first line %q, want the banner", banner)
+	}
+	const routes, chunk = 3000, 100
+	go func() {
+		rng := rand.New(rand.NewSource(7))
+		for i := 0; i < routes; i += chunk {
+			var b strings.Builder
+			for range chunk {
+				fmt.Fprintf(&b, "route %d %d\n", rng.Intn(n), rng.Intn(n))
+			}
+			if _, err := io.WriteString(inW, b.String()); err != nil {
+				return // the test closed the pipe after shutdown
+			}
+		}
+	}()
+	replies, shutdown, after := 0, "", 0
+	collect := func(line string) {
+		switch {
+		case shutdown != "":
+			after++
+		case strings.HasPrefix(line, "# shutdown: "):
+			shutdown = line
+		case strings.HasPrefix(line, "route "):
+			replies++
+		}
+	}
+	timeout := time.After(10 * time.Second)
+	for replies < routes/4 {
+		select {
+		case line := <-lines:
+			collect(line)
+		case err := <-done:
+			t.Fatalf("run returned %v before the signal", err)
+		case <-timeout:
+			t.Fatalf("%d route replies within 10s", replies)
+		}
+	}
+	if err := syscall.Kill(os.Getpid(), syscall.SIGINT); err != nil {
+		t.Fatal(err)
+	}
+wait:
+	for {
+		select {
+		case line := <-lines:
+			collect(line)
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("shutdown returned %v, want nil", err)
+			}
+			break wait
+		case <-timeout:
+			t.Fatal("server did not shut down within 10s")
+		}
+	}
+	outW.Close()
+	inR.Close()
+	for line := range lines {
+		collect(line)
+	}
+	var queries int
+	if _, err := fmt.Sscanf(shutdown, "# shutdown: stats queries=%d ", &queries); err != nil {
+		t.Fatalf("shutdown line %q: %v", shutdown, err)
+	}
+	t.Logf("%d of %d routes served before shutdown", replies, routes)
+	if queries != replies || after != 0 {
+		t.Fatalf("%d route replies before %q and %d lines after it, want queries=%d replies and none after",
+			replies, shutdown, after, queries)
+	}
+}
+
 func TestRunRejectsMissingSnapshot(t *testing.T) {
 	var out strings.Builder
 	if err := run(nil, strings.NewReader(""), &out); err == nil {
