@@ -446,8 +446,9 @@ func runChurnRepair(out io.Writer, cfg churnConfig) error {
 		repairTotal += repairTime
 		fullTotal += fullTime
 		speedup := float64(fullTime) / float64(max(repairTime, time.Microsecond))
-		dirty := fmt.Sprintf("dirty(vics=%d/%d clusters=%d seqs=%d labels=%d)",
-			info.ChangedVics, info.DirtyVics, info.DirtyClusters, info.DirtySeqs, info.DirtyLabels)
+		dirty := fmt.Sprintf("dirty(vics=%d/%d clusters=%d seqs=%d labels=%d patched-rows=%d row-searches=%d)",
+			info.ChangedVics, info.DirtyVics, info.DirtyClusters, info.DirtySeqs, info.DirtyLabels,
+			info.PatchedRows, info.RowSearches)
 		if mode == "escalated" {
 			dirty = "dirty(n/a: full rebuild)"
 		}

@@ -3,7 +3,8 @@ package graph_test
 // Kernel benchmarks for the three searches every preprocessing phase bottoms
 // out in (E12 of EXPERIMENTS.md): full single-source shortest paths, the
 // truncated Nearest search behind the vicinities B(u, l), and the on-demand
-// row fill of LazyAPSP. Run with -benchmem: the CSR + pooled-workspace core
+// row fill of LazyAPSP - plus the carry of a warm LazyAPSP across an edge
+// update that replaces a refill under churn (E23). Run with -benchmem: the CSR + pooled-workspace core
 // is held to ~0 steady-state allocations beyond the slices each call returns.
 
 import (
@@ -12,6 +13,7 @@ import (
 
 	"compactroute/internal/gen"
 	"compactroute/internal/graph"
+	"compactroute/internal/live"
 )
 
 func benchKernelGraph(b *testing.B, n int, weighted bool) *graph.Graph {
@@ -144,4 +146,64 @@ func BenchmarkLazyRowFill(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkLazyCarry measures carrying a warm LazyAPSP across one edge update
+// (E23 of EXPERIMENTS.md): the full 2,000-row cache of the weighted
+// GNM(2000, 8000) graph is carried along the 16 updates of its churn trace,
+// one update per op, restarting from the warm cache of the base graph after
+// the last one. The fill case is the alternative a repair used to pay: the
+// same 2,000 rows filled from scratch on the updated graph. Every updated
+// graph is materialized before the timer starts; a patched row allocates
+// only its two result slices, so carry allocs/op is about two per patched
+// row plus one cache entry per carried row.
+func BenchmarkLazyCarry(b *testing.B) {
+	g := benchKernelGraph(b, 2000, true)
+	trace := live.ChurnTrace(g, 16, 2015, 32)
+	ov := live.NewOverlay(g)
+	graphs := make([]*graph.Graph, 0, len(trace))
+	for _, up := range trace {
+		if err := ov.Apply(up); err != nil {
+			b.Fatal(err)
+		}
+		next, err := ov.Materialize()
+		if err != nil {
+			b.Fatal(err)
+		}
+		graphs = append(graphs, next)
+	}
+	warm := graph.NewLazyAPSP(g, graph.LazyConfig{})
+	for u := 0; u < g.N(); u++ {
+		warm.Row(graph.Vertex(u))
+	}
+	b.Run("carry/n=2000", func(b *testing.B) {
+		var patched int64
+		cache := warm
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k := i % len(graphs)
+			if k == 0 {
+				cache = warm
+			}
+			cache = cache.Carry(graphs[k])
+			st := cache.Stats()
+			if st.CachedRows != g.N() {
+				b.Fatalf("update %d: carried %d of %d rows", k, st.CachedRows, g.N())
+			}
+			patched += st.PatchedRows
+		}
+		b.ReportMetric(float64(patched)/float64(b.N), "patched-rows/op")
+	})
+	b.Run("fill/n=2000", func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			next := graphs[i%len(graphs)]
+			cache := graph.NewLazyAPSP(next, graph.LazyConfig{})
+			for u := 0; u < next.N(); u++ {
+				cache.Row(graph.Vertex(u))
+			}
+		}
+	})
 }

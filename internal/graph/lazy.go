@@ -37,6 +37,11 @@ type LazyStats struct {
 	PeakBytes  int64
 	// BudgetBytes is the configured budget after defaulting.
 	BudgetBytes int64
+	// SharedRows and PatchedRows count the rows Carry seeded this cache
+	// with: shared unchanged from the previous cache, or patched across the
+	// edge changes. Both are 0 for a cache made by NewLazyAPSP.
+	SharedRows  int64
+	PatchedRows int64
 }
 
 // LazyAPSP is a PathSource that computes per-source shortest-path rows on
@@ -50,6 +55,10 @@ type LazyStats struct {
 // than once; all copies are identical and at most one is retained. The
 // transient memory of in-flight computations (one row per calling goroutine)
 // is outside the budget, which only governs retained rows.
+//
+// Under churn a cache follows the graph from one generation to the next with
+// Carry, which shares every row an edge update cannot have changed and
+// patches the others, instead of filling the new graph's rows from scratch.
 type LazyAPSP struct {
 	g           *Graph
 	n           int
@@ -63,6 +72,10 @@ type LazyAPSP struct {
 	evictions atomic.Int64
 	rows      atomic.Int64
 	peakRows  atomic.Int64
+
+	// shared and patched are set once, by Carry, before the cache is
+	// published.
+	shared, patched int64
 }
 
 var _ PathSource = (*LazyAPSP)(nil)
@@ -189,6 +202,8 @@ func (l *LazyAPSP) Stats() LazyStats {
 		RowBytes:    l.rowBytes,
 		PeakBytes:   peak * l.rowBytes,
 		BudgetBytes: l.budget,
+		SharedRows:  l.shared,
+		PatchedRows: l.patched,
 	}
 }
 

@@ -33,7 +33,8 @@ type Row struct {
 // implementations - and therefore every scheme constructed through this
 // interface is independent of the implementation choice. Any third
 // implementation must produce rows identical to ShortestPaths, not merely
-// some shortest path.
+// some shortest path. A LazyAPSP made by Carry keeps the contract: its
+// shared and patched rows equal the rows a fresh search on its graph fills.
 type PathSource interface {
 	// N returns the number of vertices covered.
 	N() int

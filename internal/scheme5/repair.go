@@ -145,6 +145,13 @@ type edgeChange struct {
 // skipped). newPaths must be a canonical path source over newG. The
 // receiver is never modified; on error (ErrEscalate wrapped with the
 // reason) the caller should rebuild from scratch.
+//
+// Every distance row the repair reads comes from a path source: old rows
+// from the receiver's (the one it was built or repaired with), new rows from
+// newPaths, which the Lemma 8 sequence rebuild reads as well. A newPaths
+// carried from the receiver's cache (graph.LazyAPSP.Carry) holds most of
+// those rows already, shared or patched, so the repair runs few or no full
+// searches.
 func (r *Repairable) Repair(newG *graph.Graph, newPaths graph.PathSource, edges [][2]graph.Vertex) (*Repairable, RepairStats, error) {
 	var st RepairStats
 	s := r.s
@@ -297,11 +304,15 @@ func (r *Repairable) Repair(newG *graph.Graph, newPaths graph.PathSource, edges 
 	newFores := &schemeutil.ClusterForest{L: newLms, Trees: newTrees}
 
 	// --- Canonical-row analysis for the Lemma 8 sequences and labels. -----
+	// Distance rows come from the two path sources (the PathSource contract
+	// makes them ShortestPaths' values): the old rows are cached from the
+	// last generation, and the new ones stay cached for the sequence
+	// rebuild below.
 	oldRow := make(map[graph.Vertex][]float64, len(endpoints))
 	newRow := make(map[graph.Vertex][]float64, len(endpoints))
 	for _, e := range endpoints {
-		oldRow[e] = s.g.ShortestPaths(e).Dist
-		newRow[e] = newG.ShortestPaths(e).Dist
+		oldRow[e] = r.paths.Row(e).Dist
+		newRow[e] = newPaths.Row(e).Dist
 	}
 	// tightAt reports whether some changed edge is tight in the canonical
 	// shortest-path DAG of source a (old or new graph): the one-sided test
@@ -372,8 +383,8 @@ func (r *Repairable) Repair(newG *graph.Graph, newPaths graph.PathSource, edges 
 		if !tightAt(w) {
 			continue
 		}
-		oldW := s.g.ShortestPaths(w).Dist
-		newW := newG.ShortestPaths(w).Dist
+		oldW := r.paths.Row(w).Dist
+		newW := newPaths.Row(w).Dist
 		dw := make([]bool, n)
 		for _, c := range changes {
 			if c.inOld {

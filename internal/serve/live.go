@@ -32,6 +32,12 @@ type RepairInfo struct {
 	DirtyClusters int // cluster trees recomputed
 	DirtySeqs     int // inter-routing sequences rebuilt
 	DirtyLabels   int // labels recomputed
+	// PatchedRows counts the shortest-path rows the repair's cache carried
+	// over from the last generation by patching them, and RowSearches the
+	// full single-source searches that cache still ran: together they say
+	// whether a slow repair refilled rows instead of carrying them.
+	PatchedRows int
+	RowSearches int
 }
 
 // RepairFunc incrementally repairs a scheme for the effective graph g (the
@@ -482,8 +488,9 @@ func (l *Live) Repair() error {
 	if fr := l.opts.FlightRec; fr != nil {
 		fr.Record(obs.FlightEvent{
 			Kind: "repair",
-			Detail: fmt.Sprintf("incremental repair in %s (%d edges, %d vics, %d clusters, %d seqs, %d labels)",
-				time.Since(start).Round(time.Microsecond), info.Edges, info.DirtyVics, info.DirtyClusters, info.DirtySeqs, info.DirtyLabels),
+			Detail: fmt.Sprintf("incremental repair in %s (%d edges, %d vics, %d clusters, %d seqs, %d labels, %d patched rows, %d row searches)",
+				time.Since(start).Round(time.Microsecond), info.Edges, info.DirtyVics, info.DirtyClusters, info.DirtySeqs, info.DirtyLabels,
+				info.PatchedRows, info.RowSearches),
 			Gen: l.Generation(),
 		})
 	}

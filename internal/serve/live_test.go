@@ -11,6 +11,7 @@ import (
 	"compactroute/internal/gen"
 	"compactroute/internal/graph"
 	"compactroute/internal/live"
+	"compactroute/internal/obs"
 	"compactroute/internal/scheme5"
 	"compactroute/internal/serve"
 	"compactroute/internal/simnet"
@@ -381,13 +382,24 @@ func TestLiveUpdateDuringRebuildNotLost(t *testing.T) {
 
 // repairPair builds the coupled (build, repair) functions of the Theorem 11
 // repair path for the live tests - the internal mirror of the public
-// RepairFuncFor.
+// RepairFuncFor, carrying the row cache from one generation to the next.
 func repairPair(seed int64) (serve.BuildFunc, serve.RepairFunc) {
 	params := scheme5.Params{Eps: 0.5, Seed: seed}
 	var mu sync.Mutex
 	var cur *scheme5.Repairable
+	var rows *graph.LazyAPSP
+	carry := func(g *graph.Graph) *graph.LazyAPSP {
+		mu.Lock()
+		defer mu.Unlock()
+		if rows == nil {
+			rows = graph.NewLazyAPSP(g, graph.LazyConfig{})
+		} else {
+			rows = rows.Carry(g)
+		}
+		return rows
+	}
 	build := func(g *graph.Graph) (simnet.Scheme, error) {
-		r, err := scheme5.NewRepairable(g, graph.NewLazyAPSP(g, graph.LazyConfig{}), params)
+		r, err := scheme5.NewRepairable(g, carry(g), params)
 		if err != nil {
 			return nil, err
 		}
@@ -408,15 +420,18 @@ func repairPair(seed int64) (serve.BuildFunc, serve.RepairFunc) {
 		for i, e := range entries {
 			edges[i] = [2]graph.Vertex{e.U, e.V}
 		}
-		next, st, err := r.Repair(g, graph.NewLazyAPSP(g, graph.LazyConfig{}), edges)
+		paths := carry(g)
+		next, st, err := r.Repair(g, paths, edges)
 		if err != nil {
 			return nil, info, err
 		}
 		mu.Lock()
 		cur = next
 		mu.Unlock()
+		ps := paths.Stats()
 		return next.Scheme(), serve.RepairInfo{Edges: st.Edges, DirtyVics: st.DirtyVics,
-			DirtyClusters: st.DirtyClusters, DirtySeqs: st.DirtySeqs, DirtyLabels: st.DirtyLabels}, nil
+			DirtyClusters: st.DirtyClusters, DirtySeqs: st.DirtySeqs, DirtyLabels: st.DirtyLabels,
+			PatchedRows: int(ps.PatchedRows), RowSearches: int(ps.Misses)}, nil
 	}
 	return build, repair
 }
@@ -432,7 +447,8 @@ func TestLiveRefreshRepairsThenEscalates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := serve.NewLive(s, serve.LiveOptions{Workers: 2, Verify: true,
+	reg := obs.NewRegistry()
+	l, err := serve.NewLive(s, serve.LiveOptions{Workers: 2, Verify: true, Obs: reg,
 		Build: build, Repair: repair, Policy: serve.RepairPolicy{MaxRepairEntries: 4}})
 	if err != nil {
 		t.Fatal(err)
@@ -456,6 +472,18 @@ func TestLiveRefreshRepairsThenEscalates(t *testing.T) {
 	}
 	if st.LastRepairInfo.Edges == 0 || st.LastRepairInfo.DirtyVics == 0 {
 		t.Fatalf("repair info not recorded: %+v", st.LastRepairInfo)
+	}
+	// The graph is weighted, so the repair's cache patched the rows the
+	// deletions changed instead of refilling them.
+	if st.LastRepairInfo.PatchedRows == 0 {
+		t.Fatalf("repair patched no rows: %+v", st.LastRepairInfo)
+	}
+	vals := reg.Values()
+	if got := vals["compactroute_live_repair_patched_rows"]; got != float64(st.LastRepairInfo.PatchedRows) {
+		t.Fatalf("patched-rows gauge %v, repair info %+v", got, st.LastRepairInfo)
+	}
+	if got := vals["compactroute_live_repair_row_searches"]; got != float64(st.LastRepairInfo.RowSearches) {
+		t.Fatalf("row-searches gauge %v, repair info %+v", got, st.LastRepairInfo)
 	}
 	if l.Generation() != 1 || !l.Overlay().Empty() {
 		t.Fatalf("repair did not swap/absorb: gen=%d overlay=%d", l.Generation(), l.Overlay().Len())

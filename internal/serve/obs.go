@@ -229,4 +229,10 @@ func (l *Live) registerObs(reg *obs.Registry) {
 	reg.GaugeFunc("compactroute_live_repair_dirty_labels",
 		"Labels recomputed by the last repair.",
 		func() float64 { return float64(l.obsInfo.DirtyLabels) })
+	reg.GaugeFunc("compactroute_live_repair_patched_rows",
+		"Shortest-path rows the last repair carried over by patching them.",
+		func() float64 { return float64(l.obsInfo.PatchedRows) })
+	reg.GaugeFunc("compactroute_live_repair_row_searches",
+		"Full single-source searches the last repair's row cache ran.",
+		func() float64 { return float64(l.obsInfo.RowSearches) })
 }

@@ -246,6 +246,13 @@ func RebuildFuncFor(kind string, o Options, budgetMiB int) (BuildFunc, error) {
 // the live engine escalates to a full rebuild (which re-arms repair for
 // every later delta). Use the returned functions as LiveServeOptions.Build
 // and .Repair of the same engine.
+//
+// The pair also keeps the shortest-path rows of the last generation: both a
+// repair and an escalation rebuild start from that cache carried onto the
+// new graph (graph.LazyAPSP.Carry), which shares every row the updates
+// cannot have changed and patches the rest, instead of refilling each row
+// the construction reads from scratch. A generation decoded from a snapshot
+// has no cache, so the first build after loading one starts cold.
 func RepairFuncFor(kind string, o Options, budgetMiB int) (BuildFunc, RepairFunc, error) {
 	switch kind {
 	case "thm11/v2":
@@ -254,11 +261,24 @@ func RepairFuncFor(kind string, o Options, budgetMiB int) (BuildFunc, RepairFunc
 	}
 	params := scheme5.Params{Eps: o.eps(), VicinityFactor: o.VicinityFactor, Seed: o.Seed}
 	var (
-		mu  sync.Mutex
-		cur *scheme5.Repairable
+		mu   sync.Mutex
+		cur  *scheme5.Repairable
+		rows *graph.LazyAPSP // the last generation's cache, nil before the first build
 	)
+	// carry returns a cache over g that starts from the last one's rows and
+	// becomes the one the next generation carries.
+	carry := func(g *graph.Graph) *graph.LazyAPSP {
+		mu.Lock()
+		defer mu.Unlock()
+		if rows == nil {
+			rows = NewLazyAPSP(g, int64(budgetMiB)<<20)
+		} else {
+			rows = rows.Carry(g)
+		}
+		return rows
+	}
 	build := func(g *graph.Graph) (Scheme, error) {
-		r, err := scheme5.NewRepairable(g, NewLazyAPSP(g, int64(budgetMiB)<<20), params)
+		r, err := scheme5.NewRepairable(g, carry(g), params)
 		if err != nil {
 			return nil, err
 		}
@@ -279,15 +299,18 @@ func RepairFuncFor(kind string, o Options, budgetMiB int) (BuildFunc, RepairFunc
 		for i, e := range entries {
 			edges[i] = [2]graph.Vertex{e.U, e.V}
 		}
-		next, st, err := r.Repair(g, NewLazyAPSP(g, int64(budgetMiB)<<20), edges)
+		paths := carry(g)
+		next, st, err := r.Repair(g, paths, edges)
 		if err != nil {
 			return nil, info, err
 		}
 		mu.Lock()
 		cur = next
 		mu.Unlock()
+		ps := paths.Stats()
 		info = RepairInfo{Edges: st.Edges, DirtyVics: st.DirtyVics, ChangedVics: st.ChangedVics,
-			DirtyClusters: st.DirtyClusters, DirtySeqs: st.DirtySeqs, DirtyLabels: st.DirtyLabels}
+			DirtyClusters: st.DirtyClusters, DirtySeqs: st.DirtySeqs, DirtyLabels: st.DirtyLabels,
+			PatchedRows: int(ps.PatchedRows), RowSearches: int(ps.Misses)}
 		return next.Scheme(), info, nil
 	}
 	return build, repair, nil
