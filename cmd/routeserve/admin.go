@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"runtime/metrics"
 	"strconv"
 	"sync"
 	"time"
@@ -158,4 +159,18 @@ func registerLoadMetrics(reg *compactroute.MetricsRegistry) (uninstall func()) {
 			return 0
 		}))
 	return func() { compactroute.SetSnapshotLoadObserver(nil) }
+}
+
+// registerHeapMetric exposes the heap bytes held in objects, read from
+// runtime/metrics at scrape time. A mapped snapshot adds little heap of its
+// own; what grows after the load - the vicinity lookup tables that routes
+// build lazily, for one - shows here and in no snapshot gauge.
+func registerHeapMetric(reg *compactroute.MetricsRegistry) {
+	reg.GaugeFunc("compactroute_heap_objects_bytes",
+		"Heap bytes occupied by live objects and dead objects not yet swept (/memory/classes/heap/objects:bytes).",
+		func() float64 {
+			s := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+			metrics.Read(s)
+			return float64(s[0].Value.Uint64())
+		})
 }

@@ -149,6 +149,9 @@ func TestAdminSurface(t *testing.T) {
 	if metricValue(t, exposition, "compactroute_snapshot_bytes") <= 0 {
 		t.Fatal("snapshot load gauge not populated")
 	}
+	if metricValue(t, exposition, "compactroute_heap_objects_bytes") <= 0 {
+		t.Fatal("heap objects gauge not populated")
+	}
 	if metricValue(t, exposition, "compactroute_trace_sampled_total") != 10 {
 		t.Fatal("all 10 routes should be trace-sampled at rate 1")
 	}

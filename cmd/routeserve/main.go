@@ -180,6 +180,7 @@ func run(args []string, in io.Reader, out io.Writer) error {
 		defer srv.audit.Close()
 	}
 	defer registerLoadMetrics(srv.reg)()
+	registerHeapMetric(srv.reg)
 	opts := compactroute.LiveServeOptions{Workers: *workers, Verify: *verify,
 		Obs: srv.reg, Trace: srv.sink, Audit: srv.audit, FlightRec: srv.flight}
 	if *liveMode {

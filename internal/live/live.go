@@ -369,11 +369,13 @@ func (ov *Overlay) edgeStateLocked(u, v graph.Vertex) (w float64, alive bool) {
 	return bw, true
 }
 
-// EffectiveWeight is the router's per-hop fast path: given a scheme's base
-// edge {u, v} with preprocessed weight baseW, it returns the edge's current
-// weight and whether the edge is alive. Edges with no overlay entry are
-// alive at baseW without consulting the base graph, so a clean overlay costs
-// one empty map probe per hop.
+// EffectiveWeight is the router's per-hop check on a patched overlay: given
+// a scheme's base edge {u, v} with preprocessed weight baseW, it returns the
+// edge's current weight and whether the edge is alive. Edges with no overlay
+// entry are alive at baseW without consulting the base graph.
+// Router.RouteInto checks Empty once per route and calls this only when the
+// overlay held updates at the route's start, so a route over a clean overlay
+// pays no per-hop probe.
 func (ov *Overlay) EffectiveWeight(u, v graph.Vertex, baseW float64) (float64, bool) {
 	ov.mu.RLock()
 	defer ov.mu.RUnlock()

@@ -29,19 +29,18 @@ func TestVicinityColoringRepresentatives(t *testing.T) {
 			if !vc.Vics[u].Contains(rep) {
 				t.Fatalf("rep %d not in B(%d)", rep, u)
 			}
-			d, _ := vc.Vics[u].Dist(rep)
-			if d != vc.RepDist[u][c] {
-				t.Fatalf("rep dist mismatch at %d color %d", u, c)
-			}
 			// It is the closest member of that color: no earlier member
-			// shares the color (members are in (dist, id) order).
-			for _, m := range vc.Vics[u].Members() {
-				if m.V == rep {
-					break
-				}
-				if vc.PartOf[m.V] == int32(c) {
+			// shares the color (members are in (dist, id) order), and its
+			// distance is the one recorded.
+			vic := vc.Vics[u]
+			i := 0
+			for ; vic.MemberV(i) != rep; i++ {
+				if vc.PartOf[vic.MemberV(i)] == int32(c) {
 					t.Fatalf("rep at %d color %d is not the closest", u, c)
 				}
+			}
+			if vic.MemberDist(i) != vc.RepDist[u][c] {
+				t.Fatalf("rep dist mismatch at %d color %d", u, c)
 			}
 			seen[int32(c)] = true
 		}

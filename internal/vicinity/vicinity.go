@@ -4,15 +4,16 @@
 // route a message from u to any v in B(u, l) on a shortest path.
 //
 // Membership lookups - the innermost operation of every scheme's forwarding
-// loop - go through a flat open-addressed table whose entries carry the
-// distance and first hop inline, so a hop usually costs a single cache-line
-// fetch and allocates nothing.
+// loop - go through a flat open-addressed table of 8-byte slots, each a
+// member id and its first hop, filled to a load factor below 3/4, so a hop
+// usually costs a single cache-line fetch and allocates nothing. The
+// member's distance stays in the member arrays: Lemma 2 stores it (Words
+// counts it, and snapshots keep it), but no forwarding decision reads it.
 package vicinity
 
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -60,12 +61,16 @@ type Set struct {
 	distU      []uint32
 	distU16    []uint16
 	distF      []float64
-	// Open-addressed membership table (Fibonacci hash, linear probing, load
-	// factor <= 0.5). Each entry packs the hot fields of a member - the id the
-	// probe compares against plus the distance and first hop the forwarding
-	// loop asks for - so Contains/Dist/FirstHop usually resolve with a single
-	// cache-line fetch; a sorted-array binary search costs O(log l) scattered
-	// probes per hop, which dominated serving profiles at n = 10^4.
+	// Open-addressed membership table (Fibonacci hash, multiply-shift range
+	// reduction, linear probing, load factor < 3/4). Each 8-byte slot packs
+	// the id the probe compares against and the Lemma 2 first hop the
+	// forwarding loop asks for, so Contains/FirstHop usually resolve with a
+	// single cache-line fetch; a sorted-array binary search costs O(log l)
+	// scattered probes per hop, which dominated serving profiles at
+	// n = 10^4. The member's distance stays out of the slot: no routing
+	// decision reads it, and MemberDist serves the rest. The first hop stays
+	// a vertex id rather than a member index, so reading it costs no second
+	// dependent miss into the member arrays.
 	//
 	// Built sets fill the table eagerly (construction already walks every
 	// member, and the insert probe doubles as their duplicate check).
@@ -73,17 +78,18 @@ type Set struct {
 	// analogue of demand paging, and what keeps the mmap cold start
 	// free of per-member work: the strict (dist, id) member order checked at
 	// decode makes duplicates impossible, so the lazy build cannot fail and
-	// any racing builders produce identical tables (first CAS wins).
+	// any racing builders produce identical tables (first CAS wins). Both
+	// forms fill the table through fillIndex.
 	//
-	// The table is published as a pointer to its first slot plus the hash
-	// shift (table size is 1 << (32-shift)), both living in the Set struct
-	// itself: a lookup touches only the Set's cache line before the probed
-	// slot, with no intermediate table-descriptor object to chase. shift is
-	// stored before ent is published, so a reader that observes a non-nil ent
-	// also observes the matching shift; racing lazy builders store identical
-	// shift values, making the overlap harmless.
-	ent   atomic.Pointer[vicEntry]
-	shift atomic.Uint32 // 32 - log2(table size)
+	// The table is published as a pointer to its first slot plus its slot
+	// count, both living in the Set struct itself: a lookup touches only the
+	// Set's cache line before the probed slot, with no intermediate
+	// table-descriptor object to chase. size is stored before ent is
+	// published, so a reader that observes a non-nil ent also observes the
+	// matching size; racing lazy builders store identical sizes, making the
+	// overlap harmless.
+	ent  atomic.Pointer[vicEntry]
+	size atomic.Uint32 // slot count of the table ent points at
 }
 
 // vicEntry keys are stored as v+1 so the zero value marks an empty slot: a
@@ -92,11 +98,17 @@ type Set struct {
 type vicEntry struct {
 	v     graph.Vertex // member id + 1; 0 marks an empty slot
 	first graph.Vertex
-	dist  float64
 }
 
 // fibMul is the 32-bit Fibonacci hashing multiplier, floor(2^32 / phi).
 const fibMul = 2654435769
+
+// homeSlot maps v to its home slot in a table of size slots: the Fibonacci
+// hash of v scaled from [0, 2^32) to [0, size) by a multiply-shift, so the
+// table size need not be a power of two.
+func homeSlot(v graph.Vertex, size uint32) uint32 {
+	return uint32(uint64(uint32(v)*fibMul) * uint64(size) >> 32)
+}
 
 // lookup returns the table entry of member v, or nil.
 func (s *Set) lookup(v graph.Vertex) *vicEntry {
@@ -107,11 +119,10 @@ func (s *Set) lookup(v graph.Vertex) *vicEntry {
 	if p == nil {
 		p = s.buildTable()
 	}
-	shift := s.shift.Load()
-	tbl := unsafe.Slice(p, 1<<(32-shift))
-	mask := uint32(len(tbl) - 1)
+	size := s.size.Load()
+	tbl := unsafe.Slice(p, size)
 	key := v + 1
-	i := uint32(v) * fibMul >> shift
+	i := homeSlot(v, size)
 	for {
 		e := &tbl[i]
 		if e.v == key {
@@ -120,40 +131,51 @@ func (s *Set) lookup(v graph.Vertex) *vicEntry {
 		if e.v == 0 {
 			return nil
 		}
-		i = (i + 1) & mask
+		if i++; i == size {
+			i = 0
+		}
 	}
 }
 
-// tblSizeFor returns the power-of-two table size for c members (load factor
-// <= 0.5).
+// tblSizeFor returns the table size for c members: c + ceil(c/3) + 1 slots,
+// a load factor below 3/4 that always leaves an empty slot to end a probe.
 func tblSizeFor(c int) int {
-	size := 4
-	for size < 2*c {
-		size <<= 1
+	return c + (c+2)/3 + 1
+}
+
+// fillIndex builds the membership table of s from its members, in either
+// storage. It returns the table, or nil and the first duplicated member
+// vertex.
+func (s *Set) fillIndex() ([]vicEntry, graph.Vertex) {
+	c := s.Size()
+	size := uint32(tblSizeFor(c))
+	tbl := make([]vicEntry, size)
+	for i := 0; i < c; i++ {
+		v := s.MemberV(i)
+		j := homeSlot(v, size)
+		for tbl[j].v != 0 {
+			if tbl[j].v == v+1 {
+				return nil, v
+			}
+			if j++; j == size {
+				j = 0
+			}
+		}
+		tbl[j] = vicEntry{v: v + 1, first: s.MemberFirst(i)}
 	}
-	return size
+	return tbl, graph.NoVertex
 }
 
 // buildIndex eagerly fills the membership table from the members slice. It
 // reports the first duplicated member vertex, or NoVertex when all members
 // are distinct.
 func (s *Set) buildIndex() graph.Vertex {
-	size := tblSizeFor(len(s.members))
-	shift := uint32(32 - bits.TrailingZeros(uint(size)))
-	entries := make([]vicEntry, size)
-	mask := uint32(size - 1)
-	for _, m := range s.members {
-		i := uint32(m.V) * fibMul >> shift
-		for entries[i].v != 0 {
-			if entries[i].v == m.V+1 {
-				return m.V
-			}
-			i = (i + 1) & mask
-		}
-		entries[i] = vicEntry{v: m.V + 1, first: m.First, dist: m.Dist}
+	tbl, dup := s.fillIndex()
+	if tbl == nil {
+		return dup
 	}
-	s.shift.Store(shift)
-	s.ent.Store(&entries[0])
+	s.size.Store(uint32(len(tbl)))
+	s.ent.Store(&tbl[0])
 	return graph.NoVertex
 }
 
@@ -163,22 +185,10 @@ func (s *Set) buildIndex() graph.Vertex {
 // may race, build identical tables and agree on whichever CAS publishes
 // first.
 func (s *Set) buildTable() *vicEntry {
-	c := len(s.memV)
-	size := tblSizeFor(c)
-	shift := uint32(32 - bits.TrailingZeros(uint(size)))
-	entries := make([]vicEntry, size)
-	mask := uint32(size - 1)
-	for i := 0; i < c; i++ {
-		v := s.memV[i]
-		ti := uint32(v) * fibMul >> shift
-		for entries[ti].v != 0 {
-			ti = (ti + 1) & mask
-		}
-		entries[ti] = vicEntry{v: v + 1, first: s.MemberFirst(i), dist: s.MemberDist(i)}
-	}
-	s.shift.Store(shift)
-	if s.ent.CompareAndSwap(nil, &entries[0]) {
-		return &entries[0]
+	tbl, _ := s.fillIndex()
+	s.size.Store(uint32(len(tbl)))
+	if s.ent.CompareAndSwap(nil, &tbl[0]) {
+		return &tbl[0]
 	}
 	return s.ent.Load()
 }
@@ -403,15 +413,6 @@ func (s *Set) Radius() float64 { return s.radius }
 // Contains reports whether v is in the vicinity.
 func (s *Set) Contains(v graph.Vertex) bool { return s.lookup(v) != nil }
 
-// Dist returns d(center, v) if v is a member.
-func (s *Set) Dist(v graph.Vertex) (float64, bool) {
-	e := s.lookup(v)
-	if e == nil {
-		return math.Inf(1), false
-	}
-	return e.dist, true
-}
-
 // FirstHop returns the first vertex after the center on a shortest path to
 // member v. This is the Lemma 2 routing table entry.
 func (s *Set) FirstHop(v graph.Vertex) (graph.Vertex, bool) {
@@ -440,7 +441,7 @@ func (s *Set) Members() []Member {
 // Equal reports whether two vicinities hold the exact same routing state:
 // same center, radius, and member triples (id, distance, first hop) in the
 // canonical (dist, id) order. Two equal sets are observationally identical -
-// every Contains/Dist/FirstHop/MemberV/MemberDist/MemberFirst/MaxDist call
+// every Contains/FirstHop/MemberV/MemberDist/MemberFirst/MaxDist call
 // agrees - which is what lets the repair path treat a rebuilt-but-unchanged
 // vicinity as clean and stop its dirtiness from cascading.
 func (s *Set) Equal(o *Set) bool {
