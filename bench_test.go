@@ -40,6 +40,7 @@ import (
 	"compactroute/internal/graph"
 	"compactroute/internal/hitting"
 	"compactroute/internal/oracle"
+	"compactroute/internal/schemeutil"
 	"compactroute/internal/simnet"
 	"compactroute/internal/vicinity"
 )
@@ -212,6 +213,7 @@ type lemmaFixture struct {
 	apsp   *graph.APSP
 	vics   []*vicinity.Set
 	partOf []int32
+	reps   [][]graph.Vertex // per-color representatives, Lemma 8's relay representatives
 	col    *coloring.Coloring
 	q      int
 }
@@ -246,11 +248,11 @@ func lemmaSetup(b *testing.B, n, q int, weighted bool) *lemmaFixture {
 	if err != nil {
 		b.Fatal(err)
 	}
-	partOf := make([]int32, n)
-	for v := 0; v < n; v++ {
-		partOf[v] = int32(col.Of(graph.Vertex(v)))
+	vc, err := schemeutil.RestoreVicinityColoring(q, l, vics, col)
+	if err != nil {
+		b.Fatal(err)
 	}
-	fx := &lemmaFixture{g: g, apsp: apsp, vics: vics, partOf: partOf, col: col, q: q}
+	fx := &lemmaFixture{g: g, apsp: apsp, vics: vics, partOf: vc.PartOf, reps: vc.Reps, col: col, q: q}
 	benchCache.Store(key, fx)
 	return fx
 }
@@ -340,7 +342,7 @@ func BenchmarkLemma8Sweep(b *testing.B) {
 			}
 			in, err := core.NewInter(core.InterConfig{
 				Graph: fx.g, Paths: fx.apsp, Vics: fx.vics,
-				UPartOf: fx.partOf, WParts: wParts, Eps: eps,
+				UPartOf: fx.partOf, Reps: fx.reps, WParts: wParts, Eps: eps,
 			})
 			if err != nil {
 				b.Fatal(err)

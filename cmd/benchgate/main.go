@@ -16,7 +16,8 @@
 //	    qps/ns-per-op/allocs-per-op against the baseline. Snapshot-capable
 //	    schemes additionally get cold-start load (decode vs mmap, loadms/
 //	    keys) and on-disk footprint (bytes/ keys) measured from a saved
-//	    snapshot. -write saves the measured points as the next BENCH file.
+//	    snapshot, each load time the median of 5 loads. -write saves the
+//	    measured points as the next BENCH file.
 //	    -audit-sample attaches the shadow route auditor to the timed
 //	    loop, so the gate also proves the auditor's overhead stays inside the
 //	    tolerance band and that it charges zero violations on honest schemes.
@@ -32,6 +33,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -125,7 +127,7 @@ func run(args []string, out io.Writer) int {
 			meta := map[string]any{
 				"date":   time.Now().Format("2006-01-02"),
 				"go":     runtime.Version(),
-				"method": "cmd/benchgate measure mode: routebench workload (GNM n/4n, seed 2015), batched LiveEngine.Query closed loop, allocs from runtime Mallocs delta; snapshot load paths timed on a freshly saved file",
+				"method": "cmd/benchgate measure mode: routebench workload (GNM n/4n, seed 2015), batched LiveEngine.Query closed loop, allocs from runtime Mallocs delta; snapshot load paths timed on a freshly saved file, each load_ms the median of 5 loads in one process",
 			}
 			if err := benchtrack.WriteFile(*write, *pr, meta, points); err != nil {
 				fmt.Fprintf(out, "benchgate: %v\n", err)
@@ -215,8 +217,9 @@ func measure(out io.Writer, names []string, n, queries, batch, workers int, seed
 
 // measureSnapshot saves s to a temp file and times the two cold-start load
 // paths: "decode" (read the whole stream, decode on the heap) and "mmap"
-// (map the file, alias the fixed-width sections). Keys use the row name, not
-// s.Name(), so the trajectory is stable across stretch-annotation changes.
+// (map the file, alias the fixed-width sections), each as the median of 5
+// loads. Keys use the row name, not s.Name(), so the trajectory is
+// stable across stretch-annotation changes.
 func measureSnapshot(out io.Writer, name string, s compactroute.Scheme) ([]benchtrack.Point, error) {
 	dir, err := os.MkdirTemp("", "benchgate-snap")
 	if err != nil {
@@ -233,24 +236,27 @@ func measureSnapshot(out io.Writer, name string, s compactroute.Scheme) ([]bench
 	}
 	n := s.Graph().N()
 
-	t0 := time.Now()
-	data, err := os.ReadFile(path)
+	var ds compactroute.Scheme
+	decodeMs, err := medianMs(func() error {
+		data, err := os.ReadFile(path)
+		if err == nil {
+			ds, err = compactroute.LoadScheme(bytes.NewReader(data))
+		}
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	ds, err := compactroute.LoadScheme(bytes.NewReader(data))
+	mmapMs, err := medianMs(func() error {
+		sf, err := compactroute.OpenSchemeFile(path)
+		if err == nil {
+			err = sf.Close()
+		}
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	decodeMs := float64(time.Since(t0).Nanoseconds()) / 1e6
-
-	t0 = time.Now()
-	sf, err := compactroute.OpenSchemeFile(path)
-	if err != nil {
-		return nil, err
-	}
-	mmapMs := float64(time.Since(t0).Nanoseconds()) / 1e6
-	defer sf.Close()
 
 	words := 0
 	for v := 0; v < n; v++ {
@@ -265,6 +271,21 @@ func measureSnapshot(out io.Writer, name string, s compactroute.Scheme) ([]bench
 		{Key: benchtrack.SizeKey(name, n), Metrics: map[string]float64{
 			"snapshot_bytes": float64(st.Size()), "bytes_per_word": bytesPerWord}},
 	}, nil
+}
+
+// medianMs runs load 5 times and returns the median wall time of one run in
+// milliseconds.
+func medianMs(load func() error) (float64, error) {
+	ms := make([]float64, 5)
+	for i := range ms {
+		t0 := time.Now()
+		if err := load(); err != nil {
+			return 0, err
+		}
+		ms[i] = float64(time.Since(t0).Nanoseconds()) / 1e6
+	}
+	slices.Sort(ms)
+	return ms[len(ms)/2], nil
 }
 
 // measureRepair is the incremental-repair soak (the gate-sized slice of the

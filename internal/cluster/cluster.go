@@ -184,40 +184,59 @@ func (l *Landmarks) nearestLandmarks(g *graph.Graph) {
 // relation) are merged sequentially in root order afterwards, so the result
 // is identical for every worker count.
 func (l *Landmarks) buildClusters(g *graph.Graph) {
-	n := g.N()
-	l.clusters = make([][]Member, n)
-	l.bunches = make([][]graph.Vertex, n)
-	parallel.For(n, func(wi int) {
-		w := graph.Vertex(wi)
-		ws := g.AcquireWorkspace()
-		defer g.ReleaseWorkspace(ws)
-		ws.Start(w)
-		var members []Member
-		for {
-			u, d, ok := ws.Pop()
-			if !ok {
-				break
-			}
-			members = append(members, Member{V: u, Dist: d, Parent: ws.Parent(u)})
-			g.Neighbors(u, func(_ graph.Port, x graph.Vertex, ew float64) bool {
-				nd := d + ew
-				if nd >= l.DistA[x] { // cluster condition (strict)
-					return true
-				}
+	l.clusters = make([][]Member, g.N())
+	parallel.For(g.N(), func(wi int) { l.clusters[wi] = l.searchCluster(g, graph.Vertex(wi)) })
+	l.bunches = transposeBunches(l.clusters)
+}
+
+// searchCluster returns C_A(w), root first, in the pop order of the
+// Dijkstra search from w pruned to the cluster condition.
+func (l *Landmarks) searchCluster(g *graph.Graph, w graph.Vertex) []Member {
+	ws := g.AcquireWorkspace()
+	defer g.ReleaseWorkspace(ws)
+	ws.Start(w)
+	var members []Member
+	for {
+		u, d, ok := ws.Pop()
+		if !ok {
+			return members
+		}
+		members = append(members, Member{V: u, Dist: d, Parent: ws.Parent(u)})
+		g.Neighbors(u, func(_ graph.Port, x graph.Vertex, ew float64) bool {
+			if nd := d + ew; nd < l.DistA[x] { // cluster condition (strict)
 				ws.Relax(x, nd, u)
-				return true
-			})
-		}
-		l.clusters[wi] = members
-	})
-	for wi := 0; wi < n; wi++ {
-		for _, m := range l.clusters[wi] {
-			l.bunches[m.V] = append(l.bunches[m.V], graph.Vertex(wi))
+			}
+			return true
+		})
+	}
+}
+
+// transposeBunches returns the bunches of a cluster family, cut from one
+// slab: B_A(v) lists every root whose cluster holds v, ascending because the
+// roots are visited in order. Member ids must lie in [0, len(clusters)).
+func transposeBunches(clusters [][]Member) [][]graph.Vertex {
+	n := len(clusters)
+	next := make([]int, n+1) // next[v]: the slab slot of v's next bunch entry
+	for _, ms := range clusters {
+		for _, m := range ms {
+			next[m.V+1]++
 		}
 	}
-	for v := range l.bunches {
-		sort.Slice(l.bunches[v], func(i, j int) bool { return l.bunches[v][i] < l.bunches[v][j] })
+	for v := 0; v < n; v++ {
+		next[v+1] += next[v]
 	}
+	slab := make([]graph.Vertex, next[n])
+	bunches := make([][]graph.Vertex, n)
+	for v := range bunches {
+		bunches[v] = slab[next[v]:next[v+1]:next[v+1]]
+	}
+	for w, ms := range clusters {
+		for _, m := range ms {
+			slab[next[m.V]] = graph.Vertex(w)
+			next[m.V]++
+		}
+	}
+	return bunches
 }
 
 // InA reports whether v is a landmark.
@@ -226,7 +245,8 @@ func (l *Landmarks) InA(v graph.Vertex) bool { return l.inA[v] }
 // Cluster returns C_A(w) with the root first. The slice is owned by l.
 func (l *Landmarks) Cluster(w graph.Vertex) []Member { return l.clusters[w] }
 
-// Bunch returns B_A(v) in increasing id order. The slice is owned by l.
+// Bunch returns B_A(v) in increasing id order, which transposeBunches gives
+// by construction. The slice is owned by l.
 func (l *Landmarks) Bunch(v graph.Vertex) []graph.Vertex { return l.bunches[v] }
 
 // MaxClusterSize returns max_w |C_A(w)|.

@@ -96,53 +96,22 @@ func RepairLandmarks(g *graph.Graph, old *Landmarks, touched []graph.Vertex, bou
 		P:        newP,
 		DistA:    newDistA,
 		clusters: make([][]Member, n),
-		bunches:  make([][]graph.Vertex, n),
 	}
 	copy(l.clusters, old.clusters)
-	// Recompute dirty clusters with the exact buildClusters search (same
-	// prune, same pop order) against the new d(., A) row.
-	maxSz := make([]int, len(dirtyRoots))
+	// Recompute dirty clusters with buildClusters' search against the new
+	// d(., A) row.
 	parallel.For(len(dirtyRoots), func(i int) {
-		w := dirtyRoots[i]
-		ws := g.AcquireWorkspace()
-		defer g.ReleaseWorkspace(ws)
-		ws.Start(w)
-		var members []Member
-		for {
-			u, d, ok := ws.Pop()
-			if !ok {
-				break
-			}
-			members = append(members, Member{V: u, Dist: d, Parent: ws.Parent(u)})
-			g.Neighbors(u, func(_ graph.Port, x graph.Vertex, ew float64) bool {
-				nd := d + ew
-				if nd >= l.DistA[x] { // cluster condition (strict)
-					return true
-				}
-				ws.Relax(x, nd, u)
-				return true
-			})
-		}
-		l.clusters[w] = members
-		maxSz[i] = len(members)
+		l.clusters[dirtyRoots[i]] = l.searchCluster(g, dirtyRoots[i])
 	})
-	for i, sz := range maxSz {
-		if sz > bound {
-			return nil, nil, fmt.Errorf("cluster: repair: cluster C_A(%d) grew to %d > bound %d", dirtyRoots[i], sz, bound)
+	for _, w := range dirtyRoots {
+		if sz := len(l.clusters[w]); sz > bound {
+			return nil, nil, fmt.Errorf("cluster: repair: cluster C_A(%d) grew to %d > bound %d", w, sz, bound)
 		}
 	}
 	// Bunches are the transpose of the cluster relation; rebuilding them all
-	// sequentially in root order (as buildClusters does) is linear in the
-	// total cluster size and keeps the result independent of which roots were
-	// dirty.
-	for wi := 0; wi < n; wi++ {
-		for _, m := range l.clusters[wi] {
-			l.bunches[m.V] = append(l.bunches[m.V], graph.Vertex(wi))
-		}
-	}
-	for v := range l.bunches {
-		sort.Slice(l.bunches[v], func(i, j int) bool { return l.bunches[v][i] < l.bunches[v][j] })
-	}
+	// (as buildClusters does) is linear in the total cluster size and keeps
+	// the result independent of which roots were dirty.
+	l.bunches = transposeBunches(l.clusters)
 	return l, dirtyRoots, nil
 }
 

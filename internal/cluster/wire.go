@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"compactroute/internal/graph"
 	"compactroute/internal/wire"
@@ -175,7 +174,6 @@ func Restore(n int, a, p []graph.Vertex, distA []float64, clusters [][]Member) (
 		P:        p,
 		DistA:    distA,
 		clusters: clusters,
-		bunches:  make([][]graph.Vertex, n),
 	}
 	for i, v := range a {
 		if v < 0 || int(v) >= n {
@@ -202,11 +200,8 @@ func Restore(n int, a, p []graph.Vertex, distA []float64, clusters [][]Member) (
 			if m.Parent != graph.NoVertex && (m.Parent < 0 || int(m.Parent) >= n) {
 				return nil, fmt.Errorf("cluster: restore: parent %d in C_A(%d) out of range", m.Parent, w)
 			}
-			l.bunches[m.V] = append(l.bunches[m.V], graph.Vertex(w))
 		}
 	}
-	for v := range l.bunches {
-		sort.Slice(l.bunches[v], func(i, j int) bool { return l.bunches[v][i] < l.bunches[v][j] })
-	}
+	l.bunches = transposeBunches(clusters)
 	return l, nil
 }

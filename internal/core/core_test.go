@@ -7,6 +7,7 @@ import (
 	"compactroute/internal/core"
 	"compactroute/internal/gen"
 	"compactroute/internal/graph"
+	"compactroute/internal/schemeutil"
 	"compactroute/internal/simnet"
 	"compactroute/internal/testutil"
 	"compactroute/internal/vicinity"
@@ -20,6 +21,7 @@ type fixture struct {
 	col    *coloring.Coloring
 	q      int
 	partOf []int32
+	reps   [][]graph.Vertex // per-color representatives, Lemma 8's relay representatives
 }
 
 func newFixture(t *testing.T, n, m, q int, seed int64, wt gen.Weighting) *fixture {
@@ -41,11 +43,11 @@ func newFixture(t *testing.T, n, m, q int, seed int64, wt gen.Weighting) *fixtur
 	if err != nil {
 		t.Fatal(err)
 	}
-	partOf := make([]int32, n)
-	for v := 0; v < n; v++ {
-		partOf[v] = int32(col.Of(graph.Vertex(v)))
+	vc, err := schemeutil.RestoreVicinityColoring(q, l, vics, col)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return &fixture{g: g, apsp: apsp, vics: vics, col: col, q: q, partOf: partOf}
+	return &fixture{g: g, apsp: apsp, vics: vics, col: col, q: q, partOf: vc.PartOf, reps: vc.Reps}
 }
 
 func TestLemma7RoutesSamePartPairs(t *testing.T) {
@@ -143,7 +145,7 @@ func TestLemma8RoutesPartToTargets(t *testing.T) {
 			}
 			in, err := core.NewInter(core.InterConfig{
 				Graph: fx.g, Paths: fx.apsp, Vics: fx.vics,
-				UPartOf: fx.partOf, WParts: wParts, Eps: tt.eps,
+				UPartOf: fx.partOf, Reps: fx.reps, WParts: wParts, Eps: tt.eps,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -183,7 +185,7 @@ func TestLemma8RejectsWrongPart(t *testing.T) {
 	}
 	in, err := core.NewInter(core.InterConfig{
 		Graph: fx.g, Paths: fx.apsp, Vics: fx.vics,
-		UPartOf: fx.partOf, WParts: wParts, Eps: 0.5,
+		UPartOf: fx.partOf, Reps: fx.reps, WParts: wParts, Eps: 0.5,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -25,9 +25,11 @@ type Inter struct {
 	scale   float64 // omega_min: unit of the doubling thresholds
 	maxDist float64 // 2x one eccentricity: upper bound on any finite distance
 
-	// relayRep[u][j] is a vertex of U_j inside B(u, q-tilde); its existence
-	// is the hitting precondition of the lemma.
+	// relayRep[u][j], j < parts, is a vertex of U_j inside B(u, q-tilde); its
+	// existence is the hitting precondition of the lemma. The rows are the
+	// caller's (InterConfig.Reps), shared.
 	relayRep [][]graph.Vertex
+	parts    int // len(WParts)
 	// seqs[u][w] for every w in W_{uPartOf[u]}; nil maps when flat is set.
 	seqs []map[graph.Vertex]interSeq
 	// flat is the snapshot-aliased form of the sequences (v2 decode path):
@@ -90,6 +92,10 @@ type InterConfig struct {
 	Vics []*vicinity.Set
 	// UPartOf[u] is the index of u's part in the partition U of V.
 	UPartOf []int32
+	// Reps[u][j], for j < len(WParts) at least, is the first member of U_j
+	// in B(u, q-tilde) in (dist, id) order: Lemma 8's relay representatives,
+	// which schemeutil.VicinityColoring.Reps holds. Shared read-only.
+	Reps [][]graph.Vertex
 	// WParts is the partition W of the target set (part j receives messages
 	// from sources of U_j).
 	WParts [][]graph.Vertex
@@ -130,14 +136,13 @@ func NewInter(cfg InterConfig) (*Inter, error) {
 }
 
 // newInterBase validates the Lemma 8 inputs and derives everything except
-// the sequences and maxDist: the target partition map and the relay
-// representatives are pure functions of the vicinities and partitions, so
-// both the construction path (NewInter) and the snapshot restore path
-// (RestoreInterV2) share this.
+// the sequences and maxDist: the target partition map, and the relay
+// representatives taken from cfg.Reps. Both the construction path
+// (NewInter) and the snapshot restore path (RestoreInterV2) share this.
 func newInterBase(cfg InterConfig) (*Inter, error) {
 	g := cfg.Graph
 	n := g.N()
-	if len(cfg.Vics) != n || len(cfg.UPartOf) != n {
+	if len(cfg.Vics) != n || len(cfg.UPartOf) != n || len(cfg.Reps) != n {
 		return nil, fmt.Errorf("core: inter config arrays must have length n=%d", n)
 	}
 	b, err := budget(cfg.Eps)
@@ -154,7 +159,8 @@ func newInterBase(cfg InterConfig) (*Inter, error) {
 		b:        b,
 		eps:      cfg.Eps,
 		scale:    minEdgeWeight(g),
-		relayRep: make([][]graph.Vertex, n),
+		relayRep: cfg.Reps,
+		parts:    q,
 		seqs:     make([]map[graph.Vertex]interSeq, n),
 	}
 	for i := range in.wPartOf {
@@ -171,38 +177,26 @@ func newInterBase(cfg InterConfig) (*Inter, error) {
 			in.wPartOf[w] = int32(j)
 		}
 	}
-	// Relay representatives: for every vertex and every part index, the
-	// closest member of that part inside the vertex's vicinity. Each vertex
-	// owns its relayRep[u] slot, so the loop runs on the worker pool. Indexed
-	// member access keeps the restore path free of per-set materialization.
-	if err := parallel.ForErr(n, func(u int) error {
-		reps := make([]graph.Vertex, q)
-		for j := range reps {
-			reps[j] = graph.NoVertex
-		}
-		found := 0
-		vic := cfg.Vics[u]
-		for i, c := 0, vic.Size(); i < c; i++ { // (dist, id) order
-			mv := vic.MemberV(i)
-			j := cfg.UPartOf[mv]
-			if int(j) >= 0 && int(j) < q && reps[j] == graph.NoVertex {
-				reps[j] = mv
-				if found++; found == q {
-					break
-				}
-			}
-		}
-		for j := range reps {
-			if reps[j] == graph.NoVertex {
-				return fmt.Errorf("core: U_%d does not intersect B(%d) (hitting precondition of Lemma 8 violated)", j, u)
-			}
-		}
-		in.relayRep[u] = reps
-		return nil
-	}); err != nil {
+	if err := in.checkRelayReps(); err != nil {
 		return nil, err
 	}
 	return in, nil
+}
+
+// checkRelayReps checks that every row of relayRep holds a vertex for each
+// of the parts of W.
+func (in *Inter) checkRelayReps() error {
+	for u, row := range in.relayRep {
+		if len(row) < in.parts {
+			return fmt.Errorf("core: B(%d) has %d relay representatives for %d parts of W", u, len(row), in.parts)
+		}
+		for j, r := range row[:in.parts] {
+			if r == graph.NoVertex {
+				return fmt.Errorf("core: U_%d does not intersect B(%d) (hitting precondition of Lemma 8 violated)", j, u)
+			}
+		}
+	}
+	return nil
 }
 
 // buildSequence constructs the sequence stored at u for target w following
@@ -417,7 +411,7 @@ func (in *Inter) TargetPart(dst graph.Vertex) (int32, bool) {
 // the owning scheme.)
 func (in *Inter) AddTableWords(t *space.Tally) {
 	for u := 0; u < in.g.N(); u++ {
-		t.Add("lemma8-relay-reps", u, len(in.relayRep[u]))
+		t.Add("lemma8-relay-reps", u, in.parts)
 		words := 0
 		if f := in.flat; f != nil {
 			for si := f.srcOff[u]; si < f.srcOff[u+1]; si++ {

@@ -109,16 +109,7 @@ func newIntraBase(cfg IntraConfig) (*Intra, error) {
 	}
 
 	// Hitting set over the vicinities (Lemma 5).
-	sets := make([][]graph.Vertex, n)
-	for u := 0; u < n; u++ {
-		vic := cfg.Vics[u]
-		s := make([]graph.Vertex, vic.Size())
-		for i := range s {
-			s[i] = vic.MemberV(i)
-		}
-		sets[u] = s
-	}
-	h, err := hitting.Greedy(n, sets)
+	h, err := hitting.Greedy(n, vicinity.MemberSets(cfg.Vics))
 	if err != nil {
 		return nil, fmt.Errorf("core: hitting set: %w", err)
 	}

@@ -54,7 +54,7 @@ func TestClaim9HandoffsBounded(t *testing.T) {
 	}
 	in, err := core.NewInter(core.InterConfig{
 		Graph: fx.g, Paths: fx.apsp, Vics: fx.vics,
-		UPartOf: fx.partOf, WParts: wParts, Eps: 0.5,
+		UPartOf: fx.partOf, Reps: fx.reps, WParts: wParts, Eps: 0.5,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"compactroute/internal/graph"
 	"compactroute/internal/parallel"
@@ -18,9 +19,10 @@ type InterRepairConfig struct {
 	// Vics are the repaired vicinities (same q-tilde as the original build;
 	// clean sets may be shared with the old family).
 	Vics []*vicinity.Set
-	// VicDirty[x] reports that B(x) changed, which dirties the relay
-	// representatives of x and every sequence whose construction walked
-	// through x.
+	Reps [][]graph.Vertex // relay representatives over Vics, as InterConfig.Reps
+	// VicDirty[x] reports that B(x) changed, which dirties every sequence
+	// whose construction walked through x. So does a row of Reps that
+	// differs from the old one.
 	VicDirty []bool
 	// SeqDirty reports that the stored sequence u->w must be rebuilt for a
 	// reason the waypoint scan cannot see: the caller's geodesic analysis
@@ -47,7 +49,7 @@ func (in *Inter) Repair(cfg InterRepairConfig) (*Inter, int, error) {
 		return nil, 0, fmt.Errorf("core: snapshot-aliased sequences are not repairable in place")
 	}
 	n := cfg.Graph.N()
-	if n != in.g.N() || len(cfg.Vics) != n || len(cfg.VicDirty) != n {
+	if n != in.g.N() || len(cfg.Vics) != n || len(cfg.Reps) != n || len(cfg.VicDirty) != n {
 		return nil, 0, fmt.Errorf("core: repair config arrays must have length n=%d", in.g.N())
 	}
 	if sc := minEdgeWeight(cfg.Graph); sc != in.scale {
@@ -67,47 +69,16 @@ func (in *Inter) Repair(cfg InterRepairConfig) (*Inter, int, error) {
 		// graph; it only sizes the runaway guard of buildSequence, so clean
 		// sequences stay valid.
 		maxDist:  maxDistBound(cfg.Paths),
-		relayRep: make([][]graph.Vertex, n),
+		relayRep: cfg.Reps,
+		parts:    in.parts,
 		seqs:     make([]map[graph.Vertex]interSeq, n),
 	}
-	// Relay representatives are a pure function of the vicinity and the U
-	// partition: recompute them for dirty vicinities, share the rest.
-	relayChanged := make([]bool, n)
-	if err := parallel.ForErr(n, func(u int) error {
-		if !cfg.VicDirty[u] {
-			out.relayRep[u] = in.relayRep[u]
-			return nil
-		}
-		q := len(in.relayRep[u])
-		reps := make([]graph.Vertex, q)
-		for j := range reps {
-			reps[j] = graph.NoVertex
-		}
-		found := 0
-		vic := cfg.Vics[u]
-		for i, c := 0, vic.Size(); i < c && found < q; i++ { // (dist, id) order
-			mv := vic.MemberV(i)
-			j := in.uPartOf[mv]
-			if int(j) >= 0 && int(j) < q && reps[j] == graph.NoVertex {
-				reps[j] = mv
-				found++
-			}
-		}
-		for j := range reps {
-			if reps[j] == graph.NoVertex {
-				return fmt.Errorf("core: U_%d no longer intersects B(%d) (hitting precondition of Lemma 8 violated)", j, u)
-			}
-		}
-		for j := range reps {
-			if reps[j] != in.relayRep[u][j] {
-				relayChanged[u] = true
-				break
-			}
-		}
-		out.relayRep[u] = reps
-		return nil
-	}); err != nil {
+	if err := out.checkRelayReps(); err != nil {
 		return nil, 0, err
+	}
+	relayChanged := make([]bool, n)
+	for u := range relayChanged {
+		relayChanged[u] = !slices.Equal(out.relayRep[u][:in.parts], in.relayRep[u][:in.parts])
 	}
 	rebuiltPer := make([]int, n)
 	if err := parallel.ForErr(n, func(ui int) error {

@@ -36,6 +36,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -83,6 +84,13 @@ type Builder struct {
 // NewBuilder returns a Builder for a graph with n vertices and no edges.
 func NewBuilder(n int) *Builder {
 	return &Builder{n: n}
+}
+
+// Grow reserves room for m more edges, so adding them does not reallocate.
+func (b *Builder) Grow(m int) {
+	b.us = slices.Grow(b.us, m)
+	b.vs = slices.Grow(b.vs, m)
+	b.ws = slices.Grow(b.ws, m)
 }
 
 // AddEdge records the undirected edge {u, v} with weight w. Self loops,

@@ -25,8 +25,10 @@ type LazyConfig struct {
 
 // LazyStats is a snapshot of a LazyAPSP's cache behavior.
 type LazyStats struct {
-	Hits      int64
-	Misses    int64 // rows computed because they were not cached
+	Hits int64
+	// Misses counts the rows computed into this cache, one per inserted fill:
+	// a Row call that loses a fill race counts neither a hit nor a miss.
+	Misses    int64
 	Evictions int64
 	// CachedRows and PeakRows count rows resident now and at the high-water
 	// mark; RowBytes is the accounted size of one row, so PeakBytes =
@@ -158,7 +160,6 @@ func (l *LazyAPSP) Row(src Vertex) Row {
 	// Compute outside the lock so concurrent misses on one shard do not
 	// serialize behind each other's searches. The only allocations of a row
 	// fill are the two retained result slices; search scratch is pooled.
-	l.misses.Add(1)
 	dist := make([]float64, l.n)
 	first := make([]Vertex, l.n)
 	ws := l.g.AcquireWorkspace()
@@ -184,6 +185,7 @@ func (l *LazyAPSP) Row(src Vertex) Row {
 	e := &lruEntry{src: src, row: row}
 	sh.entries[src] = e
 	sh.pushFront(e)
+	l.misses.Add(1)
 	cur := l.rows.Add(1)
 	for p := l.peakRows.Load(); cur > p && !l.peakRows.CompareAndSwap(p, cur); p = l.peakRows.Load() {
 	}

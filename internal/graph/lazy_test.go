@@ -132,6 +132,34 @@ func TestLazyAPSPConcurrent(t *testing.T) {
 	}
 }
 
+// TestLazyAPSPMissesCountInsertedRows races 8 goroutines, released
+// together, on the first Row call for one source of a fresh cache: however
+// many of them compute the row, one copy is inserted and Misses reads 1.
+func TestLazyAPSPMissesCountInsertedRows(t *testing.T) {
+	g := testutil.MustGNM(t, 400, 1600, 13, gen.UniformInt)
+	const workers = 8
+	for round := 0; round < 200; round++ {
+		lazy := graph.NewLazyAPSP(g, graph.LazyConfig{})
+		src := graph.Vertex(round % g.N())
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				lazy.Row(src)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if st := lazy.Stats(); st.Misses != 1 || st.CachedRows != 1 {
+			t.Fatalf("round %d: %d goroutines filled one row: Misses = %d, CachedRows = %d, want 1 and 1",
+				round, workers, st.Misses, st.CachedRows)
+		}
+	}
+}
+
 // TestEccentricityHelpersMatchDense pins the parallel eccentricity and
 // normalized-diameter reductions against the sequential definitions.
 func TestEccentricityHelpersMatchDense(t *testing.T) {

@@ -121,3 +121,23 @@ func ForNErr(workers, n int, fn func(i int) error) error {
 	})
 	return errVal
 }
+
+// blockLen is the number of consecutive indices ForErrBlocks runs as one
+// task.
+const blockLen = 64
+
+// ForErrBlocks is ForErr with each task running blockLen consecutive indices
+// in increasing order, for loops with little work per index whose index-i
+// writes sit next to index i+1's (rows of one slab): single-index tasks
+// would have the workers write the same cache lines. The error is still the
+// lowest failing index's.
+func ForErrBlocks(n int, fn func(i int) error) error {
+	return ForErr((n+blockLen-1)/blockLen, func(b int) error {
+		for i := b * blockLen; i < min(n, (b+1)*blockLen); i++ {
+			if err := fn(i); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}

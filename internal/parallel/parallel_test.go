@@ -45,6 +45,36 @@ func TestForErrReturnsLowestIndexError(t *testing.T) {
 	}
 }
 
+func TestForErrBlocks(t *testing.T) {
+	defer SetLimit(0)
+	for _, workers := range []int{1, 4} {
+		SetLimit(workers)
+		for _, n := range []int{0, 1, blockLen - 1, blockLen, blockLen + 1, 1000} {
+			hits := make([]int32, n)
+			if err := ForErrBlocks(n, func(i int) error {
+				atomic.AddInt32(&hits[i], 1)
+				return nil
+			}); err != nil {
+				t.Fatalf("workers=%d n=%d: unexpected error %v", workers, n, err)
+			}
+			for i, h := range hits {
+				if h != 1 {
+					t.Fatalf("workers=%d n=%d: index %d visited %d times", workers, n, i, h)
+				}
+			}
+		}
+		err := ForErrBlocks(1000, func(i int) error {
+			if i == 130 || i == 700 || i == 999 {
+				return fmt.Errorf("fail@%d", i)
+			}
+			return nil
+		})
+		if err == nil || err.Error() != "fail@130" {
+			t.Fatalf("workers=%d: got %v, want fail@130", workers, err)
+		}
+	}
+}
+
 func TestForErrNilOnSuccess(t *testing.T) {
 	var sum atomic.Int64
 	if err := ForNErr(4, 50, func(i int) error {

@@ -78,7 +78,7 @@ func New(g *graph.Graph, paths graph.PathSource, params Params) (*Scheme, error)
 	wParts, alphaOf := landmarkParts(h.Levels[params.K-2], q)
 	inter, err := core.NewInter(core.InterConfig{
 		Graph: g, Paths: paths, Vics: vc.Vics,
-		UPartOf: vc.PartOf, WParts: wParts, Eps: params.Eps,
+		UPartOf: vc.PartOf, Reps: vc.Reps, WParts: wParts, Eps: params.Eps,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("scheme4k: %w", err)

@@ -126,7 +126,7 @@ func decodeSnapshotV2(g *graph.Graph, snap *wire.Snapshot) (simnet.Scheme, error
 		return nil, err
 	}
 	inter, err := core.RestoreInterV2(core.InterConfig{
-		Graph: g, Vics: vc.Vics, UPartOf: vc.PartOf, WParts: wParts, Eps: eps,
+		Graph: g, Vics: vc.Vics, UPartOf: vc.PartOf, Reps: vc.Reps, WParts: wParts, Eps: eps,
 	}, id)
 	if err != nil {
 		return nil, err

@@ -57,7 +57,6 @@ import (
 	"compactroute/internal/graph"
 	"compactroute/internal/parallel"
 	"compactroute/internal/schemeutil"
-	"compactroute/internal/space"
 	"compactroute/internal/treeroute"
 	"compactroute/internal/vicinity"
 )
@@ -253,7 +252,7 @@ func (r *Repairable) Repair(newG *graph.Graph, newPaths graph.PathSource, edges 
 	// and compare: any difference means a from-scratch build would color
 	// differently, so bit-identity demands escalation.
 	if len(changedVics) > 0 {
-		col2, err := coloring.New(n, s.vc.Q, schemeutil.MemberSets(newVics), r.params.Seed)
+		col2, err := coloring.New(n, s.vc.Q, vicinity.MemberSets(newVics), r.params.Seed)
 		if err != nil {
 			return nil, st, fmt.Errorf("%w: coloring no longer satisfiable: %v", ErrEscalate, err)
 		}
@@ -426,7 +425,7 @@ func (r *Repairable) Repair(newG *graph.Graph, newPaths graph.PathSource, edges 
 
 	// --- Lemma 8 sequences. -----------------------------------------------
 	newInter, rebuilt, err := s.inter.Repair(core.InterRepairConfig{
-		Graph: newG, Paths: newPaths, Vics: newVics,
+		Graph: newG, Paths: newPaths, Vics: newVics, Reps: newVc.Reps,
 		VicDirty: vicDirty, SeqDirty: seqDirty,
 	})
 	if err != nil {
@@ -481,12 +480,8 @@ func (r *Repairable) Repair(newG *graph.Graph, newPaths graph.PathSource, edges 
 	st.DirtyLabels = dirtyLabels
 
 	// --- Assemble. --------------------------------------------------------
-	tally := space.NewTally(n)
-	newVc.AddWords(tally)
-	newFores.AddWords(tally, "cluster-trees")
-	newInter.AddTableWords(tally)
 	ns := &Scheme{g: newG, eps: s.eps, vc: newVc, lms: newLms, fores: newFores,
-		inter: newInter, labels: newLabels, tally: tally}
+		inter: newInter, labels: newLabels}
 	return &Repairable{
 		s:      ns,
 		touch:  r.touch.Updated(newSettled),

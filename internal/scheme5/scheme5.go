@@ -24,6 +24,7 @@ package scheme5
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"compactroute/internal/cluster"
 	"compactroute/internal/core"
@@ -64,7 +65,9 @@ type Scheme struct {
 	fores  *schemeutil.ClusterForest
 	inter  *core.Inter
 	labels []label
-	tally  *space.Tally
+
+	tallyOnce sync.Once // tally is computed on first use; routing never reads it
+	tally     *space.Tally
 }
 
 var _ simnet.ReusableScheme = (*Scheme)(nil)
@@ -108,7 +111,7 @@ func build(g *graph.Graph, paths graph.PathSource, params Params, withTouch bool
 	wParts, alphaOf := landmarkParts(lms.A, q)
 	inter, err := core.NewInter(core.InterConfig{
 		Graph: g, Paths: paths, Vics: vc.Vics,
-		UPartOf: vc.PartOf, WParts: wParts, Eps: params.Eps,
+		UPartOf: vc.PartOf, Reps: vc.Reps, WParts: wParts, Eps: params.Eps,
 	})
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("scheme5: %w", err)
@@ -127,10 +130,6 @@ func build(g *graph.Graph, paths graph.PathSource, params Params, withTouch bool
 		}
 		s.labels[v] = lbl
 	}
-	s.tally = space.NewTally(n)
-	vc.AddWords(s.tally)
-	fores.AddWords(s.tally, "cluster-trees")
-	inter.AddTableWords(s.tally)
 	return s, touch, trace, nil
 }
 
@@ -296,11 +295,23 @@ func (s *Scheme) HeaderWords(p simnet.Packet) int {
 	return w
 }
 
-// TableWords implements simnet.Scheme.
-func (s *Scheme) TableWords(v graph.Vertex) int { return s.tally.At(int(v)) }
+// TableWords implements simnet.Scheme, reading Tally.
+func (s *Scheme) TableWords(v graph.Vertex) int { return s.Tally().At(int(v)) }
 
-// Tally exposes the storage breakdown.
-func (s *Scheme) Tally() *space.Tally { return s.tally }
+// Tally exposes the storage breakdown, computed on the first call of Tally
+// or TableWords. On a scheme decoded over a mapped snapshot that call reads
+// the mapping, so like any use of the scheme it must come before the
+// mapping is released.
+func (s *Scheme) Tally() *space.Tally {
+	s.tallyOnce.Do(func() {
+		t := space.NewTally(s.g.N())
+		s.vc.AddWords(t)
+		s.fores.AddWords(t, "cluster-trees")
+		s.inter.AddTableWords(t)
+		s.tally = t
+	})
+	return s.tally
+}
 
 // LabelWords implements simnet.Scheme: v, p_A(v), alpha(p_A(v)), first-edge
 // port - the 4 log n bits of the theorem statement.

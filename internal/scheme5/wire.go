@@ -9,7 +9,6 @@ import (
 	"compactroute/internal/graph"
 	"compactroute/internal/schemeutil"
 	"compactroute/internal/simnet"
-	"compactroute/internal/space"
 	"compactroute/internal/treeroute"
 	"compactroute/internal/vicinity"
 	"compactroute/internal/wire"
@@ -146,7 +145,7 @@ func decodeSnapshotV2(g *graph.Graph, snap *wire.Snapshot) (simnet.Scheme, error
 		return nil, err
 	}
 	inter, err := core.RestoreInterV2(core.InterConfig{
-		Graph: g, Vics: vc.Vics, UPartOf: vc.PartOf, WParts: wParts, Eps: eps,
+		Graph: g, Vics: vc.Vics, UPartOf: vc.PartOf, Reps: vc.Reps, WParts: wParts, Eps: eps,
 	}, id)
 	if err != nil {
 		return nil, err
@@ -183,9 +182,5 @@ func decodeSnapshotV2(g *graph.Graph, snap *wire.Snapshot) (simnet.Scheme, error
 	if err := lbd.Finish(); err != nil {
 		return nil, err
 	}
-	s.tally = space.NewTally(n)
-	vc.AddWords(s.tally)
-	fores.AddWords(s.tally, "cluster-trees")
-	inter.AddTableWords(s.tally)
 	return s, nil
 }

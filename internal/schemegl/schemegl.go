@@ -177,7 +177,7 @@ func New(g *graph.Graph, paths graph.PathSource, params Params) (*Scheme, error)
 		s.alphaOf[j] = alpha
 		inter, err := core.NewInter(core.InterConfig{
 			Graph: g, Paths: paths, Vics: s.vcs[i].Vics,
-			UPartOf: s.vcs[i].PartOf, WParts: wParts, Eps: params.Eps,
+			UPartOf: s.vcs[i].PartOf, Reps: s.vcs[i].Reps, WParts: wParts, Eps: params.Eps,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("schemegl: instance %d: %w", i, err)

@@ -208,7 +208,7 @@ func decodeSnapshot(g *graph.Graph, snap *wire.Snapshot) (simnet.Scheme, error) 
 		s.alphaOf[j] = alpha
 		inter, err := core.RestoreInterV2(core.InterConfig{
 			Graph: g, Vics: s.vcs[i].Vics,
-			UPartOf: s.vcs[i].PartOf, WParts: wParts, Eps: params.Eps,
+			UPartOf: s.vcs[i].PartOf, Reps: s.vcs[i].Reps, WParts: wParts, Eps: params.Eps,
 		}, id)
 		if err != nil {
 			return nil, fmt.Errorf("schemegl: instance %d: %w", i, err)

@@ -44,7 +44,7 @@ func BuildVicinityColoring(g *graph.Graph, q int, factor float64, seed int64) (*
 	if err != nil {
 		return nil, fmt.Errorf("schemeutil: vicinities: %w", err)
 	}
-	col, err := coloring.New(n, q, MemberSets(vics), seed)
+	col, err := coloring.New(n, q, vicinity.MemberSets(vics), seed)
 	if err != nil {
 		return nil, fmt.Errorf("schemeutil: coloring: %w", err)
 	}
@@ -65,7 +65,7 @@ func BuildVicinityColoringTouch(g *graph.Graph, q int, factor float64, seed int6
 	if err != nil {
 		return nil, nil, fmt.Errorf("schemeutil: vicinities: %w", err)
 	}
-	sets := MemberSets(vics)
+	sets := vicinity.MemberSets(vics)
 	col, err := coloring.New(n, q, sets, seed)
 	if err != nil {
 		return nil, nil, fmt.Errorf("schemeutil: coloring: %w", err)
@@ -75,21 +75,6 @@ func BuildVicinityColoringTouch(g *graph.Graph, q int, factor float64, seed int6
 		return nil, nil, err
 	}
 	return vc, touch, nil
-}
-
-// MemberSets extracts the member-id set of each vicinity (coloring.New input
-// form).
-func MemberSets(vics []*vicinity.Set) [][]graph.Vertex {
-	sets := make([][]graph.Vertex, len(vics))
-	for u := range sets {
-		vic := vics[u]
-		s := make([]graph.Vertex, vic.Size())
-		for i := range s {
-			s[i] = vic.MemberV(i)
-		}
-		sets[u] = s
-	}
-	return sets
 }
 
 // RestoreVicinityColoring rebuilds the bundle from decoded vicinities and a
@@ -121,43 +106,48 @@ func assembleVicinityColoring(q, l int, vics []*vicinity.Set, col *coloring.Colo
 	for v := 0; v < n; v++ {
 		vc.PartOf[v] = int32(col.Of(graph.Vertex(v)))
 	}
-	if err := parallel.ForErr(n, func(u int) error {
-		reps := make([]graph.Vertex, q)
-		dists := make([]float64, q)
-		for c := range reps {
-			reps[c] = graph.NoVertex
-		}
-		found := 0
-		vic := vics[u]
-		for i, sz := 0, vic.Size(); i < sz; i++ { // (dist, id) order: first is closest
-			mv := vic.MemberV(i)
-			c := col.Of(mv)
-			if int(c) < q && reps[c] == graph.NoVertex {
-				reps[c] = mv
-				dists[c] = vic.MemberDist(i)
-				if found++; found == q {
-					break
-				}
-			}
-		}
-		if found != q {
-			return fmt.Errorf("schemeutil: B(%d) lost colors after coloring (internal inconsistency)", u)
-		}
-		vc.Reps[u] = reps
-		vc.RepDist[u] = dists
-		return nil
-	}); err != nil {
+	if err := vc.fillReps(n, func(i int) int { return i }, "schemeutil: B(%d) lost colors after coloring (internal inconsistency)"); err != nil {
 		return nil, err
 	}
 	return vc, nil
+}
+
+// fillReps sets Reps[u][c] to the first member of color c in B(u)'s
+// (dist, id) order, the closest one, and RepDist[u][c] to its distance, for
+// the k centers u = center(0), ..., center(k-1). The rows are cut from two
+// fresh slabs. A center missing a color fails with errf.
+func (vc *VicinityColoring) fillReps(k int, center func(i int) int, errf string) error {
+	q := vc.Q
+	repSlab := make([]graph.Vertex, k*q)
+	distSlab := make([]float64, k*q)
+	return parallel.ForErrBlocks(k, func(i int) error {
+		u := center(i)
+		reps, dists := repSlab[i*q:(i+1)*q:(i+1)*q], distSlab[i*q:(i+1)*q:(i+1)*q]
+		for c := range reps {
+			reps[c] = graph.NoVertex
+		}
+		found, vic := 0, vc.Vics[u]
+		for j, sz := 0, vic.Size(); j < sz && found < q; j++ {
+			mv := vic.MemberV(j)
+			if c := vc.Col.Of(mv); int(c) < q && reps[c] == graph.NoVertex {
+				reps[c], dists[c] = mv, vic.MemberDist(j)
+				found++
+			}
+		}
+		if found != q {
+			return fmt.Errorf(errf, u)
+		}
+		vc.Reps[u], vc.RepDist[u] = reps, dists
+		return nil
+	})
 }
 
 // RepairVicinityColoring produces the bundle over a repaired vicinity family
 // in which only the centers listed in dirty changed, keeping the verified
 // coloring (the caller must have checked that the coloring is still valid
 // for the new family): representative tables of clean centers are shared
-// with the old bundle, dirty ones recomputed with the same first-member-per-
-// color loop the build path uses.
+// with the old bundle, dirty ones recomputed with the scan the build path
+// uses.
 func RepairVicinityColoring(old *VicinityColoring, vics []*vicinity.Set, dirty []graph.Vertex) (*VicinityColoring, error) {
 	n := len(vics)
 	vc := &VicinityColoring{
@@ -171,29 +161,8 @@ func RepairVicinityColoring(old *VicinityColoring, vics []*vicinity.Set, dirty [
 	}
 	copy(vc.Reps, old.Reps)
 	copy(vc.RepDist, old.RepDist)
-	q, col := old.Q, old.Col
-	for _, u := range dirty {
-		reps := make([]graph.Vertex, q)
-		dists := make([]float64, q)
-		for c := range reps {
-			reps[c] = graph.NoVertex
-		}
-		found := 0
-		vic := vics[u]
-		for i, sz := 0, vic.Size(); i < sz && found < q; i++ { // (dist, id) order
-			mv := vic.MemberV(i)
-			c := col.Of(mv)
-			if int(c) < q && reps[c] == graph.NoVertex {
-				reps[c] = mv
-				dists[c] = vic.MemberDist(i)
-				found++
-			}
-		}
-		if found != q {
-			return nil, fmt.Errorf("schemeutil: B(%d) lost colors after repair", u)
-		}
-		vc.Reps[u] = reps
-		vc.RepDist[u] = dists
+	if err := vc.fillReps(len(dirty), func(i int) int { return int(dirty[i]) }, "schemeutil: B(%d) lost colors after repair"); err != nil {
+		return nil, err
 	}
 	return vc, nil
 }

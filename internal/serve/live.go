@@ -34,8 +34,9 @@ type RepairInfo struct {
 	DirtyLabels   int // labels recomputed
 	// PatchedRows counts the shortest-path rows the repair's cache carried
 	// over from the last generation by patching them, and RowSearches the
-	// full single-source searches that cache still ran: together they say
-	// whether a slow repair refilled rows instead of carrying them.
+	// rows computed into that cache by full single-source searches
+	// (graph.LazyStats.Misses): together they say whether a slow repair
+	// refilled rows instead of carrying them.
 	PatchedRows int
 	RowSearches int
 }

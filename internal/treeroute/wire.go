@@ -152,7 +152,7 @@ func DecodeFlatForest(d *wire.Decoder, g *graph.Graph) ([]*Tree, error) {
 		vo += sz
 		co += nc
 	}
-	err := parallel.ForErr(ntrees, func(i int) error {
+	err := parallel.ForErrBlocks(ntrees, func(i int) error {
 		t := trees[i]
 		if t == nil {
 			return nil

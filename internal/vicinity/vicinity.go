@@ -166,17 +166,16 @@ func (s *Set) fillIndex() ([]vicEntry, graph.Vertex) {
 	return tbl, graph.NoVertex
 }
 
-// buildIndex eagerly fills the membership table from the members slice. It
-// reports the first duplicated member vertex, or NoVertex when all members
-// are distinct.
-func (s *Set) buildIndex() graph.Vertex {
+// buildIndex eagerly fills the membership table from the members slice,
+// failing on the first duplicated member vertex.
+func (s *Set) buildIndex() error {
 	tbl, dup := s.fillIndex()
 	if tbl == nil {
-		return dup
+		return fmt.Errorf("vicinity: duplicate member %d in B(%d)", dup, s.center)
 	}
 	s.size.Store(uint32(len(tbl)))
 	s.ent.Store(&tbl[0])
-	return graph.NoVertex
+	return nil
 }
 
 // buildTable builds the membership index of a v2-decoded set on first
@@ -193,55 +192,67 @@ func (s *Set) buildTable() *vicEntry {
 	return s.ent.Load()
 }
 
-// validateViews checks the SoA member views of a v2-decoded set in one fused
+// validateViews checks the SoA member views of a v2-decoded set in one
 // sequential pass: ids in [0,n), first hops in-range member indexes,
-// distances finite and non-negative, members in strictly increasing
+// distances non-negative and not NaN, members in strictly increasing
 // (dist, id) order - the canonical order every encoder writes, which rules
 // out duplicates without touching a hash table - and the center present.
-// This pass is the only per-member work of the mmap load path; the
-// membership index itself is built on first lookup.
+// The storage widths are resolved once per set, not once per member. This
+// pass is the only per-member work of the mmap load path; the membership
+// index itself is built on first lookup.
 func (s *Set) validateViews(n int) error {
-	c := len(s.memV)
+	if s.memFirst != nil {
+		return validateFirst(s, s.memFirst, n)
+	}
+	return validateFirst(s, s.memFirst16, n)
+}
+
+func validateFirst[F uint16 | uint32](s *Set, first []F, n int) error {
+	switch {
+	case s.distU16 != nil:
+		return validateMembers(s.memV, first, s.distU16, n, s.center)
+	case s.distU != nil:
+		return validateMembers(s.memV, first, s.distU, n, s.center)
+	}
+	return validateMembers(s.memV, first, s.distF, n, s.center)
+}
+
+func validateMembers[F uint16 | uint32, D uint16 | uint32 | float64](memV []graph.Vertex, first []F, dist []D, n int, center graph.Vertex) error {
+	c := len(memV)
+	first, dist = first[:c], dist[:c]
 	centerSeen := false
-	prevD, prevV := 0.0, graph.Vertex(-1)
-	for i := 0; i < c; i++ {
-		v := s.memV[i]
+	prevD, prevV := D(0), graph.Vertex(-1)
+	for i, v := range memV {
 		if v < 0 || int(v) >= n {
-			return fmt.Errorf("member %d of B(%d) out of range", i, s.center)
+			return fmt.Errorf("member %d of B(%d) out of range", i, center)
 		}
-		var j int
-		if s.memFirst != nil {
-			j = int(s.memFirst[i])
-		} else {
-			j = int(s.memFirst16[i])
+		if j := int(first[i]); j >= c {
+			return fmt.Errorf("first-hop index %d of member %d in B(%d) out of range", j, i, center)
 		}
-		if j >= c {
-			return fmt.Errorf("first-hop index %d of member %d in B(%d) out of range", j, i, s.center)
+		d := dist[i]
+		if !(d >= 0) {
+			return fmt.Errorf("member %d of B(%d) has invalid distance %v", v, center, float64(d))
 		}
-		var dist float64
-		switch {
-		case s.distU16 != nil:
-			dist = float64(s.distU16[i])
-		case s.distU != nil:
-			dist = float64(s.distU[i])
-		default:
-			dist = s.distF[i]
+		// (dist, id) order, without a branch on the distance tie: ties are
+		// common and unpredictable. The first member passes against the
+		// (0, -1) start, since it has d >= 0 and v >= 0.
+		if b2i(d < prevD)|b2i(d == prevD)&b2i(v <= prevV) != 0 {
+			return fmt.Errorf("members of B(%d) not in (dist, id) order at %d (duplicate %d?)", center, i, v)
 		}
-		if math.IsNaN(dist) || dist < 0 {
-			return fmt.Errorf("member %d of B(%d) has invalid distance %v", v, s.center, dist)
-		}
-		if i > 0 && (dist < prevD || (dist == prevD && v <= prevV)) {
-			return fmt.Errorf("members of B(%d) not in (dist, id) order at %d (duplicate %d?)", s.center, i, v)
-		}
-		prevD, prevV = dist, v
-		if v == s.center {
-			centerSeen = true
-		}
+		prevD, prevV = d, v
+		centerSeen = centerSeen || v == center
 	}
 	if !centerSeen {
-		return fmt.Errorf("B(%d) does not contain its center", s.center)
+		return fmt.Errorf("B(%d) does not contain its center", center)
 	}
 	return nil
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Build computes B(u, l). The result always contains u itself (at distance
@@ -313,7 +324,9 @@ func build(g *graph.Graph, u graph.Vertex, l int, touch bool) (*Set, []graph.Ver
 		s.members[i] = Member{V: nr.V, Dist: nr.Dist, First: first}
 		pos[nr.V] = int32(i)
 	}
-	s.buildIndex()
+	if err := s.buildIndex(); err != nil {
+		return nil, nil, err
+	}
 	s.radius = s.computeRadius(all)
 	return s, settled, nil
 }
@@ -436,6 +449,26 @@ func (s *Set) Members() []Member {
 		ms[i] = Member{V: s.memV[i], Dist: s.MemberDist(i), First: s.MemberFirst(i)}
 	}
 	return ms
+}
+
+// MemberSets returns the member ids of every set in (dist, id) order, cut
+// from one slab: the input form of the Lemma 5 hitting set and the Lemma 6
+// coloring.
+func MemberSets(sets []*Set) [][]graph.Vertex {
+	total := 0
+	for _, s := range sets {
+		total += s.Size()
+	}
+	slab := make([]graph.Vertex, 0, total)
+	out := make([][]graph.Vertex, len(sets))
+	for u, s := range sets {
+		lo := len(slab)
+		for i, c := 0, s.Size(); i < c; i++ {
+			slab = append(slab, s.MemberV(i))
+		}
+		out[u] = slab[lo:len(slab):len(slab)]
+	}
+	return out
 }
 
 // Equal reports whether two vicinities hold the exact same routing state:

@@ -3,8 +3,10 @@ package vicinity
 import (
 	"fmt"
 	"math"
+	"unsafe"
 
 	"compactroute/internal/graph"
+	"compactroute/internal/parallel"
 	"compactroute/internal/wire"
 )
 
@@ -124,12 +126,14 @@ func EncodeSetsV2(e *wire.Encoder, sets []*Set) error {
 
 // DecodeSetsV2 reads n vicinities written by EncodeSetsV2. The member
 // arrays alias the snapshot bytes (read-only); the per-member work of the
-// mmap load path is one fused validation pass per set (Set.validateViews),
-// and the membership hash tables are built lazily on first lookup, so the
-// cold start stays near page-table cost.
+// mmap load path is one validation pass per set (Set.validateViews), run on
+// the worker pool, and the membership hash tables are built lazily on first
+// lookup, so the cold start stays near page-table cost. The error of the
+// lowest failing set is reported, whatever the worker count.
 func DecodeSetsV2(d *wire.Decoder, n int) ([]*Set, error) {
-	// Set structs, slice headers and radii are charged before allocation.
-	if !d.Alloc(int64(n) * 128) {
+	// The Set slab, its pointer slice and the radii are charged before
+	// allocation.
+	if !d.Alloc(int64(n) * int64(unsafe.Sizeof(Set{})+16)) {
 		return nil, d.Err()
 	}
 	radii := make([]float64, n)
@@ -191,14 +195,14 @@ func DecodeSetsV2(d *wire.Decoder, n int) ([]*Set, error) {
 			return nil, d.Err()
 		}
 	}
+	slab := make([]Set, n)
 	sets := make([]*Set, n)
-	for u := 0; u < n; u++ {
+	if err := parallel.ForErrBlocks(n, func(u int) error {
 		base, end := int(offs[u]), int(offs[u+1])
-		s := &Set{
-			center: graph.Vertex(u),
-			radius: radii[u],
-			memV:   memV[base:end:end],
-		}
+		s := &slab[u]
+		s.center = graph.Vertex(u)
+		s.radius = radii[u]
+		s.memV = memV[base:end:end]
 		if firstIdx != nil {
 			s.memFirst = firstIdx[base:end:end]
 		} else {
@@ -212,11 +216,11 @@ func DecodeSetsV2(d *wire.Decoder, n int) ([]*Set, error) {
 		default:
 			s.distF = distF[base:end:end]
 		}
-		if err := s.validateViews(n); err != nil {
-			d.Failf("%v", err)
-			return nil, d.Err()
-		}
 		sets[u] = s
+		return s.validateViews(n)
+	}); err != nil {
+		d.Failf("%v", err)
+		return nil, d.Err()
 	}
 	return sets, nil
 }

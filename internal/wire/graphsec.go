@@ -93,6 +93,7 @@ func DecodeGraph(s *Snapshot) (*graph.Graph, error) {
 		return nil, d.Err()
 	}
 	b := graph.NewBuilder(n)
+	b.Grow(m)
 	for i := 0; i < m; i++ {
 		w := ws[i]
 		if !(w > 0) || math.IsInf(w, 1) {

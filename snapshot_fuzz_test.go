@@ -50,9 +50,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// As-is: exercises magic/length/checksum framing.
 		if s, err := compactroute.LoadScheme(bytes.NewReader(data)); err == nil {
-			// A snapshot that decodes must be minimally usable.
-			_ = s.Name()
-			_ = s.Graph().N()
+			useDecoded(s)
 		}
 		// Re-sealed: valid magic and checksum wrapped around the fuzzed
 		// body, exercising the header, section and scheme decoders.
@@ -67,8 +65,19 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		crc := crc32.Checksum(sealed, castagnoli)
 		sealed = append(sealed, byte(crc), byte(crc>>8), byte(crc>>16), byte(crc>>24))
 		if s, err := compactroute.LoadScheme(bytes.NewReader(sealed)); err == nil {
-			_ = s.Name()
-			_ = s.Graph().N()
+			useDecoded(s)
 		}
 	})
+}
+
+// useDecoded makes the minimal use every decoded snapshot must survive: its
+// name, its graph, and the table words of every vertex. Some schemes derive
+// the space tally on first use rather than at decode, so reading it here
+// keeps a corrupt table that the tally would trip on from hiding behind a
+// successful decode.
+func useDecoded(s compactroute.Scheme) {
+	_ = s.Name()
+	for v := 0; v < s.Graph().N(); v++ {
+		_ = s.TableWords(compactroute.Vertex(v))
+	}
 }

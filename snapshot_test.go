@@ -2,13 +2,17 @@ package compactroute_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"compactroute"
+	"compactroute/internal/wire"
 )
 
 // snapRow names one snapshot-capable scheme constructor.
@@ -392,8 +396,68 @@ func TestSnapshotResealedCorruptionSweep(t *testing.T) {
 				copy(bad[off:], huge)
 				// Must not panic; decoding successfully is fine (the patch
 				// may land in a float), an error is fine.
-				_, _ = compactroute.LoadScheme(bytes.NewReader(reseal(bad)))
+				if ds, err := compactroute.LoadScheme(bytes.NewReader(reseal(bad))); err == nil {
+					useDecoded(ds)
+				}
 			}
 		})
+	}
+}
+
+// TestSnapshotVicinityErrorIndependentOfWorkers puts out-of-range member ids
+// into two vicinities of a resealed Theorem 11 snapshot. Decode checks the
+// sets on the worker pool, yet under every worker count the error must be
+// the lower set's, the one a sequential decode reports.
+func TestSnapshotVicinityErrorIndependentOfWorkers(t *testing.T) {
+	g, err := compactroute.GNM(120, 480, benchSeed, true, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := compactroute.NewTheorem11(g, compactroute.AllPairs(g), compactroute.Options{Eps: 0.5, Seed: benchSeed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := compactroute.SaveScheme(&buf, s); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	snap, err := wire.Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Walk the vicinity section to its member-id array, which aliases data.
+	d, err := snap.Decoder("thm11/vicinities")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.FloatSeq(make([]float64, g.N()))
+	offs := d.Uint32Array()
+	memV := d.VertexArray()
+	if d.Err() != nil {
+		t.Fatal(d.Err())
+	}
+	base, at := uintptr(unsafe.Pointer(&data[0])), uintptr(unsafe.Pointer(&memV[0]))
+	if at < base || at+4*uintptr(len(memV)) > base+uintptr(len(data)) {
+		t.Fatal("member ids do not alias the snapshot bytes")
+	}
+	bad := append([]byte(nil), data...)
+	for _, u := range []int{17, 80} {
+		i := int(at-base) + 4*int(offs[u]+1)
+		binary.LittleEndian.PutUint32(bad[i:], uint32(g.N()+7))
+	}
+	bad = reseal(bad)
+	defer compactroute.SetParallelism(0)
+	var errs []string
+	for _, workers := range []int{1, 4} {
+		compactroute.SetParallelism(workers)
+		if _, err := compactroute.LoadScheme(bytes.NewReader(bad)); err == nil {
+			t.Fatalf("workers=%d: corrupt vicinities accepted", workers)
+		} else {
+			errs = append(errs, err.Error())
+		}
+	}
+	if errs[0] != errs[1] || !strings.Contains(errs[0], "member 1 of B(17) out of range") {
+		t.Fatalf("decode errors %q (1 worker) and %q (4 workers), want B(17)'s for both", errs[0], errs[1])
 	}
 }
