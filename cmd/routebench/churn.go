@@ -192,6 +192,8 @@ func runChurn(out io.Writer, cfg churnConfig) error {
 		return fmt.Errorf("churn: empty trace (frac %v of m=%d)", cfg.frac, g.M())
 	}
 	eng.ResetStats()
+	treesBefore := eng.Overlay().FallbackTrees()
+	degradedStart := time.Now()
 	chunks := 8
 	step := (len(trace) + chunks - 1) / chunks
 	for lo := 0; lo < len(trace); lo += step {
@@ -203,13 +205,15 @@ func runChurn(out io.Writer, cfg churnConfig) error {
 			return err
 		}
 	}
+	degradedTime := time.Since(degradedStart)
 	degraded := eng.Stats()
 	if degraded.BoundViolations != 0 {
 		return fmt.Errorf("churn: degraded phase charged %d violations (must be staleness)", degraded.BoundViolations)
 	}
-	fmt.Fprintf(out, "degraded:  queries=%d deleted=%d stale-served=%d dead-hits=%d fallbacks=%d max-stale=%.3f\n",
+	fmt.Fprintf(out, "degraded:  queries=%d deleted=%d stale-served=%d dead-hits=%d fallbacks=%d max-stale=%.3f fallback-trees=%d took=%s\n",
 		degraded.Queries, degraded.Overlay.Deleted, degraded.StaleServed,
-		degraded.DeadEdgeHits, degraded.Fallbacks, degraded.MaxStaleStretch)
+		degraded.DeadEdgeHits, degraded.Fallbacks, degraded.MaxStaleStretch,
+		eng.Overlay().FallbackTrees()-treesBefore, degradedTime.Round(time.Millisecond))
 	fmt.Fprintf(out, "stale-hist:%s\n", histLine(degraded.StaleHist))
 	if census != nil {
 		fmt.Fprintf(out, "trace[degraded]: %s\n", census.line())

@@ -202,6 +202,14 @@ func (g *Graph) Unit() bool { return g.unit }
 // Degree returns the number of links incident to u.
 func (g *Graph) Degree(u Vertex) int { return int(g.off[u+1] - g.off[u]) }
 
+// Adjacency returns u's neighbors and link weights in port order, as views
+// of the graph's own arrays: callers must not modify them. It is Neighbors
+// for loops that cannot afford a callback per edge.
+func (g *Graph) Adjacency(u Vertex) (to []Vertex, w []float64) {
+	lo, hi := g.off[u], g.off[u+1]
+	return g.to[lo:hi:hi], g.w[lo:hi:hi]
+}
+
 // Endpoint returns the vertex at the far end of port p of u, the weight of
 // that link, and the port number of the link as seen from the far end.
 func (g *Graph) Endpoint(u Vertex, p Port) (v Vertex, w float64, rev Port) {

@@ -2,28 +2,34 @@ package live
 
 import (
 	"fmt"
+	"slices"
 
 	"compactroute/internal/graph"
 )
 
-// FallbackPath runs the router's exact fallback search from src to dst and
-// returns what it reports, plus the vertex path (src..dst inclusive) that
-// its meeting edge and parent chains describe, so tests can check that the
-// reported hops and weight belong to a real path. src != dst.
+// FallbackPath runs the router's exact fallback from src to dst and returns
+// what it reports, plus a vertex path (src..dst inclusive) the fallback
+// could have taken - src's tree path when the current version holds src's
+// tree, else the path the bidirectional search's meeting edge and parent
+// chains describe - so tests can check that the reported hops and weight
+// belong to a real path. src != dst.
 func (ov *Overlay) FallbackPath(src, dst graph.Vertex) (path []graph.Vertex, hops int, w float64, ok bool) {
 	hops, w, ok = ov.shortestPath(src, dst)
 	ov.mu.RLock()
 	defer ov.mu.RUnlock()
-	fw := ov.base.AcquireWorkspace()
-	bw := ov.base.AcquireWorkspace()
-	defer ov.base.ReleaseWorkspace(fw)
-	defer ov.base.ReleaseWorkspace(bw)
-	m := ov.bidi(fw, bw, src, dst, graph.Infinity)
+	if t := ov.treeSetLocked().roots[src].Load(); t != nil {
+		return treeChain(t.parent, src, dst), hops, w, ok
+	}
+	fw, bw := newHopWorkspace(ov.base.N()), newHopWorkspace(ov.base.N())
+	m, _ := ov.hopBidi(fw, bw, src, dst)
 	if m.f == graph.NoVertex {
 		return nil, hops, w, ok
 	}
-	path = reconstruct(fw, src, m.f)
-	for x := m.b; ; x = bw.Parent(x) {
+	for x := m.f; x != graph.NoVertex; x = fw.parent[x] {
+		path = append(path, x)
+	}
+	slices.Reverse(path)
+	for x := m.b; ; x = bw.parent[x] {
 		path = append(path, x)
 		if x == dst {
 			break
@@ -32,20 +38,75 @@ func (ov *Overlay) FallbackPath(src, dst graph.Vertex) (path []graph.Vertex, hop
 	return path, hops, w, ok
 }
 
-// reconstruct walks the workspace parent chain from dst back to src and
-// reverses it into a src..dst path.
-func reconstruct(ws *graph.Workspace, src, dst graph.Vertex) []graph.Vertex {
+// treeChain walks parent from dst up to src and returns the src..dst path,
+// or nil when the chain ends at graph.NoVertex first.
+func treeChain(parent []graph.Vertex, src, dst graph.Vertex) []graph.Vertex {
 	var rev []graph.Vertex
-	for x := dst; x != graph.NoVertex; x = ws.Parent(x) {
+	for x := dst; x != graph.NoVertex; x = parent[x] {
 		rev = append(rev, x)
 		if x == src {
-			break
+			slices.Reverse(rev)
+			return rev
 		}
 	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
+	return nil
+}
+
+// FallbackTree returns the parent array of x's shortest-path tree in the
+// current version, building the tree first - regardless of rent and budget
+// - when the version holds none.
+func (ov *Overlay) FallbackTree(x graph.Vertex) []graph.Vertex {
+	for {
+		ov.mu.RLock()
+		set := ov.treeSetLocked()
+		t := set.roots[x].Load()
+		ov.mu.RUnlock()
+		if t != nil {
+			return t.parent
+		}
+		ov.buildTree(set, x)
 	}
-	return rev
+}
+
+// CachedTrees returns the number of trees the current overlay version holds.
+func (ov *Overlay) CachedTrees() int {
+	set := ov.trees.Load()
+	if set == nil {
+		return 0
+	}
+	held := 0
+	for i := range set.roots {
+		if set.roots[i].Load() != nil {
+			held++
+		}
+	}
+	return held
+}
+
+// FallbackRent returns the vertices x's bidirectional fallbacks have
+// settled in the current version, as far as they were charged.
+func (ov *Overlay) FallbackRent(x graph.Vertex) int {
+	set := ov.trees.Load()
+	if set == nil {
+		return 0
+	}
+	return int(set.rent[x].Load())
+}
+
+// SetTreeBudget replaces the overlay's tree budget (maxTreeBytes) with b
+// bytes; 0 keeps every fallback on the bidirectional search.
+func (ov *Overlay) SetTreeBudget(b int) {
+	ov.mu.Lock()
+	defer ov.mu.Unlock()
+	ov.treeBudget = b
+}
+
+// SetTreeRent replaces the settled-vertex count at which a vertex's
+// fallbacks build its tree (the vertex count); 1 builds on the first.
+func (ov *Overlay) SetTreeRent(r int) {
+	ov.mu.Lock()
+	defer ov.mu.Unlock()
+	ov.treeRent = r
 }
 
 // CheckTouchIndex reports an error unless every vertex's touch count equals

@@ -10,8 +10,9 @@
 // Router that executes a preprocessed scheme hop by hop against the
 // overlay: scheme decisions are taken while their edges are alive, and the
 // first one that chooses a dead edge ends the scheme walk there - the
-// abandon point - from which one exact bidirectional search (the kernel of
-// Overlay.BoundedBidiDist) finishes the route. Routes stay finite;
+// abandon point - from which an exact shortest path finishes the route: read
+// from a shortest-path tree the overlay keeps for abandon points that fall
+// back often, or found by a bidirectional search. Routes stay finite;
 // the proved stretch bound is traded for a *measured* staleness stretch
 // (weight over the true distance in the churned graph, see
 // Overlay.BoundedBidiDist).
@@ -126,6 +127,17 @@ type Overlay struct {
 	// pub is the (version, entry count) pair republished under mu by every
 	// mutation, so per-query readers load both with one atomic read.
 	pub atomic.Pointer[overlayStamp]
+	// trees caches the fallback's shortest-path trees of the current
+	// effective graph, one per abandon point (see chargeLocked); nil until
+	// the version's first fallback, and dropped by publish. treeBuilds
+	// counts the trees published. treeBudget is maxTreeBytes and treeRent
+	// the vertex count, the searches' cost at which a vertex gets its tree
+	// (tests lower both). hopPool holds the fallback's search workspaces.
+	trees      atomic.Pointer[treeSet]
+	treeBuilds atomic.Uint64
+	treeBudget int
+	treeRent   int
+	hopPool    sync.Pool
 }
 
 type overlayStamp struct {
@@ -133,20 +145,27 @@ type overlayStamp struct {
 	entries int
 }
 
-// publish republishes the version and entry count; callers hold mu.
+// publish republishes the version and entry count and drops the version's
+// fallback trees and rents, whose effective graph the caller may have just
+// changed; callers hold mu for writing, and a tree build in flight sees the
+// drop at its next chunk and gives up.
 func (ov *Overlay) publish() {
 	ov.pub.Store(&overlayStamp{version: ov.version, entries: len(ov.states)})
+	ov.trees.Store(nil)
 }
 
 // NewOverlay starts an empty overlay over base: the effective graph equals
 // the base graph until the first update.
 func NewOverlay(base *graph.Graph) *Overlay {
 	ov := &Overlay{
-		base:   base,
-		states: make(map[edgeKey]edgeState),
-		added:  make(map[graph.Vertex][]halfAdd),
-		touch:  make([]int32, base.N()),
+		base:       base,
+		states:     make(map[edgeKey]edgeState),
+		added:      make(map[graph.Vertex][]halfAdd),
+		touch:      make([]int32, base.N()),
+		treeBudget: maxTreeBytes,
+		treeRent:   base.N(),
 	}
+	ov.hopPool.New = func() any { return newHopWorkspace(base.N()) }
 	ov.publish()
 	return ov
 }
@@ -182,6 +201,10 @@ func (ov *Overlay) Len() int { return ov.pub.Load().entries }
 
 // Empty reports whether the effective graph equals the base graph.
 func (ov *Overlay) Empty() bool { return ov.Len() == 0 }
+
+// FallbackTrees returns the number of shortest-path trees the router's
+// fallback has built over the overlay's lifetime.
+func (ov *Overlay) FallbackTrees() uint64 { return ov.treeBuilds.Load() }
 
 // Breakdown classifies the overlay entries.
 type Breakdown struct {
@@ -357,10 +380,14 @@ func (ov *Overlay) EdgeState(u, v graph.Vertex) (w float64, alive bool) {
 	return ov.edgeStateLocked(u, v)
 }
 
-// edgeStateLocked is EdgeState for callers already holding ov.mu.
+// edgeStateLocked is EdgeState for callers already holding ov.mu. An
+// untouched u has no entry, so its edges are read from the base graph with
+// no map probe.
 func (ov *Overlay) edgeStateLocked(u, v graph.Vertex) (w float64, alive bool) {
-	if st, ok := ov.states[keyOf(u, v)]; ok {
-		return st.w, st.alive
+	if ov.touch[u] > 0 {
+		if st, ok := ov.states[keyOf(u, v)]; ok {
+			return st.w, st.alive
+		}
 	}
 	bw, err := ov.base.EdgeWeight(u, v)
 	if err != nil {
@@ -372,13 +399,17 @@ func (ov *Overlay) edgeStateLocked(u, v graph.Vertex) (w float64, alive bool) {
 // EffectiveWeight is the router's per-hop check on a patched overlay: given
 // a scheme's base edge {u, v} with preprocessed weight baseW, it returns the
 // edge's current weight and whether the edge is alive. Edges with no overlay
-// entry are alive at baseW without consulting the base graph.
+// entry are alive at baseW without consulting the base graph, and at a u no
+// entry touches (touch[u] == 0) the entry map is not probed at all.
 // Router.RouteInto checks Empty once per route and calls this only when the
 // overlay held updates at the route's start, so a route over a clean overlay
 // pays no per-hop probe.
 func (ov *Overlay) EffectiveWeight(u, v graph.Vertex, baseW float64) (float64, bool) {
 	ov.mu.RLock()
 	defer ov.mu.RUnlock()
+	if ov.touch[u] == 0 {
+		return baseW, true
+	}
 	if st, ok := ov.states[keyOf(u, v)]; ok {
 		return st.w, st.alive
 	}

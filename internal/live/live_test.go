@@ -196,6 +196,32 @@ func TestEffectiveRowsMatchMaterialized(t *testing.T) {
 	}
 }
 
+// TestEffectiveWeightMatchesMaterialized: for every base edge of a churned
+// overlay, in both orientations, the router's per-hop check reports the
+// edge's state in the materialized graph - the untouched-vertex shortcut
+// included, since every entry on {u, v} makes touch[u] positive.
+func TestEffectiveWeightMatchesMaterialized(t *testing.T) {
+	for _, seed := range []int64{3, 8} {
+		g := testutil.MustGNM(t, 70, 210, seed, gen.UniformInt)
+		ov := live.NewOverlay(g)
+		mustApply(t, ov, live.ChurnTrace(g, 60, seed, 16)...)
+		mat, err := ov.Materialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for u := graph.Vertex(0); u < graph.Vertex(g.N()); u++ {
+			g.Neighbors(u, func(_ graph.Port, v graph.Vertex, baseW float64) bool {
+				w, alive := ov.EffectiveWeight(u, v, baseW)
+				mw, err := mat.EdgeWeight(u, v)
+				if alive != (err == nil) || (alive && w != mw) {
+					t.Fatalf("seed %d: EffectiveWeight(%d, %d) = (%v, %v), materialized (%v, %v)", seed, u, v, w, alive, mw, err)
+				}
+				return true
+			})
+		}
+	}
+}
+
 // materializedDist is the reference effective distance: all-pairs shortest
 // paths over the overlay's materialized graph.
 func materializedDist(t *testing.T, ov *live.Overlay) graph.PathSource {

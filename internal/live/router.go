@@ -27,9 +27,9 @@ type Result struct {
 	// dead hit now always ends in the exact fallback. The field stays so
 	// readers of earlier results keep compiling.
 	Detours int
-	// Fallback reports that the route was completed by a per-query exact
-	// bidirectional search from the abandon point (a dead hit, the hop
-	// budget exhausted, or the scheme failed on its own state).
+	// Fallback reports that the route was completed by an exact shortest
+	// path from the abandon point (a dead hit, the hop budget exhausted, or
+	// the scheme failed on its own state).
 	Fallback bool
 	Err      error
 }
@@ -167,7 +167,7 @@ func (r *Router) abandon(res Result, patched bool, at graph.Vertex, tr *obs.Trac
 }
 
 // fallbackTraced completes the route from the packet's current position with
-// one exact bidirectional search over the effective graph.
+// an exact shortest path over the effective graph (Overlay.shortestPath).
 func (r *Router) fallbackTraced(res Result, at, dst graph.Vertex, tr *obs.Trace) Result {
 	res.Fallback = true
 	if tr != nil {

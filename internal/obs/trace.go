@@ -38,8 +38,8 @@ const (
 	// PhaseExact: exact-baseline next-hop (full routing table).
 	PhaseExact
 	// PhaseFallback: live exact fallback - the scheme walk was abandoned
-	// (a dead edge or a scheme failure) and one bidirectional search over
-	// the effective graph finished the route from the abandon point.
+	// (a dead edge or a scheme failure) and an exact shortest path over the
+	// effective graph finished the route from the abandon point.
 	PhaseFallback
 
 	// NumPhases is the size of the phase vocabulary.

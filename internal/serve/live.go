@@ -151,6 +151,7 @@ type Live struct {
 	pendingDropped obs.Counter   // quiesced updates rejected at drain
 	lastRepair     atomic.Int64  // nanoseconds of the last successful repair
 	staleAtSwap    atomic.Uint64 // StaleServed total at the last generation swap
+	treesAtReset   atomic.Uint64 // overlay fallback trees at the last ResetStats
 	lastInfoMu     sync.Mutex
 	lastInfo       RepairInfo
 

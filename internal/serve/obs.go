@@ -178,8 +178,11 @@ func (l *Live) registerObs(reg *obs.Registry) {
 		"Scheme decisions that chose a dead edge.",
 		func() float64 { return float64(c.deadHits) })
 	reg.CounterFunc("compactroute_live_fallbacks_total",
-		"Routes completed by a per-query exact search.",
+		"Routes completed by an exact shortest path from the abandon point.",
 		func() float64 { return float64(c.fallbacks) })
+	reg.CounterFunc("compactroute_live_fallback_trees_total",
+		"Shortest-path trees the fallback built: at most one per abandon point and overlay version, once its searches cost as much.",
+		func() float64 { return float64(l.ov.FallbackTrees() - l.treesAtReset.Load()) })
 	reg.CounterFunc("compactroute_live_stale_served_total",
 		"Deliveries served degraded (completed by the fallback, non-empty overlay, or racing an update or swap).",
 		func() float64 { return float64(c.stale) })

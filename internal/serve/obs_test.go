@@ -99,14 +99,15 @@ func TestLiveObsRegistry(t *testing.T) {
 	pairs := samplePairs(g.N(), 200, 13)
 	lv.Query(pairs, nil)
 
-	// Kill one edge actually used by routes, then route across it so the
-	// overlay records dead hits and fallbacks.
-	u := pairs[0][0]
-	v, _, _ := g.Endpoint(u, 0)
-	if err := lv.ApplyUpdates([]live.Update{{U: u, V: v, Op: live.OpDelEdge}}); err != nil {
+	// Kill 10% of the edges, then route across them so the overlay records
+	// dead hits and fallbacks; three passes let the busiest abandon points'
+	// searches pay for their trees.
+	if err := lv.ApplyUpdates(live.DeletionTrace(g, 0.1, 9)); err != nil {
 		t.Fatal(err)
 	}
-	lv.Query(pairs, nil)
+	for range 3 {
+		lv.Query(pairs, nil)
+	}
 	if err := lv.Rebuild(); err != nil {
 		t.Fatal(err)
 	}
@@ -128,6 +129,16 @@ func TestLiveObsRegistry(t *testing.T) {
 	if got := vals["compactroute_live_swaps_total"]; got != float64(st.Swaps) {
 		t.Fatalf("swaps=%v, Stats=%d", got, st.Swaps)
 	}
+	// No fallback builds more than one tree, and ResetStats restarts both
+	// counts.
+	if fb, trees := vals["compactroute_live_fallbacks_total"], vals["compactroute_live_fallback_trees_total"]; fb == 0 || trees < 1 || trees > fb {
+		t.Fatalf("fallbacks=%v trees=%v, want 1 <= trees <= fallbacks", fb, trees)
+	}
+	lv.ResetStats()
+	if after := reg.Values(); after["compactroute_live_fallbacks_total"] != 0 || after["compactroute_live_fallback_trees_total"] != 0 {
+		t.Fatalf("after ResetStats: fallbacks=%v trees=%v, want 0 and 0",
+			after["compactroute_live_fallbacks_total"], after["compactroute_live_fallback_trees_total"])
+	}
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
@@ -135,6 +146,7 @@ func TestLiveObsRegistry(t *testing.T) {
 	out := b.String()
 	for _, want := range []string{
 		"compactroute_live_fallbacks_total ",
+		"compactroute_live_fallback_trees_total ",
 		"compactroute_live_stale_stretch_bucket",
 		"compactroute_live_repairs_total ",
 		"compactroute_live_escalations_total ",

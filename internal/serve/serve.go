@@ -618,7 +618,8 @@ func (l *Live) merged() counters {
 	return m
 }
 
-// ResetStats zeroes every shard's counters and restarts the QPS clock (the
+// ResetStats zeroes every shard's counters, restarts the tree count that
+// /metrics exports beside the fallbacks, and restarts the QPS clock (the
 // rebuild/swap lifecycle counters are engine-lifetime and survive).
 func (l *Live) ResetStats() {
 	for _, sh := range l.shards {
@@ -626,5 +627,6 @@ func (l *Live) ResetStats() {
 		sh.st = counters{}
 		sh.mu.Unlock()
 	}
+	l.treesAtReset.Store(l.ov.FallbackTrees())
 	l.start.Store(time.Now().UnixNano())
 }

@@ -60,7 +60,7 @@ type Tree struct {
 }
 
 type posEntry struct {
-	v graph.Vertex // graph.NoVertex marks an empty slot
+	v graph.Vertex // vertex id + 1; 0 marks an empty slot
 	i int32
 }
 
@@ -76,16 +76,13 @@ func (t *Tree) buildPos() {
 	}
 	t.pos = make([]posEntry, size)
 	t.posShift = uint32(32 - bits.TrailingZeros(uint(size)))
-	for i := range t.pos {
-		t.pos[i].v = graph.NoVertex
-	}
 	mask := uint32(size - 1)
 	for i, v := range t.vs {
 		j := uint32(v) * fibMul >> t.posShift
-		for t.pos[j].v != graph.NoVertex {
+		for t.pos[j].v != 0 {
 			j = (j + 1) & mask
 		}
-		t.pos[j] = posEntry{v: v, i: int32(i)}
+		t.pos[j] = posEntry{v: v + 1, i: int32(i)}
 	}
 }
 
@@ -98,10 +95,10 @@ func (t *Tree) idx(v graph.Vertex) int {
 	j := uint32(v) * fibMul >> t.posShift
 	for {
 		e := t.pos[j]
-		if e.v == v {
+		if e.v == v+1 {
 			return int(e.i)
 		}
-		if e.v == graph.NoVertex {
+		if e.v == 0 {
 			return -1
 		}
 		j = (j + 1) & mask

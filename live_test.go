@@ -2,6 +2,7 @@ package compactroute_test
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"compactroute"
@@ -147,6 +148,57 @@ func TestLiveStateRoundTrip(t *testing.T) {
 	}
 	if err := compactroute.SaveLiveState(&bytes.Buffer{}, wl); err == nil {
 		t.Fatal("SaveLiveState accepted a scheme without snapshot support")
+	}
+}
+
+// TestLiveFallbackIndependentOfCacheState: routes over a degraded overlay
+// do not depend on which fallback trees an engine has built. Two engines
+// load one degraded live-state snapshot - one with 1 worker, one with 4 -
+// and are warmed on different pair sets; then one routes a pair set
+// forward, query by query, and the other answers it reversed in one
+// batch. Every result field must agree.
+func TestLiveFallbackIndependentOfCacheState(t *testing.T) {
+	const n = 300
+	l := newLiveThm11(t, n, compactroute.LiveServeOptions{Workers: 1})
+	if err := l.ApplyUpdates(compactroute.DeletionTrace(l.Scheme().Graph(), 0.05, 17)); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := compactroute.SaveLiveState(&buf, l); err != nil {
+		t.Fatal(err)
+	}
+	load := func(workers int) *compactroute.LiveEngine {
+		e, err := compactroute.LoadLiveState(bytes.NewReader(buf.Bytes()), compactroute.LiveServeOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	a, b := load(1), load(4)
+	defer a.Close()
+	defer b.Close()
+	a.Query(compactroute.SamplePairs(n, 500, 1), nil)
+	b.Query(compactroute.SamplePairs(n, 50, 2), nil)
+
+	pairs := compactroute.SamplePairs(n, 2000, 3)
+	rev := make([][2]compactroute.Vertex, len(pairs))
+	for i, p := range pairs {
+		rev[len(pairs)-1-i] = p
+	}
+	got := b.Query(rev, nil)
+	fallbacks := 0
+	for i, p := range pairs {
+		ra, rb := a.Route(p[0], p[1]), got[len(pairs)-1-i]
+		if !reflect.DeepEqual(ra, rb) {
+			t.Fatalf("pair %v: 1-worker engine %+v, 4-worker engine %+v", p, ra, rb)
+		}
+		if ra.Fallback {
+			fallbacks++
+		}
+	}
+	if fallbacks == 0 || a.Overlay().FallbackTrees() == 0 || b.Overlay().FallbackTrees() == 0 {
+		t.Fatalf("fallbacks=%d, trees built %d / %d: the pairs must reach the fallback trees",
+			fallbacks, a.Overlay().FallbackTrees(), b.Overlay().FallbackTrees())
 	}
 }
 
