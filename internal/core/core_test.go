@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"bytes"
+	"math/bits"
 	"testing"
 
 	"compactroute/internal/coloring"
@@ -11,6 +13,7 @@ import (
 	"compactroute/internal/simnet"
 	"compactroute/internal/testutil"
 	"compactroute/internal/vicinity"
+	"compactroute/internal/wire"
 )
 
 // fixture bundles the shared preprocessing inputs of both techniques.
@@ -26,7 +29,13 @@ type fixture struct {
 
 func newFixture(t *testing.T, n, m, q int, seed int64, wt gen.Weighting) *fixture {
 	t.Helper()
-	g := testutil.MustGNM(t, n, m, seed, wt)
+	return newFixtureOn(t, testutil.MustGNM(t, n, m, seed, wt), q, seed)
+}
+
+// newFixtureOn is newFixture over a given graph.
+func newFixtureOn(t *testing.T, g *graph.Graph, q int, seed int64) *fixture {
+	t.Helper()
+	n := g.N()
 	apsp := graph.AllPairs(g)
 	l := vicinity.InflatedSize(q, n, 1.5)
 	vics, err := vicinity.BuildAll(g, l)
@@ -174,6 +183,62 @@ func TestLemma8RoutesPartToTargets(t *testing.T) {
 				t.Fatal("no pairs routed")
 			}
 		})
+	}
+}
+
+// TestInterRepairMatchesBuild repairs a Lemma 8 structure on its own graph,
+// once with no sequence dirty (every one copied from the old layout) and
+// once with about half of them dirty (rebuilt): both results, relay bits
+// included, encode to the bytes of the build. A path with small vicinities
+// makes sequences long enough to end at relays.
+func TestInterRepairMatchesBuild(t *testing.T) {
+	fx := newFixtureOn(t, testutil.MustPath(t, 120, nil), 2, 7)
+	wParts := make([][]graph.Vertex, fx.q)
+	for v := 0; v < fx.g.N(); v += 2 {
+		wParts[v/2%fx.q] = append(wParts[v/2%fx.q], graph.Vertex(v))
+	}
+	in, err := core.NewInter(core.InterConfig{
+		Graph: fx.g, Paths: fx.apsp, Vics: fx.vics,
+		UPartOf: fx.partOf, Reps: fx.reps, WParts: wParts, Eps: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want wire.Encoder
+	in.EncodeWireV2(&want)
+	d := wire.NewDecoder("inter", want.Bytes())
+	d.Float64()
+	d.Uint32Array()
+	d.VertexArray()
+	relays := 0
+	for _, w := range d.Uint32Array() {
+		relays += bits.OnesCount32(w)
+	}
+	if relays == 0 {
+		t.Fatal("the fixture stores no relay sequence")
+	}
+	for _, tt := range []struct {
+		name  string
+		dirty func(u, w graph.Vertex, _ []graph.Vertex) bool
+	}{
+		{"none dirty", nil},
+		{"half dirty", func(u, w graph.Vertex, _ []graph.Vertex) bool { return (u+w)%2 == 0 }},
+	} {
+		out, rebuilt, err := in.Repair(core.InterRepairConfig{
+			Graph: fx.g, Paths: fx.apsp, Vics: fx.vics, Reps: fx.reps,
+			VicDirty: make([]bool, fx.g.N()), SeqDirty: tt.dirty,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", tt.name, err)
+		}
+		if (rebuilt == 0) != (tt.dirty == nil) {
+			t.Fatalf("%s: %d sequences rebuilt", tt.name, rebuilt)
+		}
+		var got wire.Encoder
+		out.EncodeWireV2(&got)
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%s: repaired layout differs from the build (%d relay sequences)", tt.name, relays)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"compactroute/internal/graph"
 	"compactroute/internal/parallel"
@@ -30,25 +31,24 @@ type Inter struct {
 	// caller's (InterConfig.Reps), shared.
 	relayRep [][]graph.Vertex
 	parts    int // len(WParts)
-	// seqs[u][w] for every w in W_{uPartOf[u]}; nil maps when flat is set.
-	seqs []map[graph.Vertex]interSeq
-	// flat is the snapshot-aliased form of the sequences (v2 decode path):
-	// per-source sorted target runs over one shared waypoint slab, consulted
-	// by binary search instead of rebuilt maps. Exactly one of seqs/flat
-	// carries the sequences.
-	flat *interFlat
+	// flat holds the sequences in the layout the snapshot stores: built and
+	// repaired schemes lay them out once, decoded ones alias the mapped
+	// bytes.
+	flat interFlat
 }
 
 // interSeq is the stored sequence for one (source, target) pair.
 type interSeq struct {
+	target    graph.Vertex
 	waypoints []graph.Vertex
 	relay     bool // last waypoint is a relay in U_j rather than the target
 }
 
-// interFlat stores every sequence in five flat arrays that alias the mapped
-// snapshot: targets of source u are targets[srcOff[u]:srcOff[u+1]] in
-// ascending order, sequence si's waypoints are wps[wpOff[si]:wpOff[si+1]],
-// and relay holds one bit per sequence. All slices are read-only.
+// interFlat stores every sequence in five flat arrays: targets of source u
+// are targets[srcOff[u]:srcOff[u+1]] in ascending order, sequence si's
+// waypoints are wps[wpOff[si]:wpOff[si+1]], and relay holds one bit per
+// sequence. All slices are read-only: a decoded scheme's alias the
+// snapshot.
 type interFlat struct {
 	srcOff  []uint32 // n+1
 	targets []graph.Vertex
@@ -57,29 +57,62 @@ type interFlat struct {
 	wps     []graph.Vertex
 }
 
-// lookupSeq returns the stored sequence for the pair (u, w) from whichever
-// representation this Inter carries.
-func (in *Inter) lookupSeq(u, w graph.Vertex) (wps []graph.Vertex, relay, ok bool) {
-	if f := in.flat; f != nil {
-		lo, hi := int(f.srcOff[u]), int(f.srcOff[u+1])
-		run := f.targets[lo:hi]
-		i, j := 0, len(run)
-		for i < j {
-			h := int(uint(i+j) >> 1)
-			if run[h] < w {
-				i = h + 1
-			} else {
-				j = h
-			}
+// layoutSeqs concatenates per-source runs of sequences, each in ascending
+// target order, into the flat layout; runs[u] is source u's run.
+func layoutSeqs(runs [][]interSeq) interFlat {
+	f := interFlat{srcOff: make([]uint32, len(runs)+1)}
+	totalSeqs, totalWps := 0, 0
+	for _, run := range runs {
+		totalSeqs += len(run)
+		for _, sq := range run {
+			totalWps += len(sq.waypoints)
 		}
-		if i >= len(run) || run[i] != w {
-			return nil, false, false
-		}
-		si := lo + i
-		return f.wps[f.wpOff[si]:f.wpOff[si+1]], f.relay[si>>5]>>(si&31)&1 == 1, true
 	}
-	sq, ok := in.seqs[u][w]
-	return sq.waypoints, sq.relay, ok
+	f.targets = make([]graph.Vertex, 0, totalSeqs)
+	f.relay = make([]uint32, (totalSeqs+31)/32)
+	f.wpOff = make([]uint32, 1, totalSeqs+1)
+	f.wps = make([]graph.Vertex, 0, totalWps)
+	for u, run := range runs {
+		for _, sq := range run {
+			si := len(f.targets)
+			f.targets = append(f.targets, sq.target)
+			if sq.relay {
+				f.relay[si>>5] |= 1 << (si & 31)
+			}
+			f.wps = append(f.wps, sq.waypoints...)
+			f.wpOff = append(f.wpOff, uint32(len(f.wps)))
+		}
+		f.srcOff[u+1] = uint32(len(f.targets))
+	}
+	return f
+}
+
+// seq returns stored sequence si, its waypoints aliasing the slab.
+func (f *interFlat) seq(si int) interSeq {
+	return interSeq{target: f.targets[si], waypoints: f.wps[f.wpOff[si]:f.wpOff[si+1]],
+		relay: f.relay[si>>5]>>(si&31)&1 == 1}
+}
+
+// lookupSeq returns the stored sequence for the pair (u, w) by binary
+// search over u's target run.
+func (in *Inter) lookupSeq(u, w graph.Vertex) (wps []graph.Vertex, relay, ok bool) {
+	f := &in.flat
+	lo, hi := int(f.srcOff[u]), int(f.srcOff[u+1])
+	run := f.targets[lo:hi]
+	i, j := 0, len(run)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if run[h] < w {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	if i >= len(run) || run[i] != w {
+		return nil, false, false
+	}
+	sq := f.seq(lo + i)
+	return sq.waypoints, sq.relay, true
 }
 
 // InterConfig carries the inputs of Lemma 8.
@@ -110,15 +143,20 @@ func NewInter(cfg InterConfig) (*Inter, error) {
 	}
 	paths := cfg.Paths
 	in.maxDist = maxDistBound(paths)
-	q := len(cfg.WParts)
-	// Sequences: every u stores one per target in W_{part(u)}.
+	// Sequences: every u stores one per target in W_{part(u)}, in
+	// ascending target order.
+	sorted := make([][]graph.Vertex, len(cfg.WParts))
+	for j, part := range cfg.WParts {
+		sorted[j] = slices.Sorted(slices.Values(part))
+	}
+	runs := make([][]interSeq, in.g.N())
 	if err := parallel.ForErr(in.g.N(), func(u int) error {
 		j := cfg.UPartOf[u]
-		if int(j) >= q {
+		if int(j) >= len(sorted) {
 			return nil // parts beyond W receive no targets
 		}
-		in.seqs[u] = make(map[graph.Vertex]interSeq, len(cfg.WParts[j]))
-		for _, w := range cfg.WParts[j] {
+		run := make([]interSeq, 0, len(sorted[j]))
+		for _, w := range sorted[j] {
 			if graph.Vertex(u) == w {
 				continue
 			}
@@ -126,12 +164,14 @@ func NewInter(cfg InterConfig) (*Inter, error) {
 			if err != nil {
 				return fmt.Errorf("core: inter sequence %d->%d: %w", u, w, err)
 			}
-			in.seqs[u][w] = sq
+			run = append(run, sq)
 		}
+		runs[u] = run
 		return nil
 	}); err != nil {
 		return nil, err
 	}
+	in.flat = layoutSeqs(runs)
 	return in, nil
 }
 
@@ -161,7 +201,6 @@ func newInterBase(cfg InterConfig) (*Inter, error) {
 		scale:    minEdgeWeight(g),
 		relayRep: cfg.Reps,
 		parts:    q,
-		seqs:     make([]map[graph.Vertex]interSeq, n),
 	}
 	for i := range in.wPartOf {
 		in.wPartOf[i] = -1
@@ -205,7 +244,7 @@ func (in *Inter) checkRelayReps() error {
 // finishes the route (reaches w), hands off to a relay in U_j, or fills its
 // 2b-vertex budget and doubles the threshold.
 func (in *Inter) buildSequence(paths graph.PathSource, u, w graph.Vertex, j int32) (interSeq, error) {
-	var sq interSeq
+	sq := interSeq{target: w}
 	if paths.Dist(u, w) == graph.Infinity {
 		return sq, fmt.Errorf("unreachable")
 	}
@@ -413,14 +452,9 @@ func (in *Inter) AddTableWords(t *space.Tally) {
 	for u := 0; u < in.g.N(); u++ {
 		t.Add("lemma8-relay-reps", u, in.parts)
 		words := 0
-		if f := in.flat; f != nil {
-			for si := f.srcOff[u]; si < f.srcOff[u+1]; si++ {
-				words += 2 + int(f.wpOff[si+1]-f.wpOff[si]) // target key + relay flag + waypoints
-			}
-		} else {
-			for _, sq := range in.seqs[u] {
-				words += 2 + len(sq.waypoints) // target key + relay flag + waypoints
-			}
+		f := &in.flat
+		for si := f.srcOff[u]; si < f.srcOff[u+1]; si++ {
+			words += 2 + int(f.wpOff[si+1]-f.wpOff[si]) // target key + relay flag + waypoints
 		}
 		t.Add("lemma8-sequences", u, words)
 	}

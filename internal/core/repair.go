@@ -37,17 +37,13 @@ type InterRepairConfig struct {
 // marks dirty (directly via SeqDirty, or transitively via a dirty vicinity
 // or changed relay representative at the source or any stored waypoint -
 // every vertex whose tables the sequence construction consulted is one of
-// those). Clean sources share their whole sequence map with the old
-// structure. The second return value is the number of rebuilt sequences.
+// those). Clean sequences are copied from the receiver's layout. The second
+// return value is the number of rebuilt sequences.
 //
-// Errors mean the repair preconditions do not hold (snapshot-aliased
-// sequences, a changed doubling unit, a part that no longer intersects a
-// dirty vicinity, an unreachable dirty pair); the caller escalates to a
-// full rebuild.
+// Errors mean the repair preconditions do not hold (a changed doubling
+// unit, a part that no longer intersects a dirty vicinity, an unreachable
+// dirty pair); the caller escalates to a full rebuild.
 func (in *Inter) Repair(cfg InterRepairConfig) (*Inter, int, error) {
-	if in.flat != nil {
-		return nil, 0, fmt.Errorf("core: snapshot-aliased sequences are not repairable in place")
-	}
 	n := cfg.Graph.N()
 	if n != in.g.N() || len(cfg.Vics) != n || len(cfg.Reps) != n || len(cfg.VicDirty) != n {
 		return nil, 0, fmt.Errorf("core: repair config arrays must have length n=%d", in.g.N())
@@ -71,7 +67,6 @@ func (in *Inter) Repair(cfg InterRepairConfig) (*Inter, int, error) {
 		maxDist:  maxDistBound(cfg.Paths),
 		relayRep: cfg.Reps,
 		parts:    in.parts,
-		seqs:     make([]map[graph.Vertex]interSeq, n),
 	}
 	if err := out.checkRelayReps(); err != nil {
 		return nil, 0, err
@@ -80,20 +75,23 @@ func (in *Inter) Repair(cfg InterRepairConfig) (*Inter, int, error) {
 	for u := range relayChanged {
 		relayChanged[u] = !slices.Equal(out.relayRep[u][:in.parts], in.relayRep[u][:in.parts])
 	}
+	f := &in.flat
+	runs := make([][]interSeq, n)
 	rebuiltPer := make([]int, n)
 	if err := parallel.ForErr(n, func(ui int) error {
 		u := graph.Vertex(ui)
-		old := in.seqs[ui]
-		if old == nil {
-			return nil // part beyond W: no targets
+		lo, hi := int(f.srcOff[ui]), int(f.srcOff[ui+1])
+		if lo == hi {
+			return nil // no targets
 		}
 		j := in.uPartOf[ui]
 		// A dirty vicinity or changed relay at the source invalidates every
 		// sequence of the source (the B(u) shortcut and the first hops are
 		// consulted for all of them).
 		selfDirty := cfg.VicDirty[ui] || relayChanged[ui]
-		var dirty []graph.Vertex
-		for w, sq := range old {
+		run := make([]interSeq, hi-lo)
+		for si := lo; si < hi; si++ {
+			sq := f.seq(si)
 			d := selfDirty
 			if !d {
 				for _, wp := range sq.waypoints {
@@ -104,33 +102,24 @@ func (in *Inter) Repair(cfg InterRepairConfig) (*Inter, int, error) {
 				}
 			}
 			if !d && cfg.SeqDirty != nil {
-				d = cfg.SeqDirty(u, w, sq.waypoints)
+				d = cfg.SeqDirty(u, sq.target, sq.waypoints)
 			}
 			if d {
-				dirty = append(dirty, w)
+				w := sq.target
+				var err error
+				if sq, err = out.buildSequence(cfg.Paths, u, w, j); err != nil {
+					return fmt.Errorf("core: inter repair %d->%d: %w", u, w, err)
+				}
+				rebuiltPer[ui]++
 			}
+			run[si-lo] = sq
 		}
-		if len(dirty) == 0 {
-			out.seqs[ui] = old // COW: clean source shares the old map
-			return nil
-		}
-		m := make(map[graph.Vertex]interSeq, len(old))
-		for w, sq := range old {
-			m[w] = sq
-		}
-		for _, w := range dirty {
-			sq, err := out.buildSequence(cfg.Paths, u, w, j)
-			if err != nil {
-				return fmt.Errorf("core: inter repair %d->%d: %w", u, w, err)
-			}
-			m[w] = sq
-		}
-		out.seqs[ui] = m
-		rebuiltPer[ui] = len(dirty)
+		runs[ui] = run
 		return nil
 	}); err != nil {
 		return nil, 0, err
 	}
+	out.flat = layoutSeqs(runs)
 	rebuilt := 0
 	for _, c := range rebuiltPer {
 		rebuilt += c

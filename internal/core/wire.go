@@ -17,52 +17,12 @@ import (
 // target run. The section this lands in must be an AlignedSection.
 func (in *Inter) EncodeWireV2(e *wire.Encoder) {
 	e.Float64(in.maxDist)
-	f := in.flat
-	if f == nil {
-		f = in.flattenSeqs()
-	}
+	f := &in.flat
 	e.Uint32Array(f.srcOff)
 	e.VertexArray(f.targets)
 	e.Uint32Array(f.relay)
 	e.Uint32Array(f.wpOff)
 	e.VertexArray(f.wps)
-}
-
-// flattenSeqs converts the map representation of the sequences into the
-// flat array form the v2 encoder writes, targets ascending per source.
-func (in *Inter) flattenSeqs() *interFlat {
-	n := len(in.seqs)
-	f := &interFlat{srcOff: make([]uint32, n+1)}
-	totalSeqs, totalWps := 0, 0
-	for u := range in.seqs {
-		totalSeqs += len(in.seqs[u])
-		for _, sq := range in.seqs[u] {
-			totalWps += len(sq.waypoints)
-		}
-	}
-	f.targets = make([]graph.Vertex, 0, totalSeqs)
-	f.relay = make([]uint32, (totalSeqs+31)/32)
-	f.wpOff = make([]uint32, 1, totalSeqs+1)
-	f.wps = make([]graph.Vertex, 0, totalWps)
-	for u := range in.seqs {
-		targets := make([]graph.Vertex, 0, len(in.seqs[u]))
-		for w := range in.seqs[u] {
-			targets = append(targets, w)
-		}
-		sort.Slice(targets, func(i, j int) bool { return targets[i] < targets[j] })
-		for _, w := range targets {
-			sq := in.seqs[u][w]
-			si := len(f.targets)
-			f.targets = append(f.targets, w)
-			if sq.relay {
-				f.relay[si>>5] |= 1 << (si & 31)
-			}
-			f.wps = append(f.wps, sq.waypoints...)
-			f.wpOff = append(f.wpOff, uint32(len(f.wps)))
-		}
-		f.srcOff[u+1] = uint32(len(f.targets))
-	}
-	return f
 }
 
 // EncodeIntraWireV2 writes the Lemma 7 state that cannot be re-derived
@@ -181,7 +141,7 @@ func RestoreInterV2(cfg InterConfig, d *wire.Decoder) (*Inter, error) {
 	}
 	in.maxDist = d.Float64()
 	n := in.g.N()
-	f := &interFlat{}
+	f := &in.flat
 	f.srcOff = d.Uint32Array()
 	f.targets = d.VertexArray()
 	f.relay = d.Uint32Array()
@@ -236,7 +196,6 @@ func RestoreInterV2(cfg InterConfig, d *wire.Decoder) (*Inter, error) {
 			return nil, d.Err()
 		}
 	}
-	in.flat = f
 	return in, nil
 }
 

@@ -209,7 +209,7 @@ type rowPatcher struct {
 	queued  []uint32 // scheduled for the First pass
 	orphans []Vertex
 	pushed  []Vertex
-	heap    heap4
+	heap    Heap4
 }
 
 func newRowPatcher(old, next *Graph, deltas []edgeDelta) *rowPatcher {
@@ -266,11 +266,11 @@ func (p *rowPatcher) patch(r Row) Row {
 	// every edge whose tail is not on the heap is already consistent, so
 	// running the heap dry leaves exactly the new distances.
 	h := &p.heap
-	h.reset()
+	h.Reset()
 	p.pushed = p.pushed[:0]
 	push := func(v Vertex, dv float64) {
 		nd[v] = dv
-		h.push(dv, v)
+		h.Push(dv, v)
 		if p.touched[v] != ep {
 			p.touched[v] = ep
 			p.pushed = append(p.pushed, v)
@@ -300,8 +300,8 @@ func (p *rowPatcher) patch(r Row) Row {
 			}
 		}
 	}
-	for h.len() > 0 {
-		dv, v := h.pop()
+	for h.Len() > 0 {
+		dv, v := h.Pop()
 		if dv != nd[v] {
 			continue // superseded by a shorter relaxation
 		}
@@ -316,7 +316,7 @@ func (p *rowPatcher) patch(r Row) Row {
 	// moved, its neighbours, and every changed-edge endpoint. Any other
 	// vertex sees the same distances over the same edges, so it keeps its
 	// parent.
-	h.reset()
+	h.Reset()
 	queue := func(v Vertex) {
 		if p.queued[v] == ep {
 			return
@@ -326,7 +326,7 @@ func (p *rowPatcher) patch(r Row) Row {
 			nf[v] = NoVertex
 			return
 		}
-		h.push(nd[v], v)
+		h.Push(nd[v], v)
 	}
 	moved := func(v Vertex) {
 		if nd[v] == d[v] {
@@ -352,8 +352,8 @@ func (p *rowPatcher) patch(r Row) Row {
 	// children read it. A vertex whose First changed passes the change on to
 	// its tree children that are not queued already (their parent is
 	// unchanged, so their First was the parent's old one).
-	for h.len() > 0 {
-		dv, v := h.pop()
+	for h.Len() > 0 {
+		dv, v := h.Pop()
 		fv := src
 		if v != src {
 			if par := parentOf(nx, nd, v); par == src {
@@ -369,7 +369,7 @@ func (p *rowPatcher) patch(r Row) Row {
 		for i := nx.off[v]; i < nx.off[v+1]; i++ {
 			if c := nx.to[i]; p.queued[c] != ep && dv+nx.w[i] == nd[c] && parentOf(nx, nd, c) == v {
 				p.queued[c] = ep
-				h.push(nd[c], c)
+				h.Push(nd[c], c)
 			}
 		}
 	}

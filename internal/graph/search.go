@@ -97,10 +97,10 @@ func (g *Graph) bfsInto(ws *Workspace, src Vertex, dist []float64, parent, first
 // finalization order of the original done-set implementation.
 func (g *Graph) dijkstraInto(ws *Workspace, src Vertex, dist []float64, parent, first []Vertex) {
 	h := &ws.heap
-	h.reset()
-	h.push(0, src)
-	for h.len() > 0 {
-		d, u := h.pop()
+	h.Reset()
+	h.Push(0, src)
+	for h.Len() > 0 {
+		d, u := h.Pop()
 		if d != dist[u] {
 			continue // superseded by a shorter relaxation
 		}
@@ -118,7 +118,7 @@ func (g *Graph) dijkstraInto(ws *Workspace, src Vertex, dist []float64, parent, 
 				} else {
 					first[v] = fu
 				}
-				h.push(nd, v)
+				h.Push(nd, v)
 			}
 		}
 	}

@@ -30,7 +30,7 @@ type Workspace struct {
 	parent []Vertex
 	seen   []uint32 // seen[v] == epoch: dist/parent of v are valid
 	epoch  uint32
-	heap   heap4
+	heap   Heap4
 	queue  []Vertex // BFS queue storage, drained by a head index (never wraps)
 }
 
@@ -71,7 +71,7 @@ func (ws *Workspace) Reset() {
 		clear(ws.seen)
 		ws.epoch = 1
 	}
-	ws.heap.reset()
+	ws.heap.Reset()
 }
 
 // Start is Reset plus seeding the search at src: dist 0, no parent, src
@@ -82,7 +82,7 @@ func (ws *Workspace) Start(src Vertex) {
 	ws.dist[src] = 0
 	ws.parent[src] = NoVertex
 	ws.seen[src] = ws.epoch
-	ws.heap.push(0, src)
+	ws.heap.Push(0, src)
 }
 
 // Dist returns the tentative distance of v in the current search and whether
@@ -109,7 +109,7 @@ func (ws *Workspace) Relax(v Vertex, d float64, parent Vertex) bool {
 	ws.dist[v] = d
 	ws.parent[v] = parent
 	ws.seen[v] = ws.epoch
-	ws.heap.push(d, v)
+	ws.heap.Push(d, v)
 	return true
 }
 
@@ -117,8 +117,8 @@ func (ws *Workspace) Relax(v Vertex, d float64, parent Vertex) bool {
 // stale heap entries (those whose distance no longer matches the label).
 // ok is false when the search frontier is exhausted.
 func (ws *Workspace) Pop() (v Vertex, d float64, ok bool) {
-	for ws.heap.len() > 0 {
-		d, v := ws.heap.pop()
+	for ws.heap.Len() > 0 {
+		d, v := ws.heap.Pop()
 		if ws.seen[v] != ws.epoch || d != ws.dist[v] {
 			continue // superseded by a later, shorter relaxation
 		}
@@ -134,47 +134,55 @@ func (ws *Workspace) Pop() (v Vertex, d float64, ok bool) {
 // kernel's termination rule is built on: it needs both frontiers' next keys
 // before deciding which side to expand.
 func (ws *Workspace) Peek() (v Vertex, d float64, ok bool) {
-	for ws.heap.len() > 0 {
-		d, v := ws.heap.ds[0], ws.heap.vs[0]
+	for ws.heap.Len() > 0 {
+		d, v := ws.heap.Top()
 		if ws.seen[v] == ws.epoch && d == ws.dist[v] {
 			return v, d, true
 		}
-		ws.heap.pop() // superseded by a later, shorter relaxation
+		ws.heap.Pop() // superseded by a later, shorter relaxation
 	}
 	return NoVertex, Infinity, false
 }
 
-// heap4 is a 4-ary min-heap of (dist, vertex) pairs ordered by (dist, id).
+// Heap4 is a 4-ary min-heap of (dist, vertex) pairs ordered by (dist, id).
 // The flatter shape does ~half the levels of a binary heap per operation,
 // and the parallel ds/vs arrays keep sift comparisons on one cache line;
 // both matter because every search kernel funnels through this structure.
 // The pop order under the (dist, id) total order is identical to the binary
-// heap it replaced, so all canonical tie-breaks are preserved.
-type heap4 struct {
+// heap it replaced, so all canonical tie-breaks are preserved. The zero
+// value is an empty heap.
+type Heap4 struct {
 	ds []float64
 	vs []Vertex
 }
 
-func (h *heap4) len() int { return len(h.ds) }
+// Len returns the number of entries.
+func (h *Heap4) Len() int { return len(h.ds) }
 
-func (h *heap4) reset() {
+// Reset empties the heap, keeping its storage.
+func (h *Heap4) Reset() {
 	h.ds = h.ds[:0]
 	h.vs = h.vs[:0]
 }
 
-func (h *heap4) lessAt(i, j int) bool {
+// Top returns the least entry without removing it. The heap must not be
+// empty.
+func (h *Heap4) Top() (float64, Vertex) { return h.ds[0], h.vs[0] }
+
+func (h *Heap4) lessAt(i, j int) bool {
 	if h.ds[i] != h.ds[j] {
 		return h.ds[i] < h.ds[j]
 	}
 	return h.vs[i] < h.vs[j]
 }
 
-func (h *heap4) swap(i, j int) {
+func (h *Heap4) swap(i, j int) {
 	h.ds[i], h.ds[j] = h.ds[j], h.ds[i]
 	h.vs[i], h.vs[j] = h.vs[j], h.vs[i]
 }
 
-func (h *heap4) push(d float64, v Vertex) {
+// Push adds the entry (d, v).
+func (h *Heap4) Push(d float64, v Vertex) {
 	h.ds = append(h.ds, d)
 	h.vs = append(h.vs, v)
 	i := len(h.ds) - 1
@@ -188,7 +196,8 @@ func (h *heap4) push(d float64, v Vertex) {
 	}
 }
 
-func (h *heap4) pop() (float64, Vertex) {
+// Pop removes and returns the least entry. The heap must not be empty.
+func (h *Heap4) Pop() (float64, Vertex) {
 	d, v := h.ds[0], h.vs[0]
 	last := len(h.ds) - 1
 	h.ds[0], h.vs[0] = h.ds[last], h.vs[last]

@@ -53,7 +53,7 @@ func TestWorkspaceEpochWrap(t *testing.T) {
 func TestHeap4PopsSortedOrder(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 50; trial++ {
-		var h heap4
+		var h Heap4
 		n := 1 + r.Intn(200)
 		type item struct {
 			d float64
@@ -64,13 +64,13 @@ func TestHeap4PopsSortedOrder(t *testing.T) {
 			// Coarse distances force heavy ties; duplicate (d, v) pairs are
 			// legal (lazy-deletion searches push them).
 			items[i] = item{d: float64(r.Intn(8)), v: Vertex(r.Intn(30))}
-			h.push(items[i].d, items[i].v)
+			h.Push(items[i].d, items[i].v)
 		}
 		// Interleave some pops and re-pushes to exercise sift-down states.
 		if n > 10 {
 			for j := 0; j < 5; j++ {
-				d, v := h.pop()
-				h.push(d, v)
+				d, v := h.Pop()
+				h.Push(d, v)
 			}
 		}
 		sort.Slice(items, func(i, j int) bool {
@@ -80,12 +80,12 @@ func TestHeap4PopsSortedOrder(t *testing.T) {
 			return items[i].v < items[j].v
 		})
 		for i, want := range items {
-			d, v := h.pop()
+			d, v := h.Pop()
 			if d != want.d || v != want.v {
 				t.Fatalf("trial %d: pop %d = (%v,%d), want (%v,%d)", trial, i, d, v, want.d, want.v)
 			}
 		}
-		if h.len() != 0 {
+		if h.Len() != 0 {
 			t.Fatalf("trial %d: heap not drained", trial)
 		}
 	}

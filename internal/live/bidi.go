@@ -13,19 +13,20 @@ import (
 // graph.ShortestPaths over Overlay.Materialize() (the same integer-weight
 // exactness argument as the base kernel; reweights keep weights integral).
 // It is the one source of true distances for serving: Verify, the live
-// auditor and routeserve's dist command all read it.
+// auditor and routeserve's dist command all read it. It runs the fallback's
+// search (hopBidi) and ignores the hops.
 func (ov *Overlay) BoundedBidiDist(src, dst graph.Vertex, bound float64) float64 {
 	if src == dst {
 		return 0
 	}
+	fw := ov.hopPool.Get().(*hopWorkspace)
+	bw := ov.hopPool.Get().(*hopWorkspace)
+	defer ov.hopPool.Put(fw)
+	defer ov.hopPool.Put(bw)
 	ov.mu.RLock()
 	defer ov.mu.RUnlock()
-	fw := ov.base.AcquireWorkspace()
-	bw := ov.base.AcquireWorkspace()
-	defer ov.base.ReleaseWorkspace(fw)
-	defer ov.base.ReleaseWorkspace(bw)
-	if m := ov.bidi(fw, bw, src, dst, bound); m.best <= bound {
-		return m.best
+	if m, _ := ov.hopBidi(fw, bw, src, dst, bound); m.d <= bound {
+		return m.d
 	}
 	return graph.Infinity
 }
@@ -55,7 +56,7 @@ func (ov *Overlay) shortestPath(src, dst graph.Vertex) (hops int, w float64, ok 
 	}
 	fw := ov.hopPool.Get().(*hopWorkspace)
 	bw := ov.hopPool.Get().(*hopWorkspace)
-	m, pops := ov.hopBidi(fw, bw, src, dst)
+	m, pops := ov.hopBidi(fw, bw, src, dst, graph.Infinity)
 	if ok = m.f != graph.NoVertex; ok {
 		hops, w = ov.hopMeetingPath(fw, bw, m, dst)
 	}
@@ -80,27 +81,30 @@ type hopMeeting struct {
 }
 
 // hopBidi runs the hop-tracking Dijkstra (hopWorkspace) from src in fw and
-// from dst in bw under bidi's rules - expand the side with the smaller
-// frontier distance, stop once the frontier distances sum to the best
-// distance seen - and keeps the least (distance, hops) connection seen, so
-// it settles the same vertices as bidi. That connection is a least
-// (distance, hops) path P. At the stop, a vertex of P settled on neither
-// side sums to no less than the frontiers, so P's distance equals their
-// sum; there is at most one such vertex p, its neighbors on P are settled
-// toward their own ends, and all of p's tight predecessors on both sides
-// are settled, so p's two labels are final - and each improvement of one
-// of them was checked against the other. Otherwise some edge of P joins a
-// forward- and a backward-settled vertex, seen when the later of the two
-// settled. As in bidi, the meeting's parent chains stay valid after the
-// loop. pops counts the vertices both sides settled. Must be called with
-// ov.mu read-held.
-func (ov *Overlay) hopBidi(fw, bw *hopWorkspace, src, dst graph.Vertex) (m hopMeeting, pops int) {
+// from dst in bw, expanding the side with the smaller frontier distance,
+// until the frontier distances sum to the best distance seen or exceed
+// bound (graph.BoundedBidiDist documents the termination rule), and keeps
+// the least (distance, hops) connection seen. Its distance is the shortest
+// one whenever it is at most bound. With an infinite bound that connection
+// is a least (distance, hops) path P. At the stop, a vertex of P settled
+// on neither side sums to no less than the frontiers, so P's distance
+// equals their sum; there is at most one such vertex p, its neighbors on P
+// are settled toward their own ends, and all of p's tight predecessors on
+// both sides are settled, so p's two labels are final - and each
+// improvement of one of them was checked against the other. Otherwise some
+// edge of P joins a forward- and a backward-settled vertex, seen when the
+// later of the two settled. The meeting's parent chains stay valid after
+// the loop: every vertex on them is settled except possibly f or b itself,
+// and a later improvement of that one label would have lowered the key
+// and moved the meeting. pops counts the vertices both sides settled. Must
+// be called with ov.mu read-held.
+func (ov *Overlay) hopBidi(fw, bw *hopWorkspace, src, dst graph.Vertex, bound float64) (m hopMeeting, pops int) {
 	fw.start(src)
 	bw.start(dst)
 	m = hopMeeting{d: graph.Infinity, f: graph.NoVertex, b: graph.NoVertex}
 	for {
 		fd, bd := fw.peek(), bw.peek()
-		if fd+bd >= m.d {
+		if sum := fd + bd; sum >= m.d || sum > bound {
 			return m, pops
 		}
 		pops++
@@ -162,69 +166,4 @@ func (ov *Overlay) hopMeetingPath(fw, bw *hopWorkspace, m hopMeeting, dst graph.
 		x = p
 	}
 	return int(m.h), w
-}
-
-// meeting is the shortest src-dst connection a bidirectional search has
-// seen: its length best, through the edge {f, b} of current weight w, where
-// f carries a forward label and b a backward one.
-type meeting struct {
-	best float64
-	f, b graph.Vertex
-	w    float64
-}
-
-// bidi runs Dijkstra from src in fw and from dst in bw, always expanding the
-// side with the smaller frontier key, until the frontiers prove the best
-// meeting shortest or show the distance exceeds bound (graph.BoundedBidiDist
-// documents the termination rule). Must be called with ov.mu read-held.
-//
-// The meeting's parent chains stay valid after the loop: every vertex on
-// them is settled except possibly f or b itself, and a later improvement of
-// that one label would have lowered best and moved the meeting.
-func (ov *Overlay) bidi(fw, bw *graph.Workspace, src, dst graph.Vertex, bound float64) meeting {
-	fw.Start(src)
-	bw.Start(dst)
-	m := meeting{best: graph.Infinity, f: graph.NoVertex, b: graph.NoVertex}
-	for {
-		_, fd, fok := fw.Peek()
-		_, bd, bok := bw.Peek()
-		if !fok && !bok {
-			break
-		}
-		if sum := fd + bd; sum >= m.best || sum > bound {
-			break
-		}
-		if fd <= bd {
-			ov.bidiExpand(fw, bw, &m, true)
-		} else {
-			ov.bidiExpand(bw, fw, &m, false)
-		}
-	}
-	return m
-}
-
-// bidiExpand settles the next vertex of ws and relaxes its alive effective
-// edges, recording any meeting with the opposite search that lowers
-// m.best. forward says whether ws is the search from src. Must be called
-// with ov.mu read-held.
-func (ov *Overlay) bidiExpand(ws, other *graph.Workspace, m *meeting, forward bool) {
-	u, d, ok := ws.Pop()
-	if !ok {
-		return
-	}
-	ov.neighborsLocked(u, func(v graph.Vertex, w float64) bool {
-		nd := d + w
-		if od, labeled := other.Dist(v); labeled {
-			if c := nd + od; c < m.best {
-				m.best, m.w = c, w
-				if forward {
-					m.f, m.b = u, v
-				} else {
-					m.f, m.b = v, u
-				}
-			}
-		}
-		ws.Relax(v, nd, u)
-		return true
-	})
 }

@@ -21,7 +21,7 @@ func (ov *Overlay) FallbackPath(src, dst graph.Vertex) (path []graph.Vertex, hop
 		return treeChain(t.parent, src, dst), hops, w, ok
 	}
 	fw, bw := newHopWorkspace(ov.base.N()), newHopWorkspace(ov.base.N())
-	m, _ := ov.hopBidi(fw, bw, src, dst)
+	m, _ := ov.hopBidi(fw, bw, src, dst, graph.Infinity)
 	if m.f == graph.NoVertex {
 		return nil, hops, w, ok
 	}

@@ -4,9 +4,9 @@ import (
 	"compactroute/internal/graph"
 )
 
-// hopWorkspace is the scratch state of one fallback search: a Dijkstra that
+// hopWorkspace is the scratch state of one overlay search: a Dijkstra that
 // also settles every vertex's least hop count among its shortest paths. The
-// heap is keyed like graph.Workspace's, by (distance, id), and a vertex is
+// heap is graph.Workspace's, keyed by (distance, id), and a vertex is
 // pushed only when its distance falls, so the search settles vertices in
 // the same order as the distance-only kernels. An offer at a vertex's
 // current distance with fewer hops rewrites the label in place: the heap
@@ -21,8 +21,7 @@ type hopWorkspace struct {
 	parent []graph.Vertex
 	seen   []uint32 // seen[v] == epoch: dist/hops/parent of v are valid
 	epoch  uint32
-	hd     []float64 // heap: distance,
-	hv     []graph.Vertex
+	heap   graph.Heap4
 }
 
 func newHopWorkspace(n int) *hopWorkspace {
@@ -47,10 +46,10 @@ func (ws *hopWorkspace) start(src graph.Vertex) {
 		clear(ws.seen)
 		ws.epoch = 1
 	}
-	ws.hd, ws.hv = ws.hd[:0], ws.hv[:0]
+	ws.heap.Reset()
 	ws.dist[src], ws.hops[src], ws.parent[src] = 0, 0, graph.NoVertex
 	ws.seen[src] = ws.epoch
-	ws.push(0, src)
+	ws.heap.Push(0, src)
 }
 
 // label returns v's tentative distance and hops and whether v is labeled.
@@ -76,16 +75,15 @@ func (ws *hopWorkspace) relax(v graph.Vertex, d float64, h int32, parent graph.V
 	}
 	ws.dist[v], ws.hops[v], ws.parent[v] = d, h, parent
 	ws.seen[v] = ws.epoch
-	ws.push(d, v)
+	ws.heap.Push(d, v)
 }
 
 // pop settles and returns the next vertex in (distance, id) order with its
 // final distance and hops, skipping superseded heap entries; ok is false
 // once the frontier is empty.
 func (ws *hopWorkspace) pop() (v graph.Vertex, d float64, h int32, ok bool) {
-	for len(ws.hv) > 0 {
-		d, v := ws.hd[0], ws.hv[0]
-		ws.popTop()
+	for ws.heap.Len() > 0 {
+		d, v := ws.heap.Pop()
 		if d == ws.dist[v] {
 			return v, d, ws.hops[v], true
 		}
@@ -96,61 +94,13 @@ func (ws *hopWorkspace) pop() (v graph.Vertex, d float64, h int32, ok bool) {
 // peek returns the distance pop would settle next, discarding superseded
 // entries on the way; an empty frontier peeks as Infinity.
 func (ws *hopWorkspace) peek() float64 {
-	for len(ws.hv) > 0 {
-		if ws.hd[0] == ws.dist[ws.hv[0]] {
-			return ws.hd[0]
+	for ws.heap.Len() > 0 {
+		if d, v := ws.heap.Top(); d == ws.dist[v] {
+			return d
 		}
-		ws.popTop()
+		ws.heap.Pop()
 	}
 	return graph.Infinity
-}
-
-func (ws *hopWorkspace) lessAt(i, j int) bool {
-	if ws.hd[i] != ws.hd[j] {
-		return ws.hd[i] < ws.hd[j]
-	}
-	return ws.hv[i] < ws.hv[j]
-}
-
-func (ws *hopWorkspace) swap(i, j int) {
-	ws.hd[i], ws.hd[j] = ws.hd[j], ws.hd[i]
-	ws.hv[i], ws.hv[j] = ws.hv[j], ws.hv[i]
-}
-
-func (ws *hopWorkspace) push(d float64, v graph.Vertex) {
-	ws.hd, ws.hv = append(ws.hd, d), append(ws.hv, v)
-	for i := len(ws.hv) - 1; i > 0; {
-		p := (i - 1) / 4
-		if !ws.lessAt(i, p) {
-			break
-		}
-		ws.swap(i, p)
-		i = p
-	}
-}
-
-// popTop removes the heap's least entry.
-func (ws *hopWorkspace) popTop() {
-	last := len(ws.hv) - 1
-	ws.hd[0], ws.hv[0] = ws.hd[last], ws.hv[last]
-	ws.hd, ws.hv = ws.hd[:last], ws.hv[:last]
-	for i := 0; ; {
-		first := 4*i + 1
-		if first >= last {
-			return
-		}
-		small := first
-		for c := first + 1; c < min(first+4, last); c++ {
-			if ws.lessAt(c, small) {
-				small = c
-			}
-		}
-		if !ws.lessAt(small, i) {
-			return
-		}
-		ws.swap(i, small)
-		i = small
-	}
 }
 
 // tree copies the settled search, rooted at root, into a shortest-path

@@ -64,7 +64,7 @@ func BenchmarkFallbackKernel(b *testing.B) {
 		settled := 0
 		ov.mu.RLock()
 		for _, p := range pairs {
-			_, pops := ov.hopBidi(fw, bw, p[0], p[1])
+			_, pops := ov.hopBidi(fw, bw, p[0], p[1], graph.Infinity)
 			settled += pops
 		}
 		ov.mu.RUnlock()

@@ -132,7 +132,8 @@ type Overlay struct {
 	// the version's first fallback, and dropped by publish. treeBuilds
 	// counts the trees published. treeBudget is maxTreeBytes and treeRent
 	// the vertex count, the searches' cost at which a vertex gets its tree
-	// (tests lower both). hopPool holds the fallback's search workspaces.
+	// (tests lower both). hopPool holds the search workspaces of the
+	// fallback, its tree builds and BoundedBidiDist.
 	trees      atomic.Pointer[treeSet]
 	treeBuilds atomic.Uint64
 	treeBudget int

@@ -43,9 +43,7 @@ func (s *Scheme) EncodeSnapshot(snap *wire.Snapshot) error {
 	p.Float64(s.eps)
 	p.Uvarint(uint64(s.vc.Q))
 	p.Uvarint(uint64(s.vc.L))
-	if err := vicinity.EncodeSetsV2(snap.AlignedSection(secVicinities), s.vc.Vics); err != nil {
-		return err
-	}
+	vicinity.EncodeSetsV2(snap.AlignedSection(secVicinities), s.vc.Vics)
 	s.vc.Col.EncodeWireV2(snap.Section(secColoring))
 	s.intra.EncodeIntraWireV2(snap.Section(secIntra))
 	return nil

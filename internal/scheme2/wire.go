@@ -43,9 +43,7 @@ func (s *Scheme) EncodeSnapshot(snap *wire.Snapshot) error {
 	p.Float64(s.eps)
 	p.Uvarint(uint64(s.vc.Q))
 	p.Uvarint(uint64(s.vc.L))
-	if err := vicinity.EncodeSetsV2(snap.AlignedSection(secVicinities), s.vc.Vics); err != nil {
-		return err
-	}
+	vicinity.EncodeSetsV2(snap.AlignedSection(secVicinities), s.vc.Vics)
 	s.vc.Col.EncodeWireV2(snap.Section(secColoring))
 	if err := s.lms.EncodeWireV2(snap.Section(secLandmarks)); err != nil {
 		return err

@@ -53,9 +53,7 @@ func (s *Scheme) EncodeSnapshot(snap *wire.Snapshot) error {
 	p.Uvarint(uint64(s.vc.L))
 	s.h.EncodeWireV2(snap.Section(secLevels), snap.AlignedSection(secNearest),
 		snap.AlignedSection(secTrees), snap.AlignedSection(secBunches))
-	if err := vicinity.EncodeSetsV2(snap.AlignedSection(secVicinities), s.vc.Vics); err != nil {
-		return err
-	}
+	vicinity.EncodeSetsV2(snap.AlignedSection(secVicinities), s.vc.Vics)
 	s.vc.Col.EncodeWireV2(snap.Section(secColoring))
 	s.inter.EncodeWireV2(snap.AlignedSection(secInter))
 	return nil

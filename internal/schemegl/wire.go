@@ -65,9 +65,7 @@ func (s *Scheme) EncodeSnapshot(snap *wire.Snapshot) error {
 		vc := s.vcs[i]
 		vs.Uvarint(uint64(vc.Q))
 		vs.Uvarint(uint64(vc.L))
-		if err := vicinity.EncodeSetsV2(vs, vc.Vics); err != nil {
-			return fmt.Errorf("schemegl: encode level %d vicinities: %w", i, err)
-		}
+		vicinity.EncodeSetsV2(vs, vc.Vics)
 		vc.Col.EncodeWireV2(vs)
 	}
 

@@ -49,19 +49,12 @@ type RepairInfo struct {
 type RepairFunc func(old simnet.Scheme, g *graph.Graph, entries []live.Entry) (simnet.Scheme, RepairInfo, error)
 
 // RepairPolicy decides when Refresh may serve a churn batch with an
-// incremental repair instead of a full rebuild. Zero limits fall back to
-// DefaultRepairPolicy for MaxRepairEntries and mean "no limit" for the
-// other two.
+// incremental repair instead of a full rebuild. A zero limit falls back to
+// DefaultRepairPolicy.
 type RepairPolicy struct {
 	// MaxRepairEntries is the largest overlay (delta) size a repair may
 	// absorb; larger deltas force a full rebuild.
 	MaxRepairEntries int
-	// MaxStaleServed forces a full rebuild once more than this many
-	// deliveries were served degraded since the last generation swap.
-	MaxStaleServed uint64
-	// MaxRepairInterval forces a full rebuild when the last one is older
-	// than this, bounding how long repaired generations may compound.
-	MaxRepairInterval time.Duration
 }
 
 // DefaultRepairPolicy is the policy Refresh uses when LiveOptions.Policy is
@@ -143,14 +136,12 @@ type Live struct {
 	rebuildErrs obs.Counter
 	swaps       obs.Counter
 	lastRebuild atomic.Int64 // nanoseconds of the last successful rebuild
-	lastFullAt  atomic.Int64 // unix nanos of the last full rebuild (or engine start)
 
 	repairs        obs.Counter
 	repairErrs     obs.Counter
 	escalations    obs.Counter   // policy chose repair, repair failed, rebuild ran
 	pendingDropped obs.Counter   // quiesced updates rejected at drain
 	lastRepair     atomic.Int64  // nanoseconds of the last successful repair
-	staleAtSwap    atomic.Uint64 // StaleServed total at the last generation swap
 	treesAtReset   atomic.Uint64 // overlay fallback trees at the last ResetStats
 	lastInfoMu     sync.Mutex
 	lastInfo       RepairInfo
@@ -206,9 +197,7 @@ func NewLiveWithOverlay(s simnet.Scheme, ov *live.Overlay, o LiveOptions) (*Live
 		go (&worker{c: c, sh: c.shards[i]}).loop()
 	}
 	l := &Live{core: c}
-	now := time.Now().UnixNano()
-	l.start.Store(now)
-	l.lastFullAt.Store(now)
+	l.start.Store(time.Now().UnixNano())
 	if o.Obs != nil {
 		l.registerObs(o.Obs)
 	}
@@ -397,7 +386,6 @@ func (l *Live) Rebuild() error {
 	}
 	l.rebuilds.Inc()
 	l.lastRebuild.Store(int64(time.Since(start)))
-	l.lastFullAt.Store(time.Now().UnixNano())
 	if fr := l.opts.FlightRec; fr != nil {
 		fr.Record(obs.FlightEvent{
 			Kind:   "rebuild",
@@ -440,7 +428,6 @@ func (l *Live) swapTo(s simnet.Scheme, g *graph.Graph) error {
 		return err
 	}
 	l.swaps.Inc()
-	l.staleAtSwap.Store(l.staleTotal())
 	if fr := l.opts.FlightRec; fr != nil {
 		fr.Record(obs.FlightEvent{
 			Kind:   "swap",
@@ -499,35 +486,10 @@ func (l *Live) Repair() error {
 	return nil
 }
 
-// staleTotal sums the degraded-delivery counter across shards.
-func (l *Live) staleTotal() uint64 {
-	var total uint64
-	for _, sh := range l.shards {
-		sh.mu.Lock()
-		total += sh.st.stale
-		sh.mu.Unlock()
-	}
-	return total
-}
-
 // shouldRepair applies the policy: repair only when a repair function
-// exists, the delta is small, not too many queries were already served
-// degraded, and a full rebuild ran recently enough.
+// exists and the delta is small.
 func (l *Live) shouldRepair() bool {
-	if l.opts.Repair == nil {
-		return false
-	}
-	p := l.opts.Policy.filled()
-	if l.ov.Len() > p.MaxRepairEntries {
-		return false
-	}
-	if p.MaxStaleServed > 0 && l.staleTotal()-l.staleAtSwap.Load() > p.MaxStaleServed {
-		return false
-	}
-	if p.MaxRepairInterval > 0 && time.Since(time.Unix(0, l.lastFullAt.Load())) > p.MaxRepairInterval {
-		return false
-	}
-	return true
+	return l.opts.Repair != nil && l.ov.Len() <= l.opts.Policy.filled().MaxRepairEntries
 }
 
 // Refresh folds the current overlay into a fresh serving generation the

@@ -9,26 +9,6 @@ import (
 	"compactroute/internal/graph"
 )
 
-// TestBuildIndexRejectsDuplicate feeds a repeated member through buildIndex,
-// the routine build fills every built set's index with: it must fail naming
-// the member and the center, not leave the duplicate in the set.
-func TestBuildIndexRejectsDuplicate(t *testing.T) {
-	s := &Set{center: 4, members: []Member{
-		{V: 4, Dist: 0, First: 4},
-		{V: 9, Dist: 1, First: 9},
-		{V: 2, Dist: 2, First: 9},
-		{V: 9, Dist: 3, First: 9},
-	}}
-	err := s.buildIndex()
-	if err == nil || err.Error() != "vicinity: duplicate member 9 in B(4)" {
-		t.Fatalf("buildIndex = %v, want the duplicate of 9 in B(4)", err)
-	}
-	s.members = s.members[:3]
-	if err := s.buildIndex(); err != nil {
-		t.Fatalf("distinct members rejected: %v", err)
-	}
-}
-
 // viewVariants returns copies of a decoded set in every storage the decoder
 // can produce: first hops as uint16 or uint32 member indexes, distances as
 // uint16, uint32 or float64. Each copy owns its arrays, so a test may
@@ -135,6 +115,15 @@ func TestValidateViewsMatchesMemberMajorCheck(t *testing.T) {
 	built, err := BuildAll(gnm(t, n, 3*n, 5, 32), l)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// A member repeated at its own distance breaks the strict order; the
+	// error names it and the center, in the widths build stores.
+	dup := &Set{center: 4, memV: []graph.Vertex{4, 9, 9, 2}, memFirst: []uint32{0, 1, 1, 1}, distF: []float64{0, 1, 1, 2}}
+	const dupErr = "members of B(4) not in (dist, id) order at 2 (duplicate 9?)"
+	for _, err := range []error{dup.validateViews(10), memberMajorCheck(dup, 10)} {
+		if err == nil || err.Error() != dupErr {
+			t.Fatalf("repeated member: %v, want %q", err, dupErr)
+		}
 	}
 	dec := roundTrip(t, built)
 	r := rand.New(rand.NewSource(7))

@@ -32,9 +32,7 @@ func gnm(tb testing.TB, n, m int, seed int64, maxW int) *graph.Graph {
 func roundTrip(tb testing.TB, sets []*Set) []*Set {
 	tb.Helper()
 	var e wire.Encoder
-	if err := EncodeSetsV2(&e, sets); err != nil {
-		tb.Fatal(err)
-	}
+	EncodeSetsV2(&e, sets)
 	d := wire.NewDecoder("vicinities", e.Bytes())
 	dec, err := DecodeSetsV2(d, len(sets))
 	if err != nil {
@@ -181,42 +179,49 @@ func TestLookupIndexFootprint(t *testing.T) {
 	}
 }
 
-// TestLookupIndexConcurrentBuild starts 8 readers on a freshly decoded
-// family at once, so the lazy index builds of every set race on the CAS
-// that publishes them; every answer must still equal the scan.
+// TestLookupIndexConcurrentBuild starts 8 readers at once on a freshly
+// built family and on its freshly decoded twin, so the lazy index builds of
+// every set race on the CAS that publishes them; every answer must still
+// equal the scan.
 func TestLookupIndexConcurrentBuild(t *testing.T) {
 	const n, l, readers = 200, 17, 8
-	built, err := BuildAll(gnm(t, n, 3*n, 11, 32), l)
+	g := gnm(t, n, 3*n, 11, 32)
+	built, err := BuildAll(g, l)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec := roundTrip(t, built)
 	want := make([][]lookupAnswer, n)
-	for u, s := range dec {
+	for u, s := range built {
 		want[u] = make([]lookupAnswer, n+2)
 		for v := graph.Vertex(-1); v <= n; v++ {
 			want[u][v+1] = scanAnswer(s, v)
 		}
 	}
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	for r := 0; r < readers; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
-			for u, s := range dec {
-				for v := graph.Vertex(-1); v <= n; v++ {
-					if got := indexAnswer(s, v); got != want[u][v+1] {
-						t.Errorf("reader %d: B(%d) lookup of %d = %+v, scan says %+v", r, u, v, got, want[u][v+1])
-						return
+	fresh, err := BuildAll(g, l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, fam := range map[string][]*Set{"built": fresh, "decoded": roundTrip(t, built)} {
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for r := 0; r < readers; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for u, s := range fam {
+					for v := graph.Vertex(-1); v <= n; v++ {
+						if got := indexAnswer(s, v); got != want[u][v+1] {
+							t.Errorf("%s reader %d: B(%d) lookup of %d = %+v, scan says %+v", name, r, u, v, got, want[u][v+1])
+							return
+						}
 					}
 				}
-			}
-		}()
+			}()
+		}
+		close(start)
+		wg.Wait()
 	}
-	close(start)
-	wg.Wait()
 }
 
 // lookupSink keeps BenchmarkVicinityLookup's loop from being optimized away.

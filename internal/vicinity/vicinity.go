@@ -37,24 +37,22 @@ type Member struct {
 
 // Set is the vicinity B(u, l) of a single center vertex u.
 //
-// Members come in one of two storages: built sets hold the
-// (dist, id)-ordered []Member slice; decoded sets hold structure-of-array
-// views (ids, first-hop member indexes, distances) that alias the snapshot
-// bytes - for a served snapshot, a read-only mmap - and must never be
-// written. The indexed accessors (Size, MemberV, MemberDist, MemberFirst)
-// work on either storage without allocating; Members materializes a []Member
-// view on demand for the aliased form.
+// Members are structure-of-array views in (dist, id) order: ids, first-hop
+// member indexes and distances - the arrays the v2 snapshot section holds.
+// Build fills them at the widest widths (uint32 indexes, float64
+// distances); a decoded set aliases the snapshot bytes - for a served
+// snapshot, a read-only mmap - at whatever widths the encoder picked, and
+// must never be written. Either way the arrays are checked by
+// validateViews before the Set escapes.
 type Set struct {
-	center  graph.Vertex
-	radius  float64  // r_u(l) of the paper
-	members []Member // (dist, id) order; nil for decoded sets
-	// SoA views of a decoded set, (dist, id) order. Exactly one of
-	// memFirst/memFirst16 holds the member index of each first hop (Lemma 2:
-	// the first vertex of a shortest center-to-member path is itself a
-	// member); the encoder picks the narrowest width that fits the largest
-	// index. Exactly one of distU16/distU/distF is set likewise: small
-	// integral distances ride a uint16 array, large integral ones a uint32
-	// array, general ones a float64 array.
+	center graph.Vertex
+	radius float64 // r_u(l) of the paper
+	// Exactly one of memFirst/memFirst16 holds the member index of each
+	// first hop (Lemma 2: the first vertex of a shortest center-to-member
+	// path is itself a member); the encoder picks the narrowest width that
+	// fits the largest index. Exactly one of distU16/distU/distF is set
+	// likewise: small integral distances ride a uint16 array, large
+	// integral ones a uint32 array, general ones a float64 array.
 	memV       []graph.Vertex
 	memFirst   []uint32
 	memFirst16 []uint16
@@ -72,14 +70,12 @@ type Set struct {
 	// a vertex id rather than a member index, so reading it costs no second
 	// dependent miss into the member arrays.
 	//
-	// Built sets fill the table eagerly (construction already walks every
-	// member, and the insert probe doubles as their duplicate check).
-	// Decoded sets leave it nil and build it on first lookup - the index
-	// analogue of demand paging, and what keeps the mmap cold start
-	// free of per-member work: the strict (dist, id) member order checked at
-	// decode makes duplicates impossible, so the lazy build cannot fail and
-	// any racing builders produce identical tables (first CAS wins). Both
-	// forms fill the table through fillIndex.
+	// The table is built on first lookup - the index analogue of demand
+	// paging, and what keeps the mmap cold start free of per-member work -
+	// and the build cannot fail: a member id repeated at two distances,
+	// which only a corrupt snapshot can hold (validateViews rejects a repeat
+	// at one distance), takes a second slot no lookup answers from. Racing
+	// builders produce identical tables (first CAS wins).
 	//
 	// The table is published as a pointer to its first slot plus its slot
 	// count, both living in the Set struct itself: a lookup touches only the
@@ -143,63 +139,39 @@ func tblSizeFor(c int) int {
 	return c + (c+2)/3 + 1
 }
 
-// fillIndex builds the membership table of s from its members, in either
-// storage. It returns the table, or nil and the first duplicated member
-// vertex.
-func (s *Set) fillIndex() ([]vicEntry, graph.Vertex) {
+// buildTable builds the membership index of s on first lookup. It cannot
+// fail; concurrent callers may race, build identical tables and agree on
+// whichever CAS publishes first.
+func (s *Set) buildTable() *vicEntry {
 	c := s.Size()
 	size := uint32(tblSizeFor(c))
 	tbl := make([]vicEntry, size)
 	for i := 0; i < c; i++ {
-		v := s.MemberV(i)
+		v := s.memV[i]
 		j := homeSlot(v, size)
 		for tbl[j].v != 0 {
-			if tbl[j].v == v+1 {
-				return nil, v
-			}
 			if j++; j == size {
 				j = 0
 			}
 		}
 		tbl[j] = vicEntry{v: v + 1, first: s.MemberFirst(i)}
 	}
-	return tbl, graph.NoVertex
-}
-
-// buildIndex eagerly fills the membership table from the members slice,
-// failing on the first duplicated member vertex.
-func (s *Set) buildIndex() error {
-	tbl, dup := s.fillIndex()
-	if tbl == nil {
-		return fmt.Errorf("vicinity: duplicate member %d in B(%d)", dup, s.center)
-	}
-	s.size.Store(uint32(len(tbl)))
-	s.ent.Store(&tbl[0])
-	return nil
-}
-
-// buildTable builds the membership index of a v2-decoded set on first
-// lookup. The member views were validated at decode (strict (dist, id)
-// order, so no duplicates), making the build infallible; concurrent callers
-// may race, build identical tables and agree on whichever CAS publishes
-// first.
-func (s *Set) buildTable() *vicEntry {
-	tbl, _ := s.fillIndex()
-	s.size.Store(uint32(len(tbl)))
+	s.size.Store(size)
 	if s.ent.CompareAndSwap(nil, &tbl[0]) {
 		return &tbl[0]
 	}
 	return s.ent.Load()
 }
 
-// validateViews checks the SoA member views of a v2-decoded set in one
-// sequential pass: ids in [0,n), first hops in-range member indexes,
-// distances non-negative and not NaN, members in strictly increasing
-// (dist, id) order - the canonical order every encoder writes, which rules
-// out duplicates without touching a hash table - and the center present.
-// The storage widths are resolved once per set, not once per member. This
-// pass is the only per-member work of the mmap load path; the membership
-// index itself is built on first lookup.
+// validateViews checks the SoA member views of a set in one sequential
+// pass: ids in [0,n), first hops in-range member indexes, distances
+// non-negative and not NaN, members in strictly increasing (dist, id) order
+// - the canonical order every encoder writes, which rules out a member
+// repeated at one distance without touching a hash table - and the center
+// present. The storage
+// widths are resolved once per set, not once per member. This pass is the
+// only per-member work of the mmap load path; the membership index itself
+// is built on first lookup.
 func (s *Set) validateViews(n int) error {
 	if s.memFirst != nil {
 		return validateFirst(s, s.memFirst, n)
@@ -301,33 +273,34 @@ func build(g *graph.Graph, u graph.Vertex, l int, touch bool) (*Set, []graph.Ver
 	if len(near) > l {
 		near = near[:l]
 	}
+	c := len(near)
 	s := &Set{
-		center:  u,
-		members: make([]Member, len(near)),
+		center:   u,
+		radius:   computeRadius(all, c),
+		memV:     make([]graph.Vertex, c),
+		memFirst: make([]uint32, c),
+		distF:    make([]float64, c),
 	}
-	// Construction-time position map for the parent walks; the packed index
-	// replaces it before the Set escapes.
-	pos := make(map[graph.Vertex]int32, len(near))
+	// Construction-time position map for the parent walks.
+	pos := make(map[graph.Vertex]uint32, c)
 	for i, nr := range near {
-		first := nr.V
-		if nr.V == u {
-			first = u
-		} else if nr.Parent != u {
+		// The center and its neighbors are their own first hops.
+		first := uint32(i)
+		if nr.V != u && nr.Parent != u {
 			// Walk up: parents appear earlier in (dist, id) order, so their
-			// First values are already final.
+			// first hops are already final.
 			pj, ok := pos[nr.Parent]
 			if !ok {
 				return nil, nil, fmt.Errorf("vicinity: parent %d of %d missing from truncated search", nr.Parent, nr.V)
 			}
-			first = s.members[pj].First
+			first = s.memFirst[pj]
 		}
-		s.members[i] = Member{V: nr.V, Dist: nr.Dist, First: first}
-		pos[nr.V] = int32(i)
+		s.memV[i], s.memFirst[i], s.distF[i] = nr.V, first, nr.Dist
+		pos[nr.V] = uint32(i)
 	}
-	if err := s.buildIndex(); err != nil {
-		return nil, nil, err
+	if err := s.validateViews(g.N()); err != nil {
+		return nil, nil, fmt.Errorf("vicinity: %w", err)
 	}
-	s.radius = s.computeRadius(all)
 	return s, settled, nil
 }
 
@@ -336,23 +309,23 @@ func build(g *graph.Graph, u graph.Vertex, l int, touch bool) (*Set, []graph.Ver
 // maximum member distance are complete by construction (Nearest closes
 // classes), so the radius is the maximum member distance unless the last
 // class was truncated by the size cutoff. all is the (l+1)-truncated search
-// the members were cut from; the entry after the members (when present) is
-// the closest excluded vertex.
-func (s *Set) computeRadius(all []graph.NearestResult) float64 {
-	if len(s.members) == 0 {
+// whose first c entries are the members; the entry after them (when
+// present) is the closest excluded vertex.
+func computeRadius(all []graph.NearestResult, c int) float64 {
+	if c == 0 {
 		return 0
 	}
-	last := s.members[len(s.members)-1].Dist
+	last := all[c-1].Dist
 	// The last distance class is complete iff no excluded vertex sits at
 	// exactly distance `last`.
-	if len(all) <= len(s.members) {
+	if len(all) <= c {
 		return last // vicinity covers every reachable vertex
 	}
-	if all[len(s.members)].Dist == last {
+	if all[c].Dist == last {
 		// Truncated class: radius is the largest complete class below it.
-		for i := len(s.members) - 1; i >= 0; i-- {
-			if s.members[i].Dist < last {
-				return s.members[i].Dist
+		for i := c - 1; i >= 0; i-- {
+			if all[i].Dist < last {
+				return all[i].Dist
 			}
 		}
 		return 0
@@ -380,26 +353,13 @@ func BuildAll(g *graph.Graph, l int) ([]*Set, error) {
 func (s *Set) Center() graph.Vertex { return s.center }
 
 // Size returns the number of members (including the center).
-func (s *Set) Size() int {
-	if s.members != nil {
-		return len(s.members)
-	}
-	return len(s.memV)
-}
+func (s *Set) Size() int { return len(s.memV) }
 
 // MemberV returns the id of the i-th member in (dist, id) order.
-func (s *Set) MemberV(i int) graph.Vertex {
-	if s.members != nil {
-		return s.members[i].V
-	}
-	return s.memV[i]
-}
+func (s *Set) MemberV(i int) graph.Vertex { return s.memV[i] }
 
 // MemberDist returns the distance of the i-th member.
 func (s *Set) MemberDist(i int) float64 {
-	if s.members != nil {
-		return s.members[i].Dist
-	}
 	switch {
 	case s.distU16 != nil:
 		return float64(s.distU16[i])
@@ -409,16 +369,16 @@ func (s *Set) MemberDist(i int) float64 {
 	return s.distF[i]
 }
 
-// MemberFirst returns the first hop stored for the i-th member.
-func (s *Set) MemberFirst(i int) graph.Vertex {
-	if s.members != nil {
-		return s.members[i].First
-	}
+// firstIdx returns the member index of the i-th member's first hop.
+func (s *Set) firstIdx(i int) uint32 {
 	if s.memFirst != nil {
-		return s.memV[s.memFirst[i]]
+		return s.memFirst[i]
 	}
-	return s.memV[s.memFirst16[i]]
+	return uint32(s.memFirst16[i])
 }
+
+// MemberFirst returns the first hop stored for the i-th member.
+func (s *Set) MemberFirst(i int) graph.Vertex { return s.memV[s.firstIdx(i)] }
 
 // Radius returns r_u(l).
 func (s *Set) Radius() float64 { return s.radius }
@@ -436,15 +396,10 @@ func (s *Set) FirstHop(v graph.Vertex) (graph.Vertex, bool) {
 	return e.first, true
 }
 
-// Members returns the members in (dist, id) order. For built sets the
-// returned slice is owned by the Set and must not be modified; for decoded
-// (snapshot-aliased) sets every call materializes a fresh slice,
-// so hot loops should use the indexed accessors instead.
+// Members materializes the members in (dist, id) order into a fresh
+// slice; hot loops should use the indexed accessors instead.
 func (s *Set) Members() []Member {
-	if s.members != nil {
-		return s.members
-	}
-	ms := make([]Member, len(s.memV))
+	ms := make([]Member, s.Size())
 	for i := range ms {
 		ms[i] = Member{V: s.memV[i], Dist: s.MemberDist(i), First: s.MemberFirst(i)}
 	}
@@ -463,9 +418,7 @@ func MemberSets(sets []*Set) [][]graph.Vertex {
 	out := make([][]graph.Vertex, len(sets))
 	for u, s := range sets {
 		lo := len(slab)
-		for i, c := 0, s.Size(); i < c; i++ {
-			slab = append(slab, s.MemberV(i))
-		}
+		slab = append(slab, s.memV...)
 		out[u] = slab[lo:len(slab):len(slab)]
 	}
 	return out

@@ -1,7 +1,6 @@
 package vicinity
 
 import (
-	"fmt"
 	"math"
 	"unsafe"
 
@@ -36,7 +35,7 @@ const (
 // zero-copy aliases over the mapped snapshot; the per-set Fibonacci-hash
 // membership tables are not serialized at all - they are rebuilt on first
 // lookup. The section this lands in must be an AlignedSection.
-func EncodeSetsV2(e *wire.Encoder, sets []*Set) error {
+func EncodeSetsV2(e *wire.Encoder, sets []*Set) {
 	n := len(sets)
 	radii := make([]float64, n)
 	offs := make([]uint32, n+1)
@@ -50,30 +49,16 @@ func EncodeSetsV2(e *wire.Encoder, sets []*Set) error {
 	e.Uint32Array(offs)
 	memV := make([]graph.Vertex, 0, total)
 	for _, s := range sets {
-		for i, c := 0, s.Size(); i < c; i++ {
-			memV = append(memV, s.MemberV(i))
-		}
+		memV = append(memV, s.memV...)
 	}
 	e.VertexArray(memV)
 	firstIdx := make([]uint32, 0, total)
-	maxIdx := 0
-	pos := make(map[graph.Vertex]int)
+	maxIdx := uint32(0)
 	for _, s := range sets {
-		clear(pos)
-		c := s.Size()
-		for i := 0; i < c; i++ {
-			pos[s.MemberV(i)] = i
-		}
-		for i := 0; i < c; i++ {
-			f := s.MemberFirst(i)
-			j, ok := pos[f]
-			if !ok {
-				return fmt.Errorf("vicinity: encode: first hop %d of member %d in B(%d) is not a member", f, s.MemberV(i), s.center)
-			}
-			if j > maxIdx {
-				maxIdx = j
-			}
-			firstIdx = append(firstIdx, uint32(j))
+		for i, c := 0, s.Size(); i < c; i++ {
+			j := s.firstIdx(i)
+			maxIdx = max(maxIdx, j)
+			firstIdx = append(firstIdx, j)
 		}
 	}
 	if maxIdx < 1<<16 {
@@ -121,7 +106,6 @@ func EncodeSetsV2(e *wire.Encoder, sets []*Set) error {
 		e.Byte(distSeqFloat)
 		e.Float64Array(dists)
 	}
-	return nil
 }
 
 // DecodeSetsV2 reads n vicinities written by EncodeSetsV2. The member

@@ -43,8 +43,7 @@ type (
 	// bit-identical to a full rebuild or error out (the engine escalates).
 	RepairFunc = serve.RepairFunc
 	// RepairPolicy decides when (*LiveEngine).Refresh repairs in place and
-	// when it escalates to a full rebuild (delta size, staleness served,
-	// time since the last full rebuild).
+	// when it escalates to a full rebuild (delta size).
 	RepairPolicy = serve.RepairPolicy
 	// RepairInfo is the dirty-set footprint of one incremental repair.
 	RepairInfo = serve.RepairInfo
