@@ -598,10 +598,10 @@ func BenchmarkLazyScaling(b *testing.B) {
 		st = lazy.Stats()
 		tableMean = ev.Tables.Mean
 		// Regression guard on the cache accounting (an insert-before-evict
-		// bug would trip it). PeakBytes can legitimately exceed the budget
-		// only below the documented one-row-per-shard floor, which every E11
-		// configuration is far above.
-		if st.BudgetBytes >= int64(lazy.CapacityRows())*st.RowBytes && st.PeakBytes > st.BudgetBytes {
+		// bug would trip it). PeakBytes is the high-water mark of the rows'
+		// own bytes; it could exceed the budget only below the documented
+		// one-row-per-shard floor, which every E11 configuration is far above.
+		if st.PeakBytes > st.BudgetBytes {
 			b.Fatalf("cache peak %d bytes exceeds budget %d", st.PeakBytes, st.BudgetBytes)
 		}
 	}
@@ -610,6 +610,7 @@ func BenchmarkLazyScaling(b *testing.B) {
 	b.ReportMetric(float64(st.PeakBytes)/(1<<20), "cache-peak-mb")
 	b.ReportMetric(float64(st.Misses), "rows-computed")
 	b.ReportMetric(float64(st.Evictions), "rows-evicted")
+	b.ReportMetric(float64(st.NarrowRows)/float64(max(st.CachedRows, 1)), "narrow-share")
 	b.ReportMetric(tableMean, "table-mean-words")
 }
 

@@ -57,10 +57,10 @@ func (a *DenseAPSP) Dist(u, v Vertex) float64 { return a.dist[int(u)*a.n+int(v)]
 // from u to v. First(u, u) == u; it returns NoVertex if v is unreachable.
 func (a *DenseAPSP) First(u, v Vertex) Vertex { return a.first[int(u)*a.n+int(v)] }
 
-// Row returns the matrix row of src as shared read-only slices.
+// Row returns the matrix row of src: full-width views of the two matrices.
 func (a *DenseAPSP) Row(src Vertex) Row {
 	lo, hi := int(src)*a.n, (int(src)+1)*a.n
-	return Row{Src: src, Dist: a.dist[lo:hi:hi], First: a.first[lo:hi:hi]}
+	return Row{Src: src, dist64: a.dist[lo:hi:hi], first32: a.first[lo:hi:hi]}
 }
 
 // Path returns the canonical shortest path from u to v inclusive, or nil if
@@ -71,7 +71,7 @@ func (a *DenseAPSP) Path(u, v Vertex) []Vertex { return pathVia(a, u, v) }
 // too small to parallelize; the all-sources loops (Eccentricities,
 // SummarizeDistances) carry the parallelism.
 func (a *DenseAPSP) Eccentricity(u Vertex) float64 {
-	return rowMaxFinite(a.Row(u).Dist)
+	return rowMaxFinite(a.Row(u), a.n)
 }
 
 // NormalizedDiameter returns D = max d(u,v) / min_{u!=v} d(u,v) over

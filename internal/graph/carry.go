@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"compactroute/internal/parallel"
@@ -51,10 +52,13 @@ import (
 // finalization order the share rule and the patch rest on needs every
 // relaxation to strictly increase the distance.
 //
-// Budget. The new cache has l's budget, shard count and row size, so each of
-// its shards has room for the rows the same shard of l holds; they keep their
-// recency order, and every row l does not hold fills on demand. Stats reports
-// the carried rows as SharedRows and PatchedRows.
+// Budget. The new cache has l's budget and shard count, and each carried row
+// goes to the same shard it left, least recently used first, so the rows keep
+// their recency order. A patched row is stored at its own narrowest width;
+// if one widens past its shard's share, the shard evicts its least recently
+// used rows first, as a fill would. Every row l does not hold fills on
+// demand. Stats reports the carried rows as SharedRows and PatchedRows, and
+// any row a widened one pushed out as an eviction.
 func (l *LazyAPSP) Carry(next *Graph) *LazyAPSP {
 	out := NewLazyAPSP(next, LazyConfig{MemBudget: l.budget, Shards: len(l.shards)})
 	old := l.g
@@ -62,8 +66,10 @@ func (l *LazyAPSP) Carry(next *Graph) *LazyAPSP {
 		return out
 	}
 	// Snapshot the resident rows, least recently used first per shard, so
-	// pushing them to the front of the new shards keeps their order.
-	var rows []Row
+	// pushing them to the front of the new shards keeps their order. Each
+	// entry is then replaced by its carried row, or by the zero Row when it
+	// is dropped.
+	rows := make([]Row, 0, l.rows.Load())
 	for i := range l.shards {
 		sh := &l.shards[i]
 		sh.mu.Lock()
@@ -73,25 +79,25 @@ func (l *LazyAPSP) Carry(next *Graph) *LazyAPSP {
 		sh.mu.Unlock()
 	}
 	deltas := diffEdges(old, next)
-	carried := make([]Row, len(rows))
 	patched := make([]bool, len(rows))
 	var pool sync.Pool
 	parallel.For(len(rows), func(i int) {
 		r := rows[i]
 		switch {
-		case rowUnchanged(r.Dist, deltas):
-			carried[i] = r
+		case rowUnchanged(r, deltas):
 		case !next.unit:
 			p, _ := pool.Get().(*rowPatcher)
 			if p == nil {
 				p = newRowPatcher(old, next, deltas)
 			}
-			carried[i], patched[i] = p.patch(r), true
+			rows[i], patched[i] = p.patch(r), true
 			pool.Put(p)
+		default:
+			rows[i] = Row{}
 		}
 	})
-	for i, r := range carried {
-		if r.Dist == nil {
+	for i, r := range rows {
+		if r.dist16 == nil && r.dist64 == nil {
 			continue // dropped
 		}
 		if patched[i] {
@@ -99,13 +105,8 @@ func (l *LazyAPSP) Carry(next *Graph) *LazyAPSP {
 		} else {
 			out.shared++
 		}
-		sh := &out.shards[int(r.Src)%len(out.shards)]
-		e := &lruEntry{src: r.Src, row: r}
-		sh.entries[r.Src] = e
-		sh.pushFront(e)
-		out.rows.Add(1)
+		out.insert(&out.shards[int(r.Src)%len(out.shards)], r)
 	}
-	out.peakRows.Store(out.rows.Load())
 	return out
 }
 
@@ -161,10 +162,10 @@ func diffEdges(old, next *Graph) []edgeDelta {
 	return out
 }
 
-// rowUnchanged is the share rule of Carry for a row with old distances d.
-func rowUnchanged(d []float64, deltas []edgeDelta) bool {
+// rowUnchanged is the share rule of Carry for the old row r.
+func rowUnchanged(r Row, deltas []edgeDelta) bool {
 	for _, e := range deltas {
-		dx, dy := d[e.x], d[e.y]
+		dx, dy := r.Dist(e.x), r.Dist(e.y)
 		if math.IsInf(dx, 1) && math.IsInf(dy, 1) {
 			continue
 		}
@@ -198,10 +199,14 @@ func parentOf(g *Graph, d []float64, v Vertex) Vertex {
 // rowPatcher patches Dijkstra rows across one fixed set of edge changes. Its
 // sets are epoch-stamped (set[v] == epoch means member), so a row starts with
 // one increment instead of clearing O(n) state, and the scratch is reused
-// across every row one worker patches.
+// across every row one worker patches. The old row's distances are widened
+// into nd, where the patch runs; the result keeps the old first-hop width
+// (it depends on n alone) and is narrowed again on the entries that moved.
 type rowPatcher struct {
 	old, next *Graph
 	deltas    []edgeDelta
+
+	nd []float64
 
 	epoch   uint32
 	orphan  []uint32 // below a cut tree edge
@@ -214,7 +219,7 @@ type rowPatcher struct {
 
 func newRowPatcher(old, next *Graph, deltas []edgeDelta) *rowPatcher {
 	n := old.N()
-	return &rowPatcher{old: old, next: next, deltas: deltas,
+	return &rowPatcher{old: old, next: next, deltas: deltas, nd: make([]float64, n),
 		orphan: make([]uint32, n), touched: make([]uint32, n), queued: make([]uint32, n)}
 }
 
@@ -228,10 +233,13 @@ func (p *rowPatcher) patch(r Row) Row {
 		clear(p.queued)
 		p.epoch = 1
 	}
-	ep, src, d, f := p.epoch, r.Src, r.Dist, r.First
+	ep, src, nd := p.epoch, r.Src, p.nd
 	old, nx := p.old, p.next
-	nd := append([]float64(nil), d...)
-	nf := append([]Vertex(nil), f...)
+	r.widenDist(nd)
+	// Step 1 reads the old distances from d, which is nd until step 2
+	// writes it; later steps read them from r.
+	d := nd
+	out := Row{Src: src, first16: slices.Clone(r.first16), first32: slices.Clone(r.first32)}
 
 	// 1. Orphans: the old subtrees below every deleted or raised tree edge.
 	p.orphans = p.orphans[:0]
@@ -323,13 +331,13 @@ func (p *rowPatcher) patch(r Row) Row {
 		}
 		p.queued[v] = ep
 		if math.IsInf(nd[v], 1) {
-			nf[v] = NoVertex
+			out.setFirst(v, NoVertex)
 			return
 		}
 		h.Push(nd[v], v)
 	}
 	moved := func(v Vertex) {
-		if nd[v] == d[v] {
+		if nd[v] == r.Dist(v) {
 			return
 		}
 		queue(v)
@@ -359,11 +367,11 @@ func (p *rowPatcher) patch(r Row) Row {
 			if par := parentOf(nx, nd, v); par == src {
 				fv = v
 			} else {
-				fv = nf[par]
+				fv = out.First(par)
 			}
 		}
-		nf[v] = fv
-		if fv == f[v] {
+		out.setFirst(v, fv)
+		if fv == r.First(v) {
 			continue
 		}
 		for i := nx.off[v]; i < nx.off[v+1]; i++ {
@@ -373,5 +381,6 @@ func (p *rowPatcher) patch(r Row) Row {
 			}
 		}
 	}
-	return Row{Src: src, Dist: nd, First: nf}
+	out.dist16, out.dist64 = r.patchDist(nd, p.orphans, p.pushed)
+	return out
 }

@@ -54,26 +54,34 @@ func (es *edgeSet) keys() [][2]graph.Vertex {
 }
 
 // checkCarried requires every row of ps, cached or not, to equal
-// ShortestPaths on g in Dist and First, bit for bit.
+// ShortestPaths on g in Dist and First, bit for bit; and, when ps then holds
+// every row, the rows stored at 16 bits to be exactly those fitsNarrow
+// accepts.
 func checkCarried(tb testing.TB, ps *graph.LazyAPSP, g *graph.Graph, what string) {
 	tb.Helper()
+	narrow := 0
 	for u := 0; u < g.N(); u++ {
-		got := ps.Row(graph.Vertex(u))
 		want := g.ShortestPaths(graph.Vertex(u))
-		for v := 0; v < g.N(); v++ {
-			if got.Dist[v] != want.Dist[v] || got.First[v] != want.First[v] {
-				tb.Fatalf("%s: row %d entry %d: carried (%v, %d) want (%v, %d)",
-					what, u, v, got.Dist[v], got.First[v], want.Dist[v], want.First[v])
-			}
+		sameRow(tb, what, ps.Row(graph.Vertex(u)), want)
+		if fitsNarrow(want.Dist) {
+			narrow++
 		}
+	}
+	if st := ps.Stats(); st.CachedRows == g.N() && st.NarrowRows != narrow {
+		tb.Fatalf("%s: %d of %d rows stored narrow, want %d", what, st.NarrowRows, g.N(), narrow)
 	}
 }
 
-// fitAll is a cache configuration that holds all n rows: two shards with
-// room for ceil(n/2) rows each. (The default budget would preallocate maps
-// for 256 MiB of rows, which dwarfs these tiny graphs.)
-func fitAll(n int) graph.LazyConfig {
-	return graph.LazyConfig{MemBudget: int64(n+2) * (12*int64(n) + 96), Shards: 2}
+// fitAll is a cache configuration that holds all n rows at any width: two
+// shards with room for ceil(n/2) rows each of the widest kind, measured on a
+// path over n vertices with fractional weights.
+func fitAll(tb testing.TB, n int) graph.LazyConfig {
+	tb.Helper()
+	es := newEdgeSet(n)
+	for u := 1; u < n; u++ {
+		es.w[edgeKey(graph.Vertex(u-1), graph.Vertex(u))] = 0.5
+	}
+	return graph.LazyConfig{MemBudget: int64(n+2) * rowBytes(tb, es.graph(tb), 0), Shards: 2}
 }
 
 // warm fills every row of ps, so the next carry has all of them to carry.
@@ -111,7 +119,7 @@ func TestLazyCarryMatchesFresh(t *testing.T) {
 					}
 				}
 				g := es.graph(t)
-				ps := graph.NewLazyAPSP(g, fitAll(n))
+				ps := graph.NewLazyAPSP(g, fitAll(t, n))
 				warm(ps)
 				for step := 0; step < 8; step++ {
 					for k := 1 + rng.Intn(4); k > 0; k-- {
@@ -204,7 +212,7 @@ func TestLazyCarryGuards(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			ps := graph.NewLazyAPSP(c.from, fitAll(c.from.N()))
+			ps := graph.NewLazyAPSP(c.from, fitAll(t, c.from.N()))
 			warm(ps)
 			next := ps.Carry(c.to)
 			if st := next.Stats(); st.CachedRows != 0 || st.SharedRows != 0 || st.PatchedRows != 0 {
@@ -215,8 +223,7 @@ func TestLazyCarryGuards(t *testing.T) {
 	}
 
 	t.Run("budget", func(t *testing.T) {
-		rowBytes := 12*int64(weighted.N()) + 96
-		ps := graph.NewLazyAPSP(weighted, graph.LazyConfig{MemBudget: 3 * rowBytes, Shards: 3})
+		ps := graph.NewLazyAPSP(weighted, graph.LazyConfig{MemBudget: 3 * maxRowBytes(t, weighted), Shards: 3})
 		warm(ps)
 		held := ps.Stats().CachedRows
 		if held != 3 {
@@ -241,6 +248,38 @@ func TestLazyCarryGuards(t *testing.T) {
 	})
 }
 
+// TestLazyCarryWideningEvictsLRU carries a full cache of 16-bit rows across
+// an update that pushes four of them past 65534: the widened rows no longer
+// fit the budget, so the carry evicts the least recently used row, keeps the
+// rest within the budget, and every row still comes out right.
+func TestLazyCarryWideningEvictsLRU(t *testing.T) {
+	es := newEdgeSet(6)
+	for u := 1; u < 6; u++ {
+		es.w[edgeKey(graph.Vertex(u-1), graph.Vertex(u))] = 10000
+	}
+	g := es.graph(t)
+	// One shard with room for exactly the six narrow rows, filled 0 to 5,
+	// so row 0 is the least recently used.
+	ps := graph.NewLazyAPSP(g, graph.LazyConfig{MemBudget: 6 * maxRowBytes(t, g), Shards: 1})
+	warm(ps)
+	if st := ps.Stats(); st.CachedRows != 6 || st.NarrowRows != 6 {
+		t.Fatalf("warm cache: %+v", st)
+	}
+	// Rows 0, 1, 4 and 5 now reach 70000 or more.
+	es.w[edgeKey(2, 3)] = 40000
+	next := ps.Carry(es.graph(t))
+	st := next.Stats()
+	if st.PatchedRows != 6 || st.Evictions == 0 || st.CachedBytes > st.BudgetBytes || st.PeakBytes > st.BudgetBytes {
+		t.Fatalf("carry across the widening: %+v", st)
+	}
+	next.Row(5)
+	next.Row(0)
+	if st := next.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("row 5 should be resident and row 0 evicted: %+v", st)
+	}
+	checkCarried(t, next, es.graph(t), "widening")
+}
+
 // TestLazyCarryConcurrentReaders carries a cache while other goroutines keep
 // reading (and refilling) rows of it, the way a generation's cache can still
 // be read while the next one is carried from it; run under -race.
@@ -253,8 +292,7 @@ func TestLazyCarryConcurrentReaders(t *testing.T) {
 		}
 	}
 	g := es.graph(t)
-	rowBytes := 12*int64(g.N()) + 96
-	ps := graph.NewLazyAPSP(g, graph.LazyConfig{MemBudget: 24 * rowBytes, Shards: 4})
+	ps := graph.NewLazyAPSP(g, graph.LazyConfig{MemBudget: 24 * maxRowBytes(t, g), Shards: 4})
 	warm(ps)
 	for k := 0; k < 6; k++ {
 		randomUpdate(rng, es, 1, 3)
@@ -290,11 +328,14 @@ func TestLazyCarryConcurrentReaders(t *testing.T) {
 // FuzzLazyCarry decodes a graph and a chain of update batches from the input
 // and holds every carried cache to the same oracle as
 // TestLazyCarryMatchesFresh. Byte 0 sets n, byte 1 the weights (unit, 1-3,
-// 1-32, or 1-2, which can flip the search kernel), byte 2 the number of
-// initial edges; then every 3 bytes (u, v, c) insert {u, v}, or, after the
-// initial edges, toggle it: insert, reweight to the weight c encodes, or
-// delete when c encodes its current weight. c's top bit ends a batch; a
-// batch holds at most 4 updates and a run at most 8 batches.
+// 1-32, 1-2, which can flip the search kernel, quarters from 0.25 to 2,
+// whose rows are mostly float64, or multiples of 4099 up to 65584, whose
+// path sums pass the 16-bit limit of 65534 - so updates move rows across the
+// width boundary both ways), byte 2 the number of initial edges; then every
+// 3 bytes (u, v, c) insert {u, v}, or, after the initial edges, toggle it:
+// insert, reweight to the weight c encodes, or delete when c encodes its
+// current weight. c's top bit ends a batch; a batch holds at most 4 updates
+// and a run at most 8 batches.
 func FuzzLazyCarry(f *testing.F) {
 	f.Add([]byte{9, 1, 12, 0, 1, 2, 1, 2, 1, 2, 3, 3, 3, 4, 1, 4, 5, 2, 5, 6, 3, 6, 7, 1, 7, 8, 2, 8, 0, 1, 0, 4, 2, 2, 6, 1, 1, 5, 3,
 		0, 1, 0x80, 2, 6, 0x81, 3, 7, 1, 1, 2, 0x82})
@@ -305,14 +346,26 @@ func FuzzLazyCarry(f *testing.F) {
 		10, 11, 0, 11, 0, 0, 0, 6, 0, 3, 9, 0, 0, 6, 0x80, 2, 8, 0x80, 5, 6, 0x80})
 	f.Add([]byte{10, 3, 15, 0, 1, 0, 1, 2, 1, 2, 3, 0, 3, 4, 1, 4, 5, 0, 5, 6, 0, 6, 7, 1, 7, 8, 0, 8, 9, 0, 9, 0, 1,
 		0, 5, 0, 2, 7, 1, 1, 6, 0, 3, 8, 0, 4, 9, 1, 1, 2, 0x80, 1, 2, 0x81, 4, 9, 0x80, 0, 5, 0x81})
+	// Large weights on the path 0-1-2-3 (8, 7 and 1 times 4099): rows 0 and
+	// 3 start past 65534. Raising {1, 2} to 8*4099 widens row 2 too and
+	// lowering it narrows it again; 16*4099 on {2, 3} widens every row, and
+	// writing it again deletes the edge, which narrows them all.
+	f.Add([]byte{2, 4, 3, 0, 1, 7, 1, 2, 6, 2, 3, 0, 1, 2, 0x87, 1, 2, 0x86, 2, 3, 0x8f, 2, 3, 0x8f})
+	// Quarter weights on the whole-number path 0-1-2-3-4: moving {1, 2} to
+	// 0.25 widens every row, 1 narrows them all again, and inserting {0, 4}
+	// at 0.5 widens all but row 2.
+	f.Add([]byte{3, 5, 4, 0, 1, 3, 1, 2, 7, 2, 3, 3, 3, 4, 3, 1, 2, 0x80, 1, 2, 0x83, 0, 4, 0x81})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
 		}
 		n := 2 + int(data[0])%31
-		ranges := [][2]int{{1, 1}, {1, 3}, {1, 32}, {1, 2}}
-		wr := ranges[int(data[1])%len(ranges)]
-		weight := func(c byte) float64 { return float64(wr[0] + int(c&0x7f)%(wr[1]-wr[0]+1)) }
+		kinds := []struct {
+			lo, hi int
+			scale  float64
+		}{{1, 1, 1}, {1, 3, 1}, {1, 32, 1}, {1, 2, 1}, {1, 16, 4099}, {1, 8, 0.25}}
+		wk := kinds[int(data[1])%len(kinds)]
+		weight := func(c byte) float64 { return wk.scale * float64(wk.lo+int(c&0x7f)%(wk.hi-wk.lo+1)) }
 		initial := int(data[2]) % (4*n + 1)
 		data = data[3:]
 		es := newEdgeSet(n)
@@ -334,7 +387,7 @@ func FuzzLazyCarry(f *testing.F) {
 			es.w[edgeKey(u, v)] = weight(c)
 		}
 		g := es.graph(t)
-		ps := graph.NewLazyAPSP(g, fitAll(n))
+		ps := graph.NewLazyAPSP(g, fitAll(t, n))
 		warm(ps)
 		for batch := 0; batch < 8; batch++ {
 			applied := 0

@@ -106,7 +106,7 @@ func BenchmarkVerifyKernels(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				p := ps[i%len(ps)]
-				if lazy.Row(p.src).Dist[p.dst] > p.bound {
+				if lazy.Row(p.src).Dist(p.dst) > p.bound {
 					b.Fatal("bound violated")
 				}
 			}
@@ -140,7 +140,7 @@ func BenchmarkLazyRowFill(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				row := lazy.Row(graph.Vertex(i % g.N()))
-				if row.Dist[row.Src] != 0 {
+				if row.Dist(row.Src) != 0 {
 					b.Fatal("bad row")
 				}
 			}

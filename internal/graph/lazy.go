@@ -31,12 +31,16 @@ type LazyStats struct {
 	Misses    int64
 	Evictions int64
 	// CachedRows and PeakRows count rows resident now and at the high-water
-	// mark; RowBytes is the accounted size of one row, so PeakBytes =
-	// PeakRows * RowBytes is the cache's peak footprint.
+	// mark. NarrowRows counts the resident rows whose distances are stored at
+	// 16 bits (see Row).
 	CachedRows int
 	PeakRows   int
-	RowBytes   int64
-	PeakBytes  int64
+	NarrowRows int
+	// CachedBytes and PeakBytes are the accounted bytes of the resident rows
+	// now and at the high-water mark: each row's two slices at their stored
+	// widths plus its cache entry.
+	CachedBytes int64
+	PeakBytes   int64
 	// BudgetBytes is the configured budget after defaulting.
 	BudgetBytes int64
 	// SharedRows and PatchedRows count the rows Carry seeded this cache
@@ -53,6 +57,11 @@ type LazyStats struct {
 // matrix; only wall-clock time and memory differ. It is the construction
 // path for graphs where the Theta(n^2) dense matrices cannot be allocated.
 //
+// Each row is kept at the narrowest width that gives its values back
+// exactly (see Row): 4 bytes per entry on integral weights with distances up
+// to 65534 and n <= 65535, up to 12 otherwise. The budget counts every
+// resident row's own bytes, so narrow rows fit three times as many into it.
+//
 // Concurrent Row calls for the same uncached source may compute the row more
 // than once; all copies are identical and at most one is retained. The
 // transient memory of in-flight computations (one row per calling goroutine)
@@ -62,18 +71,21 @@ type LazyStats struct {
 // Carry, which shares every row an edge update cannot have changed and
 // patches the others, instead of filling the new graph's rows from scratch.
 type LazyAPSP struct {
-	g           *Graph
-	n           int
-	rowBytes    int64
-	budget      int64
-	capPerShard int
+	g      *Graph
+	n      int
+	budget int64
+	// shardBudget is each shard's even share of the budget.
+	shardBudget int64
 	shards      []lazyShard
 
 	hits      atomic.Int64
 	misses    atomic.Int64
 	evictions atomic.Int64
 	rows      atomic.Int64
+	narrow    atomic.Int64
+	bytes     atomic.Int64
 	peakRows  atomic.Int64
+	peakBytes atomic.Int64
 
 	// shared and patched are set once, by Carry, before the cache is
 	// published.
@@ -83,17 +95,29 @@ type LazyAPSP struct {
 var _ PathSource = (*LazyAPSP)(nil)
 
 // lazyShard is one lock domain of the cache: a map for lookup plus an
-// intrusive doubly-linked list in recency order (head = most recent).
+// intrusive doubly-linked list in recency order (head = most recent), and
+// the accounted bytes of the rows it holds.
 type lazyShard struct {
 	mu         sync.Mutex
 	entries    map[Vertex]*lruEntry
 	head, tail *lruEntry
+	bytes      int64
 }
 
 type lruEntry struct {
-	src        Vertex
 	row        Row
 	prev, next *lruEntry
+}
+
+// entryBytes is what a resident row costs beyond its slices: its lruEntry,
+// which Go allocates in a 128-byte size class, and its share of the shard
+// map's slots.
+const entryBytes = 160
+
+// rowCost is the accounted size of a resident row: its two slices at their
+// stored widths plus entryBytes.
+func rowCost(r Row) int64 {
+	return 2*int64(cap(r.dist16)) + 8*int64(cap(r.dist64)) + 2*int64(cap(r.first16)) + 4*int64(cap(r.first32)) + entryBytes
 }
 
 // NewLazyAPSP wraps g in an on-demand PathSource with the given cache
@@ -112,20 +136,17 @@ func NewLazyAPSP(g *Graph, cfg LazyConfig) *LazyAPSP {
 		shards = n
 	}
 	l := &LazyAPSP{
-		g: g,
-		n: n,
-		// One cached row holds n float64 distances and n int32 first hops,
-		// plus map/list bookkeeping.
-		rowBytes: int64(n)*12 + 96,
-		budget:   budget,
-		shards:   make([]lazyShard, shards),
+		g:           g,
+		n:           n,
+		budget:      budget,
+		shardBudget: budget / int64(shards),
+		shards:      make([]lazyShard, shards),
 	}
-	l.capPerShard = int(budget / l.rowBytes / int64(shards))
-	if l.capPerShard < 1 {
-		l.capPerShard = 1
-	}
+	// A shard holds at most its share over the narrowest row (4 bytes per
+	// entry), and never more than the sources that map to it (src % shards).
+	hint := min(l.shardBudget/(4*int64(n)+entryBytes)+1, int64((n+shards-1)/shards))
 	for i := range l.shards {
-		l.shards[i].entries = make(map[Vertex]*lruEntry, l.capPerShard+1)
+		l.shards[i].entries = make(map[Vertex]*lruEntry, hint)
 	}
 	return l
 }
@@ -134,11 +155,11 @@ func NewLazyAPSP(g *Graph, cfg LazyConfig) *LazyAPSP {
 func (l *LazyAPSP) N() int { return l.n }
 
 // Dist returns d(u, v).
-func (l *LazyAPSP) Dist(u, v Vertex) float64 { return l.Row(u).Dist[v] }
+func (l *LazyAPSP) Dist(u, v Vertex) float64 { return l.Row(u).Dist(v) }
 
 // First returns the vertex that follows u on the canonical shortest path
 // from u to v. First(u, u) == u; NoVertex if v is unreachable.
-func (l *LazyAPSP) First(u, v Vertex) Vertex { return l.Row(u).First[v] }
+func (l *LazyAPSP) First(u, v Vertex) Vertex { return l.Row(u).First(v) }
 
 // Path returns the canonical shortest path from u to v inclusive, or nil if
 // v is unreachable. Like the routing phase itself, the walk consults one row
@@ -158,14 +179,14 @@ func (l *LazyAPSP) Row(src Vertex) Row {
 	}
 	sh.mu.Unlock()
 	// Compute outside the lock so concurrent misses on one shard do not
-	// serialize behind each other's searches. The only allocations of a row
-	// fill are the two retained result slices; search scratch is pooled.
-	dist := make([]float64, l.n)
-	first := make([]Vertex, l.n)
+	// serialize behind each other's searches. The search runs in the pooled
+	// workspace's full-width scratch; the only allocations of a row fill are
+	// the two retained slices it is narrowed into.
 	ws := l.g.AcquireWorkspace()
+	dist, first := ws.rowScratch()
 	l.g.searchInto(ws, src, dist, nil, first)
+	row := narrowRow(src, dist, first)
 	l.g.ReleaseWorkspace(ws)
-	row := Row{Src: src, Dist: dist, First: first}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if e, ok := sh.entries[src]; ok {
@@ -174,44 +195,63 @@ func (l *LazyAPSP) Row(src Vertex) Row {
 		sh.moveToFront(e)
 		return e.row
 	}
-	// Evict before inserting so resident rows never exceed the budget.
-	for len(sh.entries) >= l.capPerShard {
+	l.insert(sh, row)
+	l.misses.Add(1)
+	return row
+}
+
+// insert makes row the most recent entry of sh, which the caller has
+// locked. Least recently used rows are evicted first, until the row fits
+// the shard's share of the budget, so resident rows never exceed it; a shard
+// always keeps the row it receives, so the floor is one row per shard.
+func (l *LazyAPSP) insert(sh *lazyShard, row Row) {
+	b := rowCost(row)
+	for sh.tail != nil && sh.bytes+b > l.shardBudget {
 		victim := sh.tail
 		sh.unlink(victim)
-		delete(sh.entries, victim.src)
+		delete(sh.entries, victim.row.Src)
+		vb := rowCost(victim.row)
+		sh.bytes -= vb
+		l.bytes.Add(-vb)
 		l.rows.Add(-1)
+		if victim.row.dist16 != nil {
+			l.narrow.Add(-1)
+		}
 		l.evictions.Add(1)
 	}
-	e := &lruEntry{src: src, row: row}
-	sh.entries[src] = e
+	e := &lruEntry{row: row}
+	sh.entries[row.Src] = e
 	sh.pushFront(e)
-	l.misses.Add(1)
-	cur := l.rows.Add(1)
-	for p := l.peakRows.Load(); cur > p && !l.peakRows.CompareAndSwap(p, cur); p = l.peakRows.Load() {
+	sh.bytes += b
+	if row.dist16 != nil {
+		l.narrow.Add(1)
 	}
-	return row
+	storeMax(&l.peakRows, l.rows.Add(1))
+	storeMax(&l.peakBytes, l.bytes.Add(b))
+}
+
+// storeMax raises m to v if v is larger.
+func storeMax(m *atomic.Int64, v int64) {
+	for p := m.Load(); v > p && !m.CompareAndSwap(p, v); p = m.Load() {
+	}
 }
 
 // Stats returns a snapshot of the cache counters.
 func (l *LazyAPSP) Stats() LazyStats {
-	peak := l.peakRows.Load()
 	return LazyStats{
 		Hits:        l.hits.Load(),
 		Misses:      l.misses.Load(),
 		Evictions:   l.evictions.Load(),
 		CachedRows:  int(l.rows.Load()),
-		PeakRows:    int(peak),
-		RowBytes:    l.rowBytes,
-		PeakBytes:   peak * l.rowBytes,
+		PeakRows:    int(l.peakRows.Load()),
+		NarrowRows:  int(l.narrow.Load()),
+		CachedBytes: l.bytes.Load(),
+		PeakBytes:   l.peakBytes.Load(),
 		BudgetBytes: l.budget,
 		SharedRows:  l.shared,
 		PatchedRows: l.patched,
 	}
 }
-
-// CapacityRows returns the maximum number of rows the cache retains at once
-// (capPerShard * shards).
-func (l *LazyAPSP) CapacityRows() int { return l.capPerShard * len(l.shards) }
 
 func (sh *lazyShard) pushFront(e *lruEntry) {
 	e.prev = nil

@@ -1,6 +1,8 @@
 package graph_test
 
 import (
+	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -26,7 +28,7 @@ func TestDeterminismLazyMatchesDense(t *testing.T) {
 			dense := graph.AllPairs(g)
 			// Budget of ~4 rows total: every row scan churns the cache.
 			lazy := graph.NewLazyAPSP(g, graph.LazyConfig{
-				MemBudget: 4 * (12*int64(g.N()) + 96),
+				MemBudget: 4 * maxRowBytes(t, g),
 				Shards:    2,
 			})
 			if lazy.N() != dense.N() {
@@ -35,14 +37,14 @@ func TestDeterminismLazyMatchesDense(t *testing.T) {
 			for u := 0; u < g.N(); u++ {
 				lr := lazy.Row(graph.Vertex(u))
 				dr := dense.Row(graph.Vertex(u))
-				for v := 0; v < g.N(); v++ {
-					if lr.Dist[v] != dr.Dist[v] {
-						t.Fatalf("Row(%d).Dist[%d]: lazy %v dense %v", u, v, lr.Dist[v], dr.Dist[v])
+				for v := graph.Vertex(0); int(v) < g.N(); v++ {
+					if lr.Dist(v) != dr.Dist(v) {
+						t.Fatalf("Row(%d).Dist(%d): lazy %v dense %v", u, v, lr.Dist(v), dr.Dist(v))
 					}
-					if lr.First[v] != dr.First[v] {
-						t.Fatalf("Row(%d).First[%d]: lazy %v dense %v", u, v, lr.First[v], dr.First[v])
+					if lr.First(v) != dr.First(v) {
+						t.Fatalf("Row(%d).First(%d): lazy %v dense %v", u, v, lr.First(v), dr.First(v))
 					}
-					if ld, dd := lazy.Dist(graph.Vertex(u), graph.Vertex(v)), dense.Dist(graph.Vertex(u), graph.Vertex(v)); ld != dd {
+					if ld, dd := lazy.Dist(graph.Vertex(u), v), dense.Dist(graph.Vertex(u), v); ld != dd {
 						t.Fatalf("Dist(%d,%d): lazy %v dense %v", u, v, ld, dd)
 					}
 				}
@@ -62,9 +64,6 @@ func TestDeterminismLazyMatchesDense(t *testing.T) {
 			if st.Evictions == 0 {
 				t.Fatalf("expected evictions under a 4-row budget, got stats %+v", st)
 			}
-			if st.PeakRows > lazy.CapacityRows() {
-				t.Fatalf("peak %d rows exceeds capacity %d", st.PeakRows, lazy.CapacityRows())
-			}
 			if st.PeakBytes > st.BudgetBytes {
 				t.Fatalf("peak %d bytes exceeds budget %d", st.PeakBytes, st.BudgetBytes)
 			}
@@ -72,22 +71,164 @@ func TestDeterminismLazyMatchesDense(t *testing.T) {
 	}
 }
 
-// TestLazyAPSPBudgetBound asserts the retained-row count never exceeds the
-// configured budget, for a sweep of budgets including degenerate ones.
+// rowBytes returns the accounted bytes of the row of src on g - its two
+// slices at their stored widths plus its cache entry - measured by filling it
+// into a fresh cache.
+func rowBytes(tb testing.TB, g *graph.Graph, src graph.Vertex) int64 {
+	tb.Helper()
+	c := graph.NewLazyAPSP(g, graph.LazyConfig{Shards: 1})
+	c.Row(src)
+	return c.Stats().CachedBytes
+}
+
+// maxRowBytes is the largest rowBytes over the rows of g, so a budget of k
+// times it holds any k of them.
+func maxRowBytes(tb testing.TB, g *graph.Graph) int64 {
+	tb.Helper()
+	var mx int64
+	for u := 0; u < g.N(); u++ {
+		mx = max(mx, rowBytes(tb, g, graph.Vertex(u)))
+	}
+	return mx
+}
+
+// fitsNarrow is the width rule of a LazyAPSP row, stated on the values of a
+// search: every finite distance is a whole number at most 65534.
+func fitsNarrow(dist []float64) bool {
+	for _, d := range dist {
+		if !math.IsInf(d, 1) && (d != math.Trunc(d) || d > 65534) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameRow requires row, read through its accessors, to equal the search sp
+// from the same source bit for bit.
+func sameRow(tb testing.TB, what string, row graph.Row, sp *graph.SSSP) {
+	tb.Helper()
+	for v := range sp.Dist {
+		got, want := row.Dist(graph.Vertex(v)), sp.Dist[v]
+		if math.Float64bits(got) != math.Float64bits(want) || row.First(graph.Vertex(v)) != sp.First[v] {
+			tb.Fatalf("%s: row %d entry %d: (%v, %d) want (%v, %d)",
+				what, row.Src, v, got, row.First(graph.Vertex(v)), want, sp.First[v])
+		}
+	}
+}
+
+// TestDeterminismLazyRowWidths holds narrow and wide LazyAPSP rows to
+// ShortestPaths and DenseAPSP bit for bit on inputs that pick every width:
+// small integral distances (16-bit), fractional weights and path sums past
+// 65534 (float64), a disconnected graph (the 16-bit +Inf sentinel), and a
+// path of n > 65535 (int32 first hops; too large for DenseAPSP, so held to
+// ShortestPaths alone). A resident row is narrow exactly when fitsNarrow
+// says so, and the cache stays within its budget while it evicts rows of
+// both widths.
+func TestDeterminismLazyRowWidths(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	fractional := newEdgeSet(60)
+	for len(fractional.w) < 150 {
+		if u, v := graph.Vertex(rng.Intn(60)), graph.Vertex(rng.Intn(60)); u != v {
+			fractional.w[edgeKey(u, v)] = float64(1+rng.Intn(64)) / 8
+		}
+	}
+	disconnected := newEdgeSet(50)
+	for len(disconnected.w) < 100 {
+		// Two components, {0..29} and {30..49}, with some isolated vertices.
+		u, v := rng.Intn(28), rng.Intn(28)
+		if rng.Intn(2) == 0 {
+			u, v = 30+rng.Intn(18), 30+rng.Intn(18)
+		}
+		if u != v {
+			disconnected.w[edgeKey(graph.Vertex(u), graph.Vertex(v))] = float64(1 + rng.Intn(32))
+		}
+	}
+	large, err := gen.ConnectedGNM(gen.Config{N: 60, Seed: 11, Weighting: gen.UniformInt, MaxWeight: 30000}, 90)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name         string
+		g            *graph.Graph
+		narrow, wide bool // the input must hold rows of this width
+	}{
+		{"integral", testutil.MustGNM(t, 60, 180, 5, gen.UniformInt), true, false},
+		{"fractional", fractional.graph(t), false, true},
+		{"large", large, true, true},
+		{"disconnected", disconnected.graph(t), true, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			g, n := c.g, c.g.N()
+			dense := graph.AllPairs(g)
+			all := graph.NewLazyAPSP(g, graph.LazyConfig{Shards: 2})
+			wantNarrow := 0
+			for u := graph.Vertex(0); int(u) < n; u++ {
+				sp := g.ShortestPaths(u)
+				sameRow(t, "lazy", all.Row(u), sp)
+				sameRow(t, "dense", dense.Row(u), sp)
+				if fitsNarrow(sp.Dist) {
+					wantNarrow++
+				}
+			}
+			if (c.narrow && wantNarrow == 0) || (c.wide && wantNarrow == n) {
+				t.Fatalf("%d of %d rows fit 16 bits: the input misses a width", wantNarrow, n)
+			}
+			if st := all.Stats(); st.CachedRows != n || st.NarrowRows != wantNarrow {
+				t.Fatalf("%d resident rows, %d narrow; want %d and %d", st.CachedRows, st.NarrowRows, n, wantNarrow)
+			}
+
+			// Rows of both widths through a cache that keeps about five.
+			small := graph.NewLazyAPSP(g, graph.LazyConfig{MemBudget: 5 * maxRowBytes(t, g), Shards: 2})
+			for pass := 0; pass < 2; pass++ {
+				for i := 0; i < n; i++ {
+					u := graph.Vertex((i*7 + pass*13) % n)
+					sameRow(t, "small cache", small.Row(u), g.ShortestPaths(u))
+				}
+			}
+			st := small.Stats()
+			if st.Evictions == 0 || st.PeakBytes > st.BudgetBytes || st.CachedBytes > st.PeakBytes {
+				t.Fatalf("small cache: %+v", st)
+			}
+		})
+	}
+
+	t.Run("n>65535", func(t *testing.T) {
+		const n = 1<<16 + 1
+		g := testutil.MustPath(t, n, nil)
+		lazy := graph.NewLazyAPSP(g, graph.LazyConfig{MemBudget: 1, Shards: 1})
+		// The end rows reach 65536 (float64 distances), the middle one
+		// stays within 16 bits; the cache keeps the last row read.
+		for _, c := range []struct {
+			u      graph.Vertex
+			narrow int
+		}{{0, 0}, {n / 2, 1}, {n - 1, 0}} {
+			sameRow(t, "path", lazy.Row(c.u), g.ShortestPaths(c.u))
+			if st := lazy.Stats(); st.CachedRows != 1 || st.NarrowRows != c.narrow {
+				t.Fatalf("row %d: %+v, want %d narrow", c.u, st, c.narrow)
+			}
+		}
+	})
+}
+
+// TestLazyAPSPBudgetBound asserts the retained rows never exceed the
+// configured budget, for a sweep of budgets including degenerate ones: below
+// one row per shard, each shard still keeps one.
 func TestLazyAPSPBudgetBound(t *testing.T) {
 	g := testutil.MustGNM(t, 40, 120, 3, gen.Unit)
-	rowBytes := 12*int64(g.N()) + 96
+	const shards = 4
+	row := maxRowBytes(t, g)
 	for _, rows := range []int64{0, 1, 3, 10, 1000} {
-		lazy := graph.NewLazyAPSP(g, graph.LazyConfig{MemBudget: rows * rowBytes, Shards: 4})
+		lazy := graph.NewLazyAPSP(g, graph.LazyConfig{MemBudget: rows * row, Shards: shards})
 		for u := 0; u < g.N(); u++ {
 			lazy.Row(graph.Vertex(u))
 		}
 		st := lazy.Stats()
-		if st.PeakRows > lazy.CapacityRows() {
-			t.Fatalf("budget %d rows: peak %d > capacity %d", rows, st.PeakRows, lazy.CapacityRows())
+		if limit := max(st.BudgetBytes, shards*row); st.PeakBytes > limit || st.CachedBytes > st.PeakBytes {
+			t.Fatalf("budget %d rows: peak %d, resident %d bytes, limit %d", rows, st.PeakBytes, st.CachedBytes, limit)
 		}
-		if st.CachedRows > lazy.CapacityRows() {
-			t.Fatalf("budget %d rows: resident %d > capacity %d", rows, st.CachedRows, lazy.CapacityRows())
+		if limit := max(shards, int(st.BudgetBytes/row)); st.PeakRows > limit || st.CachedRows > st.PeakRows {
+			t.Fatalf("budget %d rows: peak %d, resident %d rows, limit %d", rows, st.PeakRows, st.CachedRows, limit)
 		}
 		if st.Misses != int64(g.N()) && rows >= int64(g.N()) {
 			t.Fatalf("budget above n rows should compute each row once, got %d misses", st.Misses)
@@ -102,7 +243,7 @@ func TestLazyAPSPConcurrent(t *testing.T) {
 	g := testutil.MustGNM(t, 50, 150, 9, gen.UniformInt)
 	dense := graph.AllPairs(g)
 	lazy := graph.NewLazyAPSP(g, graph.LazyConfig{
-		MemBudget: 6 * (12*int64(g.N()) + 96),
+		MemBudget: 6 * maxRowBytes(t, g),
 		Shards:    3,
 	})
 	var wg sync.WaitGroup

@@ -2,18 +2,146 @@ package graph
 
 import (
 	"math"
+	"slices"
 
 	"compactroute/internal/parallel"
 )
 
 // Row is one source row of a PathSource: the shortest-path distances and
-// canonical first hops from Src to every vertex, indexed by destination id.
-// Rows are immutable once produced; callers must not modify the slices. A Row
-// stays valid after the producing PathSource evicts or discards it.
+// canonical first hops from Src to every vertex, read by destination id
+// through Dist and First. Rows are immutable once produced. A Row stays valid
+// after the producing PathSource evicts or discards it.
+//
+// A LazyAPSP row is stored at the narrowest width that gives every value
+// back exactly, picked from the row's own values and the vertex count:
+// distances as uint16 when every finite one is a whole number at most 65534
+// (rowNone reads +Inf), else float64; first hops as uint16 when n <= 65535
+// (rowNone reads NoVertex), else int32. Exactly one slice of each pair is
+// set. DenseAPSP rows are float64/int32 views of its matrices.
 type Row struct {
-	Src   Vertex
-	Dist  []float64
-	First []Vertex
+	Src     Vertex
+	dist16  []uint16
+	dist64  []float64
+	first16 []uint16
+	first32 []Vertex
+}
+
+// rowNone is the narrow encoding of +Inf among distances and of NoVertex
+// among first hops.
+const rowNone = math.MaxUint16
+
+// Dist returns d(Src, v).
+func (r Row) Dist(v Vertex) float64 {
+	if r.dist16 != nil {
+		if x := r.dist16[v]; x != rowNone {
+			return float64(x)
+		}
+		return math.Inf(1)
+	}
+	return r.dist64[v]
+}
+
+// First returns the vertex that follows Src on the canonical shortest path
+// to v: Src itself for v == Src, NoVertex if v is unreachable.
+func (r Row) First(v Vertex) Vertex {
+	if r.first16 != nil {
+		if x := r.first16[v]; x != rowNone {
+			return Vertex(x)
+		}
+		return NoVertex
+	}
+	return r.first32[v]
+}
+
+// setFirst sets the first hop to v in a row under construction.
+func (r Row) setFirst(v, f Vertex) {
+	if r.first16 != nil {
+		r.first16[v] = uint16(f) // NoVertex (-1) wraps to rowNone
+	} else {
+		r.first32[v] = f
+	}
+}
+
+// widenDist writes the row's distances into the full-width dist.
+func (r Row) widenDist(dist []float64) {
+	if r.dist16 == nil {
+		copy(dist, r.dist64)
+		return
+	}
+	dist = dist[:len(r.dist16)]
+	for v, x := range r.dist16 {
+		if x != rowNone {
+			dist[v] = float64(x)
+		} else {
+			dist[v] = math.Inf(1)
+		}
+	}
+}
+
+// narrow16 returns the 16-bit form of distance x and whether x has one: a
+// whole number below rowNone, which converts back to the same float64 bits,
+// or +Inf.
+func narrow16(x float64) (uint16, bool) {
+	u := uint16(x)
+	if math.Float64bits(float64(u)) == math.Float64bits(x) && u != rowNone {
+		return u, true
+	}
+	return rowNone, math.IsInf(x, 1)
+}
+
+// narrowDist returns the full-width distances of a row at the narrowest
+// width that gives every value back exactly: one of the two results is nil.
+// It checks the width before allocating, so a wide row allocates only its
+// float64 copy.
+func narrowDist(dist []float64) ([]uint16, []float64) {
+	for _, x := range dist {
+		if _, ok := narrow16(x); !ok {
+			return nil, slices.Clone(dist)
+		}
+	}
+	d16 := make([]uint16, len(dist))
+	for v, x := range dist {
+		d16[v], _ = narrow16(x)
+	}
+	return d16, nil
+}
+
+// patchDist returns the distances of a patched copy of r whose full-width
+// values are nd, where only the entries listed in orphans and pushed can
+// differ from r's. A narrow r is copied and re-encoded on those entries
+// alone, unless one of them no longer fits.
+func (r Row) patchDist(nd []float64, orphans, pushed []Vertex) ([]uint16, []float64) {
+	if r.dist16 == nil {
+		return narrowDist(nd)
+	}
+	d16 := slices.Clone(r.dist16)
+	for _, vs := range [2][]Vertex{orphans, pushed} {
+		for _, v := range vs {
+			u, ok := narrow16(nd[v])
+			if !ok {
+				return nil, slices.Clone(nd)
+			}
+			d16[v] = u
+		}
+	}
+	return d16, nil
+}
+
+// narrowRow copies the full-width row of src held in scratch into the
+// narrowest retained slices that give every value back exactly.
+func narrowRow(src Vertex, dist []float64, first []Vertex) Row {
+	r := Row{Src: src}
+	r.dist16, r.dist64 = narrowDist(dist)
+	if len(first) <= rowNone {
+		// Ids stay below rowNone, and NoVertex (-1) wraps to it.
+		r.first16 = make([]uint16, len(first))
+		for v, x := range first {
+			r.first16[v] = uint16(x)
+		}
+	} else {
+		r.first32 = slices.Clone(first)
+	}
+	return r
 }
 
 // PathSource abstracts all-pairs shortest-path access for the centralized
@@ -71,14 +199,15 @@ func pathVia(ps PathSource, u, v Vertex) []Vertex {
 // all-pairs statistics lives at the per-source level (Eccentricities,
 // SummarizeDistances).
 func EccentricityOf(ps PathSource, src Vertex) float64 {
-	return rowMaxFinite(ps.Row(src).Dist)
+	return rowMaxFinite(ps.Row(src), ps.N())
 }
 
-// rowMaxFinite returns the maximum finite entry of dist (0 if none).
-func rowMaxFinite(dist []float64) float64 {
+// rowMaxFinite returns the maximum finite distance of the n-entry row (0 if
+// none).
+func rowMaxFinite(row Row, n int) float64 {
 	var ecc float64
-	for _, d := range dist {
-		if !math.IsInf(d, 1) && d > ecc {
+	for v := 0; v < n; v++ {
+		if d := row.Dist(Vertex(v)); !math.IsInf(d, 1) && d > ecc {
 			ecc = d
 		}
 	}
@@ -91,7 +220,7 @@ func Eccentricities(ps PathSource) []float64 {
 	n := ps.N()
 	out := make([]float64, n)
 	parallel.For(n, func(u int) {
-		out[u] = rowMaxFinite(ps.Row(Vertex(u)).Dist)
+		out[u] = rowMaxFinite(ps.Row(Vertex(u)), n)
 	})
 	return out
 }
@@ -119,9 +248,10 @@ func SummarizeDistances(ps PathSource) DistanceSummary {
 	s := DistanceSummary{Ecc: make([]float64, n)}
 	mins := make([]float64, n)
 	parallel.For(n, func(u int) {
-		row := ps.Row(Vertex(u)).Dist
+		row := ps.Row(Vertex(u))
 		mx, mn := 0.0, Infinity
-		for v, d := range row {
+		for v := 0; v < n; v++ {
+			d := row.Dist(Vertex(v))
 			if v == u || math.IsInf(d, 1) {
 				continue
 			}

@@ -85,6 +85,15 @@ func (ws *Workspace) Start(src Vertex) {
 	ws.heap.Push(0, src)
 }
 
+// rowScratch hands out the label arrays as plain n-entry buffers for a full
+// search that writes distances and first hops into them (a LazyAPSP row fill
+// narrows them into the row it keeps). It resets first, so no label of the
+// current search is valid while the buffers hold other values.
+func (ws *Workspace) rowScratch() ([]float64, []Vertex) {
+	ws.Reset()
+	return ws.dist, ws.parent
+}
+
 // Dist returns the tentative distance of v in the current search and whether
 // v has been labeled at all.
 func (ws *Workspace) Dist(v Vertex) (float64, bool) {

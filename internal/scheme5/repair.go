@@ -307,11 +307,11 @@ func (r *Repairable) Repair(newG *graph.Graph, newPaths graph.PathSource, edges 
 	// makes them ShortestPaths' values): the old rows are cached from the
 	// last generation, and the new ones stay cached for the sequence
 	// rebuild below.
-	oldRow := make(map[graph.Vertex][]float64, len(endpoints))
-	newRow := make(map[graph.Vertex][]float64, len(endpoints))
+	oldRow := make(map[graph.Vertex]graph.Row, len(endpoints))
+	newRow := make(map[graph.Vertex]graph.Row, len(endpoints))
 	for _, e := range endpoints {
-		oldRow[e] = r.paths.Row(e).Dist
-		newRow[e] = newPaths.Row(e).Dist
+		oldRow[e] = r.paths.Row(e)
+		newRow[e] = newPaths.Row(e)
 	}
 	// tightAt reports whether some changed edge is tight in the canonical
 	// shortest-path DAG of source a (old or new graph): the one-sided test
@@ -319,13 +319,13 @@ func (r *Repairable) Repair(newG *graph.Graph, newPaths graph.PathSource, edges 
 	tightAt := func(a graph.Vertex) bool {
 		for _, c := range changes {
 			if c.inOld {
-				dx, dy := oldRow[c.x][a], oldRow[c.y][a]
+				dx, dy := oldRow[c.x].Dist(a), oldRow[c.y].Dist(a)
 				if dx+c.wOld == dy || dy+c.wOld == dx {
 					return true
 				}
 			}
 			if c.inNew {
-				dx, dy := newRow[c.x][a], newRow[c.y][a]
+				dx, dy := newRow[c.x].Dist(a), newRow[c.y].Dist(a)
 				if dx+c.wNew == dy || dy+c.wNew == dx {
 					return true
 				}
@@ -361,7 +361,7 @@ func (r *Repairable) Repair(newG *graph.Graph, newPaths graph.PathSource, edges 
 			for _, e := range [2]graph.Vertex{c.x, c.y} {
 				row := newRow[e]
 				for x := 0; x < n; x++ {
-					if !ballDirty[x] && row[x] <= s.vc.Vics[x].MaxDist()+maxWOld {
+					if !ballDirty[x] && row.Dist(graph.Vertex(x)) <= s.vc.Vics[x].MaxDist()+maxWOld {
 						ballDirty[x] = true
 					}
 				}
@@ -382,24 +382,24 @@ func (r *Repairable) Repair(newG *graph.Graph, newPaths graph.PathSource, edges 
 		if !tightAt(w) {
 			continue
 		}
-		oldW := r.paths.Row(w).Dist
-		newW := newPaths.Row(w).Dist
+		oldW := r.paths.Row(w)
+		newW := newPaths.Row(w)
 		dw := make([]bool, n)
 		for _, c := range changes {
 			if c.inOld {
-				dxw, dyw := oldRow[c.x][w], oldRow[c.y][w]
 				rx, ry := oldRow[c.x], oldRow[c.y]
-				for a := 0; a < n; a++ {
-					if !dw[a] && (rx[a]+c.wOld+dyw == oldW[a] || ry[a]+c.wOld+dxw == oldW[a]) {
+				dxw, dyw := rx.Dist(w), ry.Dist(w)
+				for a := graph.Vertex(0); int(a) < n; a++ {
+					if !dw[a] && (rx.Dist(a)+c.wOld+dyw == oldW.Dist(a) || ry.Dist(a)+c.wOld+dxw == oldW.Dist(a)) {
 						dw[a] = true
 					}
 				}
 			}
 			if c.inNew {
-				dxw, dyw := newRow[c.x][w], newRow[c.y][w]
 				rx, ry := newRow[c.x], newRow[c.y]
-				for a := 0; a < n; a++ {
-					if !dw[a] && (rx[a]+c.wNew+dyw == newW[a] || ry[a]+c.wNew+dxw == newW[a]) {
+				dxw, dyw := rx.Dist(w), ry.Dist(w)
+				for a := graph.Vertex(0); int(a) < n; a++ {
+					if !dw[a] && (rx.Dist(a)+c.wNew+dyw == newW.Dist(a) || ry.Dist(a)+c.wNew+dxw == newW.Dist(a)) {
 						dw[a] = true
 					}
 				}
@@ -447,13 +447,13 @@ func (r *Repairable) Repair(newG *graph.Graph, newPaths graph.PathSource, edges 
 			// An updated edge on an old or new canonical p_A(v)-v geodesic:
 			// d(pa, e1) + w + d(e2, v) == d(pa, v) = d(v, A).
 			for _, c := range changes {
-				if c.inOld && (oldRow[c.x][pa]+c.wOld+oldRow[c.y][v] == s.lms.DistA[v] ||
-					oldRow[c.y][pa]+c.wOld+oldRow[c.x][v] == s.lms.DistA[v]) {
+				if c.inOld && (oldRow[c.x].Dist(pa)+c.wOld+oldRow[c.y].Dist(vv) == s.lms.DistA[v] ||
+					oldRow[c.y].Dist(pa)+c.wOld+oldRow[c.x].Dist(vv) == s.lms.DistA[v]) {
 					d = true
 					break
 				}
-				if c.inNew && (newRow[c.x][pa]+c.wNew+newRow[c.y][v] == newLms.DistA[v] ||
-					newRow[c.y][pa]+c.wNew+newRow[c.x][v] == newLms.DistA[v]) {
+				if c.inNew && (newRow[c.x].Dist(pa)+c.wNew+newRow[c.y].Dist(vv) == newLms.DistA[v] ||
+					newRow[c.y].Dist(pa)+c.wNew+newRow[c.x].Dist(vv) == newLms.DistA[v]) {
 					d = true
 					break
 				}

@@ -64,6 +64,7 @@ func viewVariants(s *Set) []*Set {
 func memberMajorCheck(s *Set, n int) error {
 	c := len(s.memV)
 	centerSeen := false
+	listed := make(map[graph.Vertex]bool, c)
 	prevD, prevV := 0.0, graph.Vertex(-1)
 	for i := 0; i < c; i++ {
 		v := s.memV[i]
@@ -95,6 +96,10 @@ func memberMajorCheck(s *Set, n int) error {
 			return fmt.Errorf("members of B(%d) not in (dist, id) order at %d (duplicate %d?)", s.center, i, v)
 		}
 		prevD, prevV = dist, v
+		if listed[v] {
+			return fmt.Errorf("member %d of B(%d) listed twice", v, s.center)
+		}
+		listed[v] = true
 		if v == s.center {
 			centerSeen = true
 		}
@@ -123,6 +128,15 @@ func TestValidateViewsMatchesMemberMajorCheck(t *testing.T) {
 	for _, err := range []error{dup.validateViews(10), memberMajorCheck(dup, 10)} {
 		if err == nil || err.Error() != dupErr {
 			t.Fatalf("repeated member: %v, want %q", err, dupErr)
+		}
+	}
+	// A member listed at two distances keeps the order; the seen check
+	// rejects its second copy, naming it and the center.
+	twice := &Set{center: 4, memV: []graph.Vertex{4, 9, 2, 9}, memFirst: []uint32{0, 1, 1, 1}, distF: []float64{0, 1, 2, 3}}
+	const twiceErr = "member 9 of B(4) listed twice"
+	for _, err := range []error{twice.validateViews(10), memberMajorCheck(twice, 10)} {
+		if err == nil || err.Error() != twiceErr {
+			t.Fatalf("member at two distances: %v, want %q", err, twiceErr)
 		}
 	}
 	dec := roundTrip(t, built)

@@ -72,10 +72,8 @@ type Set struct {
 	//
 	// The table is built on first lookup - the index analogue of demand
 	// paging, and what keeps the mmap cold start free of per-member work -
-	// and the build cannot fail: a member id repeated at two distances,
-	// which only a corrupt snapshot can hold (validateViews rejects a repeat
-	// at one distance), takes a second slot no lookup answers from. Racing
-	// builders produce identical tables (first CAS wins).
+	// and the build cannot fail: validateViews has ruled out a repeated
+	// member id. Racing builders produce identical tables (first CAS wins).
 	//
 	// The table is published as a pointer to its first slot plus its slot
 	// count, both living in the Set struct itself: a lookup touches only the
@@ -167,29 +165,53 @@ func (s *Set) buildTable() *vicEntry {
 // pass: ids in [0,n), first hops in-range member indexes, distances
 // non-negative and not NaN, members in strictly increasing (dist, id) order
 // - the canonical order every encoder writes, which rules out a member
-// repeated at one distance without touching a hash table - and the center
-// present. The storage
-// widths are resolved once per set, not once per member. This pass is the
-// only per-member work of the mmap load path; the membership index itself
-// is built on first lookup.
+// repeated at one distance - no member listed again at another distance,
+// and the center present. The storage widths are resolved once per set, not
+// once per member. This pass is the only per-member work of the mmap load
+// path; the membership index itself is built on first lookup.
 func (s *Set) validateViews(n int) error {
-	if s.memFirst != nil {
-		return validateFirst(s, s.memFirst, n)
+	seen, _ := seenPool.Get().(*memberSeen)
+	if seen == nil || len(seen.stamp) < n {
+		seen = &memberSeen{stamp: make([]uint32, n)}
 	}
-	return validateFirst(s, s.memFirst16, n)
+	seen.epoch++
+	if seen.epoch == 0 {
+		clear(seen.stamp)
+		seen.epoch = 1
+	}
+	var err error
+	if s.memFirst != nil {
+		err = validateFirst(s, s.memFirst, n, seen)
+	} else {
+		err = validateFirst(s, s.memFirst16, n, seen)
+	}
+	seenPool.Put(seen)
+	return err
 }
 
-func validateFirst[F uint16 | uint32](s *Set, first []F, n int) error {
+// memberSeen is the epoch-stamped id set of one validation pass: id v is
+// listed in the set under check when stamp[v] == epoch, so each set starts
+// with one increment instead of an O(n) clear. validateViews draws one from
+// seenPool, which keeps about one per worker.
+type memberSeen struct {
+	stamp []uint32
+	epoch uint32
+}
+
+var seenPool sync.Pool
+
+func validateFirst[F uint16 | uint32](s *Set, first []F, n int, seen *memberSeen) error {
 	switch {
 	case s.distU16 != nil:
-		return validateMembers(s.memV, first, s.distU16, n, s.center)
+		return validateMembers(s.memV, first, s.distU16, n, s.center, seen)
 	case s.distU != nil:
-		return validateMembers(s.memV, first, s.distU, n, s.center)
+		return validateMembers(s.memV, first, s.distU, n, s.center, seen)
 	}
-	return validateMembers(s.memV, first, s.distF, n, s.center)
+	return validateMembers(s.memV, first, s.distF, n, s.center, seen)
 }
 
-func validateMembers[F uint16 | uint32, D uint16 | uint32 | float64](memV []graph.Vertex, first []F, dist []D, n int, center graph.Vertex) error {
+func validateMembers[F uint16 | uint32, D uint16 | uint32 | float64](memV []graph.Vertex, first []F, dist []D, n int, center graph.Vertex, seen *memberSeen) error {
+	stamp, ep := seen.stamp, seen.epoch
 	c := len(memV)
 	first, dist = first[:c], dist[:c]
 	centerSeen := false
@@ -212,6 +234,10 @@ func validateMembers[F uint16 | uint32, D uint16 | uint32 | float64](memV []grap
 			return fmt.Errorf("members of B(%d) not in (dist, id) order at %d (duplicate %d?)", center, i, v)
 		}
 		prevD, prevV = d, v
+		if stamp[v] == ep {
+			return fmt.Errorf("member %d of B(%d) listed twice", v, center)
+		}
+		stamp[v] = ep
 		centerSeen = centerSeen || v == center
 	}
 	if !centerSeen {
