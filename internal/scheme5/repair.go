@@ -199,6 +199,17 @@ func (r *Repairable) Repair(newG *graph.Graph, newPaths graph.PathSource, edges 
 		return &out, st, nil
 	}
 
+	// --- Center cover: fail cheap. ----------------------------------------
+	// The center cover is randomized: its sampling decisions depend on the
+	// per-round oversized sets, which the updates may have changed. Verify
+	// the recorded trajectory replays identically on the new graph (so a
+	// from-scratch build would pick the same A); otherwise escalate. The
+	// check reads only the two graphs, so it runs before any stage whose
+	// work an escalation would throw away.
+	if err := cluster.VerifyCoverTrace(s.g, newG, r.trace, endpoints); err != nil {
+		return nil, st, fmt.Errorf("%w: %v", ErrEscalate, err)
+	}
+
 	// --- Vicinities: touch-index dirty set, rebuild in place. -------------
 	// The touch index over-approximates: it flags every vicinity whose
 	// truncated search settled an update endpoint, but most of those rebuild
@@ -268,13 +279,6 @@ func (r *Repairable) Repair(newG *graph.Graph, newPaths graph.PathSource, edges 
 	}
 
 	// --- Landmarks, clusters, forest. -------------------------------------
-	// The center cover is randomized: its sampling decisions depend on the
-	// per-round oversized sets, which the updates may have changed. Verify
-	// the recorded trajectory replays identically on the new graph (so a
-	// from-scratch build would pick the same A); otherwise escalate.
-	if err := cluster.VerifyCoverTrace(s.g, newG, r.trace, endpoints); err != nil {
-		return nil, st, fmt.Errorf("%w: %v", ErrEscalate, err)
-	}
 	newLms, dirtyRoots, err := cluster.RepairLandmarks(newG, s.lms, endpoints, r.bound)
 	if err != nil {
 		return nil, st, fmt.Errorf("%w: %v", ErrEscalate, err)

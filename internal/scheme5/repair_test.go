@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"compactroute/internal/gen"
@@ -157,9 +158,10 @@ func mustScheme(t *testing.T, g *graph.Graph, paths graph.PathSource, params sch
 	return snapshotBytes(t, s)
 }
 
-// TestRepairEscalates checks the sentinel contract: a scheme restored
-// without repair state and a vertex-count change both refuse repair with the
-// documented errors instead of producing a wrong scheme.
+// TestRepairEscalates checks the sentinel contract: a vertex-count change,
+// an invalid edge and a batch that moves the center cover all refuse repair
+// with ErrEscalate instead of producing a wrong scheme, and the cover check
+// refuses before any vicinity is rebuilt.
 func TestRepairEscalates(t *testing.T) {
 	g := testutil.MustGNM(t, 60, 180, 5, gen.UniformInt)
 	rep, err := scheme5.NewRepairable(g, graph.AllPairs(g), scheme5.Params{Eps: 0.5, Seed: 5})
@@ -172,6 +174,31 @@ func TestRepairEscalates(t *testing.T) {
 	}
 	if _, _, err := rep.Repair(g, graph.AllPairs(g), [][2]graph.Vertex{{0, 0}}); !errors.Is(err, scheme5.ErrEscalate) {
 		t.Fatalf("invalid edge: got %v, want ErrEscalate", err)
+	}
+	// Hub 0 gains eight weight-1 edges at once, which grows its cluster past
+	// the Lemma 4 bound: the recorded center cover no longer replays, and the
+	// repair must say so before it rebuilds a single vicinity.
+	ov := live.NewOverlay(g)
+	var hub [][2]graph.Vertex
+	for v := graph.Vertex(3); len(hub) < 8; v += 3 {
+		if _, alive := ov.EdgeState(0, v); alive {
+			continue
+		}
+		if err := ov.Apply(live.AddEdge(0, v, 1)); err != nil {
+			t.Fatal(err)
+		}
+		hub = append(hub, [2]graph.Vertex{0, v})
+	}
+	drifted, err := ov.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, stats, err := rep.Repair(drifted, graph.AllPairs(drifted), hub)
+	if !errors.Is(err, scheme5.ErrEscalate) || !strings.Contains(err.Error(), "cover trace") {
+		t.Fatalf("cover drift: got %v, want ErrEscalate from the cover trace", err)
+	}
+	if stats.Edges != len(hub) || stats.DirtyVics != 0 {
+		t.Fatalf("cover drift: stats %+v, want %d edges and no vicinity rebuilt", stats, len(hub))
 	}
 	// An empty batch over the identical graph is a no-op repair.
 	same, stats, err := rep.Repair(g, graph.AllPairs(g), nil)

@@ -1,10 +1,13 @@
 package treeroute
 
 import (
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"compactroute/internal/graph"
+	"compactroute/internal/wire"
 )
 
 // TestIdxFindsTreeVertices holds the open-addressed position table to the
@@ -12,18 +15,20 @@ import (
 // -1 for every other id - 0 and n-1 included, which the table's v+1 slot
 // encoding must not mistake for an empty slot - and for NoVertex. Stars over
 // random leaf sets of every density exercise probe chains of all lengths.
+// The largest graph has ids past 0xFFFF, so its trees take the 8-byte slots
+// and the rest the 4-byte ones; every tree is checked as New built it and
+// as DecodeFlatForest rebuilt it, and is also asked ids at or above 0xFFFF
+// whose truncated 16-bit key equals a tree vertex's.
 func TestIdxFindsTreeVertices(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for _, n := range []int{3, 4, 9, 64, 500} {
+	wide := 0
+	for _, n := range []int{3, 4, 9, 64, 500, 0x10000 + 40} {
 		for trial := 0; trial < 8; trial++ {
 			root := graph.Vertex(1 + rng.Intn(n-2))
-			in := make([]bool, n)
-			in[root] = true
 			b := graph.NewBuilder(n)
 			edges := []Edge{{V: root, Parent: graph.NoVertex}}
 			for v := graph.Vertex(1); v < graph.Vertex(n-1); v++ {
 				if v != root && rng.Intn(8) <= trial {
-					in[v] = true
 					b.AddEdge(root, v, 1)
 					edges = append(edges, Edge{V: v, Parent: root})
 				}
@@ -39,16 +44,59 @@ func TestIdxFindsTreeVertices(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i, v := range tr.vs {
-				if got := tr.idx(v); got != i {
-					t.Fatalf("n=%d trial %d: idx(%d) = %d, want %d", n, trial, v, got, i)
-				}
+			for _, got := range []*Tree{tr, flatRoundTrip(t, g, tr)} {
+				checkIdx(t, n, trial, got)
 			}
-			for v := graph.Vertex(-1); v <= graph.Vertex(n); v++ {
-				if (v < 0 || v >= graph.Vertex(n) || !in[v]) && tr.idx(v) != -1 {
-					t.Fatalf("n=%d trial %d: idx(%d) = %d for a vertex outside the tree", n, trial, v, tr.idx(v))
-				}
+			if tr.pos32 != nil {
+				wide++
 			}
 		}
+	}
+	if wide == 0 {
+		t.Fatal("no tree took the 8-byte slots")
+	}
+}
+
+// flatRoundTrip encodes tr alone with EncodeFlatForest and decodes it again.
+func flatRoundTrip(t *testing.T, g *graph.Graph, tr *Tree) *Tree {
+	t.Helper()
+	var e wire.Encoder
+	EncodeFlatForest(&e, []*Tree{tr})
+	d := wire.NewDecoder("forest", e.Bytes())
+	trees, err := DecodeFlatForest(d, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	return trees[0]
+}
+
+// checkIdx compares idx with a binary search of the sorted vertex array
+// over every id in [-1, n] and the alias ids, and checks the slot width.
+func checkIdx(t *testing.T, n, trial int, tr *Tree) {
+	t.Helper()
+	want := func(v graph.Vertex) int {
+		i := sort.Search(len(tr.vs), func(i int) bool { return tr.vs[i] >= v })
+		if i < len(tr.vs) && tr.vs[i] == v {
+			return i
+		}
+		return -1
+	}
+	ids := []graph.Vertex{0xFFFF, 0x10000, math.MaxInt32}
+	for _, v := range tr.vs {
+		ids = append(ids, v+0xFFFF, v+0x10000)
+	}
+	for v := graph.Vertex(-1); v <= graph.Vertex(n); v++ {
+		ids = append(ids, v)
+	}
+	for _, v := range ids {
+		if got := tr.idx(v); got != want(v) {
+			t.Fatalf("n=%d trial %d: idx(%d) = %d, want %d", n, trial, v, got, want(v))
+		}
+	}
+	if narrow := tr.vs[len(tr.vs)-1] <= maxNarrowID; (tr.pos16 != nil) != narrow || (tr.pos32 != nil) == narrow {
+		t.Fatalf("n=%d trial %d: largest id %d got 16-bit table %v, 32-bit table %v", n, trial, tr.vs[len(tr.vs)-1], tr.pos16 != nil, tr.pos32 != nil)
 	}
 }

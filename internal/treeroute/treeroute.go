@@ -52,50 +52,81 @@ type Tree struct {
 	// increasing order; childPort holds the matching ports.
 	childEnter []Label
 	childPort  []graph.Port
-	// pos is an open-addressed vertex -> vs-index table (Fibonacci hash,
-	// linear probing, load factor <= 0.5): the per-hop record lookup is one
-	// probe instead of a log2(size) binary-search descent over cold lines.
-	pos      []posEntry
-	posShift uint32 // 32 - log2(len(pos))
+	// pos16/pos32 is an open-addressed vertex -> vs-index table (Fibonacci
+	// hash, linear probing, load factor <= 0.5): the per-hop record lookup
+	// is one probe instead of a log2(size) binary-search descent over cold
+	// lines. A slot is {vertex id + 1, index}: two uint16 fields (pos16)
+	// when every tree vertex id is at most maxNarrowID, which holds for
+	// every tree of a graph with n <= 65535, two uint32 fields (pos32)
+	// otherwise. Exactly one of the two is set.
+	pos16    []posEntry[uint16]
+	pos32    []posEntry[uint32]
+	posShift uint32 // 32 - log2(slot count)
 }
 
-type posEntry struct {
-	v graph.Vertex // vertex id + 1; 0 marks an empty slot
-	i int32
+type posEntry[K uint16 | uint32] struct {
+	v K // vertex id + 1; 0 marks an empty slot
+	i K
 }
+
+// maxNarrowID is the largest vertex id a 16-bit slot can key: its key v+1
+// must fit a uint16. A tree whose ids are all at most maxNarrowID has at
+// most 0xFFFF vertices, so its indexes fit as well.
+const maxNarrowID = 0xFFFE
 
 // fibMul is the 32-bit Fibonacci hashing multiplier, floor(2^32 / phi).
 const fibMul = 2654435769
 
-// buildPos fills the vertex -> index table; vs must be sorted and duplicate
-// free (New validates both before calling).
+// buildPos fills the vertex -> index table; vs must be non-empty, sorted
+// and duplicate free (New and DecodeFlatForest validate all three before
+// calling), so its last id is the largest.
 func (t *Tree) buildPos() {
+	if t.vs[len(t.vs)-1] <= maxNarrowID {
+		t.pos16, t.posShift = fillPos[uint16](t.vs)
+	} else {
+		t.pos32, t.posShift = fillPos[uint32](t.vs)
+	}
+}
+
+func fillPos[K uint16 | uint32](vs []graph.Vertex) ([]posEntry[K], uint32) {
 	size := 4
-	for size < 2*len(t.vs) {
+	for size < 2*len(vs) {
 		size <<= 1
 	}
-	t.pos = make([]posEntry, size)
-	t.posShift = uint32(32 - bits.TrailingZeros(uint(size)))
+	pos := make([]posEntry[K], size)
+	shift := uint32(32 - bits.TrailingZeros(uint(size)))
 	mask := uint32(size - 1)
-	for i, v := range t.vs {
-		j := uint32(v) * fibMul >> t.posShift
-		for t.pos[j].v != 0 {
+	for i, v := range vs {
+		j := uint32(v) * fibMul >> shift
+		for pos[j].v != 0 {
 			j = (j + 1) & mask
 		}
-		t.pos[j] = posEntry{v: v + 1, i: int32(i)}
+		pos[j] = posEntry[K]{v: K(v) + 1, i: K(i)}
 	}
+	return pos, shift
 }
 
 // idx returns v's position in the sorted vertex array, or -1.
 func (t *Tree) idx(v graph.Vertex) int {
-	if len(t.pos) == 0 || v == graph.NoVertex {
+	if t.pos16 != nil {
+		return findPos(t.pos16, t.posShift, v)
+	}
+	return findPos(t.pos32, t.posShift, v)
+}
+
+// findPos probes pos for v. A 16-bit table keys only ids up to
+// maxNarrowID, so a larger id - whose truncated key could equal a tree
+// vertex's - misses without probing.
+func findPos[K uint16 | uint32](pos []posEntry[K], shift uint32, v graph.Vertex) int {
+	if len(pos) == 0 || v < 0 || uint32(v) >= uint32(^K(0)) {
 		return -1
 	}
-	mask := uint32(len(t.pos) - 1)
-	j := uint32(v) * fibMul >> t.posShift
+	mask := uint32(len(pos) - 1)
+	j := uint32(v) * fibMul >> shift
+	key := K(v) + 1
 	for {
-		e := t.pos[j]
-		if e.v == v+1 {
+		e := pos[j]
+		if e.v == key {
 			return int(e.i)
 		}
 		if e.v == 0 {

@@ -1,6 +1,7 @@
 package vicinity
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -72,23 +73,144 @@ func indexAnswer(s *Set, v graph.Vertex) lookupAnswer {
 	return lookupAnswer{in: s.Contains(v), first: first, ok: ok}
 }
 
-// checkAgainstScan asks every set for every id in [-1, n] and compares the
-// index's answers with the scan's.
-func checkAgainstScan(t *testing.T, name string, sets []*Set) {
-	t.Helper()
-	n := len(sets)
-	for u, s := range sets {
-		for v := graph.Vertex(-1); v <= graph.Vertex(n); v++ {
-			if got, want := indexAnswer(s, v), scanAnswer(s, v); got != want {
-				t.Fatalf("%s: B(%d) lookup of %d = %+v, scan says %+v", name, u, v, got, want)
-			}
+// slotBytes returns the slot width of s's published table, or 0 before the
+// first lookup builds it.
+func slotBytes(s *Set) int {
+	switch {
+	case s.ent16.Load() != nil:
+		return int(unsafe.Sizeof(slot[uint16]{}))
+	case s.ent32.Load() != nil:
+		return int(unsafe.Sizeof(slot[uint32]{}))
+	}
+	return 0
+}
+
+// wantSlotBytes is the width buildTable must pick for s: 4 bytes when every
+// member id is at most maxNarrowID, 8 otherwise.
+func wantSlotBytes(s *Set) int {
+	for i := 0; i < s.Size(); i++ {
+		if s.MemberV(i) > maxNarrowID {
+			return 8
 		}
 	}
+	return 4
+}
+
+// aliasIDs returns ids at or above 0xFFFF whose keys, truncated to 16 bits,
+// would equal a member's key or the empty slot's 0: each member id plus
+// 0x10000 (and plus 0xFFFF, the key of the id below it), 0xFFFF, 0x10000
+// and the largest id.
+func aliasIDs(s *Set) []graph.Vertex {
+	ids := []graph.Vertex{0xFFFF, 0x10000, math.MaxInt32}
+	for i := 0; i < s.Size(); i++ {
+		m := s.MemberV(i)
+		ids = append(ids, m+0xFFFF, m+0x10000)
+	}
+	return ids
+}
+
+// scanIDs returns the ids asked of a set in a family over n vertices:
+// every id in [-1, n] and the set's alias ids.
+func scanIDs(s *Set, n int) []graph.Vertex {
+	ids := aliasIDs(s)
+	for v := graph.Vertex(-1); v <= graph.Vertex(n); v++ {
+		ids = append(ids, v)
+	}
+	return ids
+}
+
+// checkAgainstScan asks every set of a family its scanIDs, compares the
+// index's answers with the scan's, and checks the width the lookups built.
+func checkAgainstScan(t *testing.T, name string, sets []*Set) {
+	t.Helper()
+	for u, s := range sets {
+		checkIDs(t, name, u, s, scanIDs(s, len(sets)))
+	}
+}
+
+// checkIDs compares the index's answers for ids with the scan's, then
+// checks the table width.
+func checkIDs(t *testing.T, name string, u int, s *Set, ids []graph.Vertex) {
+	t.Helper()
+	for _, v := range ids {
+		if got, want := indexAnswer(s, v), scanAnswer(s, v); got != want {
+			t.Fatalf("%s: B(%d) lookup of %d = %+v, scan says %+v", name, u, v, got, want)
+		}
+	}
+	if got, want := slotBytes(s), wantSlotBytes(s); got != want {
+		t.Fatalf("%s: B(%d) built %d-byte slots, want %d", name, u, got, want)
+	}
+}
+
+// widePathN is the vertex count of the wide path family: past 0x10000, so
+// its far end holds ids above maxNarrowID.
+const widePathN = 0x10000 + 64
+
+// widePathCenters are the centers the wide-family tests query: both ends
+// of the path, so the checked sets hold both table widths.
+func widePathCenters() []int {
+	var us []int
+	for u := 0; u < 32; u++ {
+		us = append(us, u)
+	}
+	for u := maxNarrowID - 48; u < widePathN; u++ {
+		us = append(us, u)
+	}
+	return us
+}
+
+// widePathFamily builds a path over widePathN vertices with weights 1-3 and
+// a vicinity family over it: B(u, l) for every center in widePathCenters -
+// the sets near the far end key their tables in 8-byte slots, the rest in
+// 4-byte ones - and the singleton {u} for every other vertex, which keeps
+// the family cheap to build and to encode.
+func widePathFamily(tb testing.TB, l int) []*Set {
+	tb.Helper()
+	b := graph.NewBuilder(widePathN)
+	for v := graph.Vertex(0); v+1 < widePathN; v++ {
+		b.AddEdge(v, v+1, float64(1+v%3))
+	}
+	g, err := b.Build()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sets := make([]*Set, widePathN)
+	for _, u := range widePathCenters() {
+		if sets[u], err = Build(g, graph.Vertex(u), l); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for u, s := range sets {
+		if s == nil {
+			v := graph.Vertex(u)
+			sets[u] = &Set{center: v, memV: []graph.Vertex{v}, memFirst: []uint32{0}, distF: []float64{0}}
+		}
+	}
+	return sets
+}
+
+// widePathIDs are the ids asked of B(u) in the wide family: every id within
+// 64 of u, the ids on both sides of the 16-bit boundary, the alias ids, and
+// each member id minus 0x10000, which a wide table must not confuse with
+// the member.
+func widePathIDs(s *Set, n int) []graph.Vertex {
+	ids := aliasIDs(s)
+	for v := s.center - 64; v <= s.center+64; v++ {
+		ids = append(ids, v)
+	}
+	for v := graph.Vertex(maxNarrowID - 2); v <= maxNarrowID+3; v++ {
+		ids = append(ids, v)
+	}
+	for i := 0; i < s.Size(); i++ {
+		ids = append(ids, s.MemberV(i)-0x10000)
+	}
+	return append(ids, -1, graph.Vertex(n))
 }
 
 // TestLookupIndexMatchesScan holds Contains and FirstHop to a linear scan of
 // the members, for built families and for the same families decoded from
-// their v2 encoding, over sizes around the table's rounding points.
+// their v2 encoding, over sizes around the table's rounding points; every
+// lookup also asks ids at or above 0xFFFF, which a 4-byte table must miss.
 func TestLookupIndexMatchesScan(t *testing.T) {
 	const n = 120
 	for _, maxW := range []int{1, 32} {
@@ -110,6 +232,26 @@ func TestLookupIndexMatchesScan(t *testing.T) {
 			checkAgainstScan(t, "decoded", dec)
 		}
 	}
+
+	t.Run("wide", func(t *testing.T) {
+		for _, l := range []int{3, 17} {
+			built := widePathFamily(t, l)
+			dec := roundTrip(t, built)
+			for name, fam := range map[string][]*Set{"built": built, "decoded": dec} {
+				widths := map[int]int{}
+				for _, u := range widePathCenters() {
+					if !built[u].Equal(dec[u]) {
+						t.Fatalf("l=%d: B(%d) differs after a round trip", l, u)
+					}
+					checkIDs(t, name, u, fam[u], widePathIDs(fam[u], widePathN))
+					widths[slotBytes(fam[u])]++
+				}
+				if widths[4] == 0 || widths[8] == 0 {
+					t.Fatalf("%s l=%d: checked sets hold widths %v, want both 4 and 8", name, l, widths)
+				}
+			}
+		}
+	})
 
 	t.Run("wrap", func(t *testing.T) {
 		// B(0, 3) of a star is the center and its two lightest leaves x < y.
@@ -156,8 +298,8 @@ func TestLookupIndexMatchesScan(t *testing.T) {
 			if s.Contains(z) {
 				t.Fatalf("non-member %d found", z)
 			}
-			tbl := unsafe.Slice(s.ent.Load(), s.size.Load())
-			if tbl[1].v != y+1 {
+			tbl := unsafe.Slice(s.ent16.Load(), s.size.Load())
+			if graph.Vertex(tbl[1].v) != y+1 {
 				t.Fatalf("slot 1 holds %d, want %d wrapped from slot %d", tbl[1].v-1, y, size-1)
 			}
 			checkAgainstScan(t, "wrap", fam)
@@ -165,11 +307,15 @@ func TestLookupIndexMatchesScan(t *testing.T) {
 	})
 }
 
-// TestLookupIndexFootprint pins the slot width and the load bound: 8-byte
-// slots, at most ceil(4c/3) + 1 of them, and always one empty slot.
+// TestLookupIndexFootprint pins the slot widths and the load bound: 4-byte
+// slots for sets whose member ids fit 16 bits and 8-byte slots for the
+// rest, at most ceil(4c/3) + 1 of them, and always one empty slot.
 func TestLookupIndexFootprint(t *testing.T) {
-	if sz := unsafe.Sizeof(vicEntry{}); sz != 8 {
-		t.Fatalf("vicEntry is %d bytes, want 8", sz)
+	if sz := unsafe.Sizeof(slot[uint16]{}); sz != 4 {
+		t.Fatalf("a 16-bit slot is %d bytes, want 4", sz)
+	}
+	if sz := unsafe.Sizeof(slot[uint32]{}); sz != 8 {
+		t.Fatalf("a 32-bit slot is %d bytes, want 8", sz)
 	}
 	for c := 1; c <= 2048; c++ {
 		size := tblSizeFor(c)
@@ -182,45 +328,66 @@ func TestLookupIndexFootprint(t *testing.T) {
 // TestLookupIndexConcurrentBuild starts 8 readers at once on a freshly
 // built family and on its freshly decoded twin, so the lazy index builds of
 // every set race on the CAS that publishes them; every answer must still
-// equal the scan.
+// equal the scan. It runs on a GNM family, whose tables are all 4-byte, and
+// on the wide path family, whose far-end tables are 8-byte.
 func TestLookupIndexConcurrentBuild(t *testing.T) {
-	const n, l, readers = 200, 17, 8
-	g := gnm(t, n, 3*n, 11, 32)
-	built, err := BuildAll(g, l)
-	if err != nil {
-		t.Fatal(err)
+	const readers, gnmN = 8, 200
+	gnmCenters := make([]int, gnmN)
+	for u := range gnmCenters {
+		gnmCenters[u] = u
 	}
-	want := make([][]lookupAnswer, n)
-	for u, s := range built {
-		want[u] = make([]lookupAnswer, n+2)
-		for v := graph.Vertex(-1); v <= n; v++ {
-			want[u][v+1] = scanAnswer(s, v)
+	for _, tc := range []struct {
+		name    string
+		n       int
+		family  func() []*Set
+		centers []int
+		ids     func(s *Set, n int) []graph.Vertex
+	}{
+		{"gnm", gnmN, func() []*Set {
+			sets, err := BuildAll(gnm(t, gnmN, 3*gnmN, 11, 32), 17)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sets
+		}, gnmCenters, scanIDs},
+		{"path", widePathN, func() []*Set { return widePathFamily(t, 9) }, widePathCenters(), widePathIDs},
+	} {
+		built := tc.family()
+		ids := make([][]graph.Vertex, len(tc.centers))
+		want := make([][]lookupAnswer, len(tc.centers))
+		for k, u := range tc.centers {
+			ids[k] = tc.ids(built[u], tc.n)
+			for _, v := range ids[k] {
+				want[k] = append(want[k], scanAnswer(built[u], v))
+			}
 		}
-	}
-	fresh, err := BuildAll(g, l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, fam := range map[string][]*Set{"built": fresh, "decoded": roundTrip(t, built)} {
-		start := make(chan struct{})
-		var wg sync.WaitGroup
-		for r := 0; r < readers; r++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				<-start
-				for u, s := range fam {
-					for v := graph.Vertex(-1); v <= n; v++ {
-						if got := indexAnswer(s, v); got != want[u][v+1] {
-							t.Errorf("%s reader %d: B(%d) lookup of %d = %+v, scan says %+v", name, r, u, v, got, want[u][v+1])
-							return
+		fresh := tc.family()
+		for name, fam := range map[string][]*Set{"built": fresh, "decoded": roundTrip(t, built)} {
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			for r := 0; r < readers; r++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					for k, u := range tc.centers {
+						for j, v := range ids[k] {
+							if got := indexAnswer(fam[u], v); got != want[k][j] {
+								t.Errorf("%s %s reader %d: B(%d) lookup of %d = %+v, scan says %+v", tc.name, name, r, u, v, got, want[k][j])
+								return
+							}
 						}
 					}
+				}()
+			}
+			close(start)
+			wg.Wait()
+			for _, u := range tc.centers {
+				if got, want := slotBytes(fam[u]), wantSlotBytes(fam[u]); got != want {
+					t.Fatalf("%s %s: B(%d) built %d-byte slots, want %d", tc.name, name, u, got, want)
 				}
-			}()
+			}
 		}
-		close(start)
-		wg.Wait()
 	}
 }
 
@@ -232,7 +399,9 @@ var lookupSink graph.Vertex
 // weights 1-32, l = 230). The 2^16 (center, member) pairs cover every
 // center in a pseudo-random order, so the probes land across all 5000
 // indexes, a working set far larger than L2. It reports the index's slot
-// bytes per member and the heap the lazy builds allocated per member.
+// bytes per member and the heap the lazy builds allocated per member, and
+// fails unless every table of the family is in 4-byte slots, as every id
+// of a graph with n <= 65535 allows.
 func BenchmarkVicinityLookup(b *testing.B) {
 	const n, l, pairs = 5000, 230, 1 << 16
 	built, err := BuildAll(gnm(b, n, 4*n, 2015, 32), l)
@@ -252,11 +421,14 @@ func BenchmarkVicinityLookup(b *testing.B) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	members, slots := 0, 0
-	for _, s := range sets {
+	members, slotB := 0, 0
+	for u, s := range sets {
 		s.Contains(s.center) // build the index
+		if w := slotBytes(s); w != 4 {
+			b.Fatalf("B(%d) of an n = %d family has %d-byte slots, want 4", u, n, w)
+		}
 		members += s.Size()
-		slots += int(s.size.Load())
+		slotB += int(s.size.Load()) * slotBytes(s)
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
@@ -269,7 +441,7 @@ func BenchmarkVicinityLookup(b *testing.B) {
 		lookupSink = f
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(slots)*float64(unsafe.Sizeof(vicEntry{}))/float64(members), "index-B/member")
+	b.ReportMetric(float64(slotB)/float64(members), "index-B/member")
 	b.ReportMetric(float64(after.HeapAlloc-before.HeapAlloc)/float64(members), "heap-B/member")
 	runtime.KeepAlive(sets)
 }

@@ -4,11 +4,14 @@
 // route a message from u to any v in B(u, l) on a shortest path.
 //
 // Membership lookups - the innermost operation of every scheme's forwarding
-// loop - go through a flat open-addressed table of 8-byte slots, each a
-// member id and its first hop, filled to a load factor below 3/4, so a hop
-// usually costs a single cache-line fetch and allocates nothing. The
-// member's distance stays in the member arrays: Lemma 2 stores it (Words
-// counts it, and snapshots keep it), but no forwarding decision reads it.
+// loop - go through a flat open-addressed table of slots, each a member id
+// and its first hop, filled to a load factor below 3/4, so a hop usually
+// costs a single cache-line fetch and allocates nothing. A slot takes 4
+// bytes (two uint16 fields) when every member id of its set is at most
+// 0xFFFE, which holds for every set of a graph with n <= 65535, and 8 bytes
+// (two 32-bit ids) otherwise. The member's distance stays in the member
+// arrays: Lemma 2 stores it (Words counts it, and snapshots keep it), but no
+// forwarding decision reads it.
 package vicinity
 
 import (
@@ -60,15 +63,20 @@ type Set struct {
 	distU16    []uint16
 	distF      []float64
 	// Open-addressed membership table (Fibonacci hash, multiply-shift range
-	// reduction, linear probing, load factor < 3/4). Each 8-byte slot packs
-	// the id the probe compares against and the Lemma 2 first hop the
-	// forwarding loop asks for, so Contains/FirstHop usually resolve with a
-	// single cache-line fetch; a sorted-array binary search costs O(log l)
+	// reduction, linear probing, load factor < 3/4). Each slot packs the id
+	// the probe compares against and the Lemma 2 first hop the forwarding
+	// loop asks for, so Contains/FirstHop usually resolve with a single
+	// cache-line fetch; a sorted-array binary search costs O(log l)
 	// scattered probes per hop, which dominated serving profiles at
 	// n = 10^4. The member's distance stays out of the slot: no routing
 	// decision reads it, and MemberDist serves the rest. The first hop stays
 	// a vertex id rather than a member index, so reading it costs no second
 	// dependent miss into the member arrays.
+	//
+	// A set whose member ids are all at most maxNarrowID keys its table in
+	// 4-byte slots (ent16), any other set in 8-byte ones (ent32). The width
+	// comes from the set's own members, so every builder of one set picks
+	// the same one, and only that pointer is ever published.
 	//
 	// The table is built on first lookup - the index analogue of demand
 	// paging, and what keeps the mmap cold start free of per-member work -
@@ -78,21 +86,27 @@ type Set struct {
 	// The table is published as a pointer to its first slot plus its slot
 	// count, both living in the Set struct itself: a lookup touches only the
 	// Set's cache line before the probed slot, with no intermediate
-	// table-descriptor object to chase. size is stored before ent is
-	// published, so a reader that observes a non-nil ent also observes the
-	// matching size; racing lazy builders store identical sizes, making the
-	// overlap harmless.
-	ent  atomic.Pointer[vicEntry]
-	size atomic.Uint32 // slot count of the table ent points at
+	// table-descriptor object to chase. size is stored before the pointer is
+	// published, so a reader that observes a non-nil pointer also observes
+	// the matching size; racing lazy builders store identical sizes, making
+	// the overlap harmless.
+	ent16 atomic.Pointer[slot[uint16]]
+	ent32 atomic.Pointer[slot[uint32]]
+	size  atomic.Uint32 // slot count of the published table
 }
 
-// vicEntry keys are stored as v+1 so the zero value marks an empty slot: a
-// freshly made (zeroed) table is ready for inserts without a sentinel fill
-// pass, which is what keeps the index rebuild cheap on snapshot load.
-type vicEntry struct {
-	v     graph.Vertex // member id + 1; 0 marks an empty slot
-	first graph.Vertex
+// slot is one entry of a membership table. Keys are stored as v+1 so the
+// zero value marks an empty slot: a freshly made (zeroed) table is ready for
+// inserts without a sentinel fill pass, which is what keeps the index
+// rebuild cheap on snapshot load.
+type slot[K uint16 | uint32] struct {
+	v     K // member id + 1; 0 marks an empty slot
+	first K
 }
+
+// maxNarrowID is the largest member id a 16-bit slot can key: its key v+1
+// must fit a uint16.
+const maxNarrowID = 0xFFFE
 
 // fibMul is the 32-bit Fibonacci hashing multiplier, floor(2^32 / phi).
 const fibMul = 2654435769
@@ -104,26 +118,41 @@ func homeSlot(v graph.Vertex, size uint32) uint32 {
 	return uint32(uint64(uint32(v)*fibMul) * uint64(size) >> 32)
 }
 
-// lookup returns the table entry of member v, or nil.
-func (s *Set) lookup(v graph.Vertex) *vicEntry {
-	if v < 0 {
-		return nil
+// lookup returns the first hop stored for member v and whether v is a
+// member, building the table on first use. A 16-bit table keys only ids up
+// to maxNarrowID, so a larger id - whose truncated key could equal a
+// member's - misses without probing; so does a negative id.
+func (s *Set) lookup(v graph.Vertex) (graph.Vertex, bool) {
+	for {
+		if p := s.ent16.Load(); p != nil {
+			if uint32(v) > maxNarrowID {
+				return graph.NoVertex, false
+			}
+			return probe(p, s.size.Load(), v)
+		}
+		if p := s.ent32.Load(); p != nil {
+			if v < 0 {
+				return graph.NoVertex, false
+			}
+			return probe(p, s.size.Load(), v)
+		}
+		s.buildTable()
 	}
-	p := s.ent.Load()
-	if p == nil {
-		p = s.buildTable()
-	}
-	size := s.size.Load()
+}
+
+// probe looks member id v, which K can key, up in the table of size slots
+// at p.
+func probe[K uint16 | uint32](p *slot[K], size uint32, v graph.Vertex) (graph.Vertex, bool) {
 	tbl := unsafe.Slice(p, size)
-	key := v + 1
+	key := K(v) + 1
 	i := homeSlot(v, size)
 	for {
 		e := &tbl[i]
 		if e.v == key {
-			return e
+			return graph.Vertex(e.first), true
 		}
 		if e.v == 0 {
-			return nil
+			return graph.NoVertex, false
 		}
 		if i++; i == size {
 			i = 0
@@ -137,28 +166,34 @@ func tblSizeFor(c int) int {
 	return c + (c+2)/3 + 1
 }
 
-// buildTable builds the membership index of s on first lookup. It cannot
-// fail; concurrent callers may race, build identical tables and agree on
+// buildTable builds the membership index of s on first lookup, in 4-byte
+// slots when every member id is at most maxNarrowID. It cannot fail;
+// concurrent callers may race, build identical tables and agree on
 // whichever CAS publishes first.
-func (s *Set) buildTable() *vicEntry {
-	c := s.Size()
-	size := uint32(tblSizeFor(c))
-	tbl := make([]vicEntry, size)
-	for i := 0; i < c; i++ {
-		v := s.memV[i]
+func (s *Set) buildTable() {
+	for _, v := range s.memV {
+		if v > maxNarrowID {
+			fillTable(s, &s.ent32)
+			return
+		}
+	}
+	fillTable(s, &s.ent16)
+}
+
+func fillTable[K uint16 | uint32](s *Set, ent *atomic.Pointer[slot[K]]) {
+	size := uint32(tblSizeFor(s.Size()))
+	tbl := make([]slot[K], size)
+	for i, v := range s.memV {
 		j := homeSlot(v, size)
 		for tbl[j].v != 0 {
 			if j++; j == size {
 				j = 0
 			}
 		}
-		tbl[j] = vicEntry{v: v + 1, first: s.MemberFirst(i)}
+		tbl[j] = slot[K]{v: K(v) + 1, first: K(s.MemberFirst(i))}
 	}
 	s.size.Store(size)
-	if s.ent.CompareAndSwap(nil, &tbl[0]) {
-		return &tbl[0]
-	}
-	return s.ent.Load()
+	ent.CompareAndSwap(nil, &tbl[0])
 }
 
 // validateViews checks the SoA member views of a set in one sequential
@@ -410,16 +445,18 @@ func (s *Set) MemberFirst(i int) graph.Vertex { return s.memV[s.firstIdx(i)] }
 func (s *Set) Radius() float64 { return s.radius }
 
 // Contains reports whether v is in the vicinity.
-func (s *Set) Contains(v graph.Vertex) bool { return s.lookup(v) != nil }
+func (s *Set) Contains(v graph.Vertex) bool {
+	_, ok := s.lookup(v)
+	return ok
+}
 
 // FirstHop returns the first vertex after the center on a shortest path to
 // member v. This is the Lemma 2 routing table entry.
 func (s *Set) FirstHop(v graph.Vertex) (graph.Vertex, bool) {
-	e := s.lookup(v)
-	if e == nil || v == s.center {
+	if v == s.center {
 		return graph.NoVertex, false
 	}
-	return e.first, true
+	return s.lookup(v)
 }
 
 // Members materializes the members in (dist, id) order into a fresh
