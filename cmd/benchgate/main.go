@@ -290,11 +290,12 @@ func medianMs(load func() error) (float64, error) {
 
 // measureRepair is the incremental-repair soak (the gate-sized slice of the
 // routebench -churn -repair experiment): build the Theorem 11 scheme, apply
-// a deletion trace in batches, repair in place after each batch, and require
-// every repaired generation to serialize bit-identically to a from-scratch
-// build on the same churned graph. It records the mean per-phase repair and
-// rebuild latencies; a divergence is a measurement error (exit 2), because a
-// wrong repair must never be reported as a fast one.
+// a deletion trace in batches, Refresh after each batch (repair in place,
+// rebuild when the repair fails), and require every refreshed generation to
+// serialize bit-identically to a from-scratch build on the same churned
+// graph. It records the mean per-phase refresh and rebuild latencies; a
+// divergence is a measurement error (exit 2), because a wrong repair must
+// never be reported as a fast one.
 func measureRepair(out io.Writer, n, batch, phases int, seed int64, eps float64, budgetMiB int64) (benchtrack.Point, error) {
 	g, err := compactroute.GNM(n, 4*n, seed, true, 32)
 	if err != nil {
@@ -330,7 +331,6 @@ func measureRepair(out io.Writer, n, batch, phases int, seed int64, eps float64,
 		phases = maxPhases
 	}
 	var repairTotal, fullTotal time.Duration
-	escalations := 0
 	for phase := 0; phase < phases; phase++ {
 		lo := phase * batch
 		hi := min(lo+batch, len(trace))
@@ -338,11 +338,8 @@ func measureRepair(out io.Writer, n, batch, phases int, seed int64, eps float64,
 			return benchtrack.Point{}, err
 		}
 		repairStart := time.Now()
-		if repairErr := eng.Repair(); repairErr != nil {
-			escalations++
-			if err := eng.Rebuild(); err != nil {
-				return benchtrack.Point{}, fmt.Errorf("repair soak phase %d: repair (%v) and rebuild both failed: %w", phase+1, repairErr, err)
-			}
+		if err := eng.Refresh(); err != nil {
+			return benchtrack.Point{}, fmt.Errorf("repair soak phase %d: refresh: %w", phase+1, err)
 		}
 		repairTotal += time.Since(repairStart)
 		churned := eng.Scheme().Graph()
@@ -364,6 +361,7 @@ func measureRepair(out io.Writer, n, batch, phases int, seed int64, eps float64,
 				phase+1, got.Len(), want.Len())
 		}
 	}
+	escalations := eng.Stats().Escalations
 	repairMs := float64(repairTotal.Nanoseconds()) / 1e6 / float64(phases)
 	fullMs := float64(fullTotal.Nanoseconds()) / 1e6 / float64(phases)
 	fmt.Fprintf(out, "  thm11 repair: %.1f ms/phase vs %.1f ms full rebuild (batch=%d, %d phases, %d escalations, all bit-identical)\n",

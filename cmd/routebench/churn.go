@@ -328,13 +328,15 @@ func schemeBytes(s compactroute.Scheme) ([]byte, error) {
 }
 
 // runChurnRepair is the measurement job behind experiment E17: apply the
-// deletion trace in batches of cfg.batch and, after each batch, repair the
-// serving scheme in place (dirty-set invalidation) instead of rebuilding it.
-// Every phase also times a from-scratch build on the same churned graph and
-// checks the repaired scheme is snapshot-bit-identical to it; the clean
-// post-repair serving pass must stay violation-free. Any divergence is a
-// hard error (non-zero exit). The per-phase lines report the repair and
-// full-rebuild latencies and the dirty-set footprint of the repair.
+// deletion trace in batches of cfg.batch and, after each batch, Refresh the
+// engine - the same call routeserve's refresh command makes - so the serving
+// scheme is repaired in place (dirty-set invalidation) and rebuilt only when
+// the repair fails. Every phase also times a from-scratch build on the same
+// churned graph and checks the refreshed scheme is snapshot-bit-identical to
+// it; the clean post-refresh serving pass must stay violation-free. Any
+// divergence is a hard error (non-zero exit). The per-phase lines report the
+// refresh and full-rebuild latencies and the dirty-set footprint of the
+// repair.
 func runChurnRepair(out io.Writer, cfg churnConfig) error {
 	g, err := compactroute.GNM(cfg.n, 4*cfg.n, cfg.seed, true, 32)
 	if err != nil {
@@ -383,32 +385,30 @@ func runChurnRepair(out io.Writer, cfg churnConfig) error {
 		scheme.Name(), g.N(), g.M(), batch, phases, len(pairs), buildTime.Round(time.Millisecond))
 
 	var repairTotal, fullTotal time.Duration
-	escalations := 0
 	for phase := 0; phase < phases; phase++ {
 		lo := phase * batch
 		hi := min(lo+batch, len(trace))
 		if err := eng.ApplyUpdates(trace[lo:hi]); err != nil {
 			return err
 		}
+		before := eng.Stats().Escalations
 		repairStart := time.Now()
-		repairErr := eng.Repair()
-		mode := "repair"
-		if repairErr != nil {
-			// Escalation is allowed (the engine's Refresh would do the same)
-			// but worth surfacing: it means the dirty-set path gave up. The
-			// phase's recovery time then includes the fallback rebuild.
-			escalations++
-			mode = "escalated"
-			if err := eng.Rebuild(); err != nil {
-				return fmt.Errorf("churn: phase %d: repair (%v) and rebuild both failed: %w", phase+1, repairErr, err)
-			}
+		if err := eng.Refresh(); err != nil {
+			return fmt.Errorf("churn: phase %d: refresh: %w", phase+1, err)
 		}
 		repairTime := time.Since(repairStart)
+		st := eng.Stats()
+		info := st.LastRepairInfo
+		// An escalation is allowed but worth surfacing: it means the
+		// dirty-set path gave up, and the phase's recovery time includes
+		// the fallback rebuild.
+		mode := "repair"
+		if st.Escalations != before {
+			mode = "escalated"
+		}
 		if !eng.Overlay().Empty() {
 			return fmt.Errorf("churn: phase %d: overlay still has %d entries after %s", phase+1, eng.Overlay().Len(), mode)
 		}
-		st := eng.Stats()
-		info := st.LastRepairInfo
 
 		// Reference: a timed from-scratch build on the same churned graph,
 		// and the E14 invariant - the repaired scheme must serialize to the
@@ -465,6 +465,6 @@ func runChurnRepair(out io.Writer, cfg churnConfig) error {
 	}
 	fmt.Fprintf(out, "total: repair=%s full=%s speedup=%.1fx escalations=%d (every phase bit-identical to a from-scratch build)\n",
 		repairTotal.Round(10*time.Microsecond), fullTotal.Round(10*time.Microsecond),
-		float64(fullTotal)/float64(max(repairTotal, time.Microsecond)), escalations)
+		float64(fullTotal)/float64(max(repairTotal, time.Microsecond)), eng.Stats().Escalations)
 	return nil
 }

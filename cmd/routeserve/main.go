@@ -35,7 +35,8 @@
 //	rebuild         rebuild the scheme for the churned graph and hot-swap
 //	repair          incrementally repair the scheme in place (dirty-set
 //	                invalidation; Theorem 11 schemes built by this process)
-//	refresh         policy-driven: repair small deltas, rebuild large ones
+//	refresh         repair in place, or rebuild when the repair fails or
+//	                this process has no repair function
 //
 // Queries keep flowing during churn (a route that meets a dead edge is
 // finished by one exact search, reported as measured staleness stretch in

@@ -48,26 +48,6 @@ type RepairInfo struct {
 // cannot guarantee that (the engine escalates to a full rebuild).
 type RepairFunc func(old simnet.Scheme, g *graph.Graph, entries []live.Entry) (simnet.Scheme, RepairInfo, error)
 
-// RepairPolicy decides when Refresh may serve a churn batch with an
-// incremental repair instead of a full rebuild. A zero limit falls back to
-// DefaultRepairPolicy.
-type RepairPolicy struct {
-	// MaxRepairEntries is the largest overlay (delta) size a repair may
-	// absorb; larger deltas force a full rebuild.
-	MaxRepairEntries int
-}
-
-// DefaultRepairPolicy is the policy Refresh uses when LiveOptions.Policy is
-// the zero value.
-var DefaultRepairPolicy = RepairPolicy{MaxRepairEntries: 64}
-
-func (p RepairPolicy) filled() RepairPolicy {
-	if p.MaxRepairEntries <= 0 {
-		p.MaxRepairEntries = DefaultRepairPolicy.MaxRepairEntries
-	}
-	return p
-}
-
 // ErrRebuildInFlight is returned by Rebuild while a rebuild is running.
 var ErrRebuildInFlight = errors.New("serve: a rebuild is already in flight")
 
@@ -139,7 +119,7 @@ type Live struct {
 
 	repairs        obs.Counter
 	repairErrs     obs.Counter
-	escalations    obs.Counter   // policy chose repair, repair failed, rebuild ran
+	escalations    obs.Counter   // Refresh tried a repair, it failed, rebuild ran
 	pendingDropped obs.Counter   // quiesced updates rejected at drain
 	lastRepair     atomic.Int64  // nanoseconds of the last successful repair
 	treesAtReset   atomic.Uint64 // overlay fallback trees at the last ResetStats
@@ -486,18 +466,14 @@ func (l *Live) Repair() error {
 	return nil
 }
 
-// shouldRepair applies the policy: repair only when a repair function
-// exists and the delta is small.
-func (l *Live) shouldRepair() bool {
-	return l.opts.Repair != nil && l.ov.Len() <= l.opts.Policy.filled().MaxRepairEntries
-}
-
 // Refresh folds the current overlay into a fresh serving generation the
-// cheapest safe way: an incremental repair when the policy allows it, a
-// full rebuild otherwise or whenever the repair fails (counted as an
+// cheapest safe way: an incremental repair whenever LiveOptions.Repair is
+// set, whatever the overlay size - the repair itself refuses a batch a
+// from-scratch build would answer differently - and a full rebuild when
+// there is no repair function or the repair fails (counted as an
 // escalation). It is the call sites' one-stop "absorb the churn" entry.
 func (l *Live) Refresh() error {
-	if l.shouldRepair() {
+	if l.opts.Repair != nil {
 		err := l.Repair()
 		if err == nil || errors.Is(err, ErrRebuildInFlight) {
 			return err

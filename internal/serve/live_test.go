@@ -436,11 +436,13 @@ func repairPair(seed int64) (serve.BuildFunc, serve.RepairFunc) {
 	return build, repair
 }
 
-// TestLiveRefreshRepairsThenEscalates drives the policy: a small delta is
-// absorbed by an in-place repair (no rebuild), a delta over the policy limit
-// forces a full rebuild, and serving stays correct throughout.
+// TestLiveRefreshRepairsThenEscalates drives Refresh's one rule - try the
+// repair, rebuild only when it fails - across delta sizes: a small delta is
+// absorbed by an in-place repair (no rebuild), a large one (65 entries) is
+// offered to the repair too and, refused, escalates to a full rebuild, the
+// next small delta repairs again, and serving stays correct throughout.
 func TestLiveRefreshRepairsThenEscalates(t *testing.T) {
-	const n, seed = 160, 2015
+	const n, seed, large = 160, 2015, 65
 	g := testutil.MustGNM(t, n, 4*n, seed, gen.UniformInt)
 	build, repair := repairPair(seed)
 	s, err := build(g)
@@ -449,16 +451,16 @@ func TestLiveRefreshRepairsThenEscalates(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	l, err := serve.NewLive(s, serve.LiveOptions{Workers: 2, Verify: true, Obs: reg,
-		Build: build, Repair: repair, Policy: serve.RepairPolicy{MaxRepairEntries: 4}})
+		Build: build, Repair: repair})
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace := live.DeletionTrace(g, 0.10, 13)
-	if len(trace) < 8 {
+	trace := live.DeletionTrace(g, 0.2, 17)
+	if len(trace) < 3+large {
 		t.Fatalf("trace too short: %d", len(trace))
 	}
 
-	// Small delta: policy selects repair.
+	// Small delta: absorbed by a repair.
 	if err := l.ApplyUpdates(trace[:2]); err != nil {
 		t.Fatal(err)
 	}
@@ -494,31 +496,41 @@ func TestLiveRefreshRepairsThenEscalates(t *testing.T) {
 		}
 	}
 
-	// Large delta: policy escalates to a full rebuild.
-	if err := l.ApplyUpdates(trace[2:8]); err != nil {
+	// Large delta: Refresh tries the repair first here too. The repair
+	// refuses this batch, so Refresh escalates after exactly one attempt.
+	if err := l.ApplyUpdates(trace[2 : 2+large]); err != nil {
 		t.Fatal(err)
+	}
+	if got := l.Overlay().Len(); got != large {
+		t.Fatalf("large delta holds %d overlay entries, want %d", got, large)
 	}
 	if err := l.Refresh(); err != nil {
 		t.Fatal(err)
 	}
 	st = l.Stats()
-	if st.Repairs != 1 || st.Rebuilds != 1 {
-		t.Fatalf("large delta: repairs=%d rebuilds=%d, want 1/1", st.Repairs, st.Rebuilds)
+	if st.Repairs != 1 || st.RepairErrors != 1 || st.Escalations != 1 || st.Rebuilds != 1 {
+		t.Fatalf("large delta: repairs=%d repair-errors=%d escalations=%d rebuilds=%d, want 1/1/1/1",
+			st.Repairs, st.RepairErrors, st.Escalations, st.Rebuilds)
 	}
 	if l.Generation() != 2 || !l.Overlay().Empty() {
 		t.Fatalf("rebuild did not swap/absorb: gen=%d overlay=%d", l.Generation(), l.Overlay().Len())
 	}
+	for _, r := range l.Query(testutil.Pairs(n, 7, 11), nil) {
+		if r.Err != nil {
+			t.Fatalf("after the escalation: %v", r.Err)
+		}
+	}
 
 	// A third small delta repairs again - the full rebuild re-armed the
 	// repair state for the new base.
-	if err := l.ApplyUpdates(trace[8:9]); err != nil {
+	if err := l.ApplyUpdates(trace[2+large : 3+large]); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	if st = l.Stats(); st.Repairs != 2 || st.Rebuilds != 1 || st.Escalations != 0 {
-		t.Fatalf("re-armed delta: repairs=%d rebuilds=%d escalations=%d, want 2/1/0", st.Repairs, st.Rebuilds, st.Escalations)
+	if st = l.Stats(); st.Repairs != 2 || st.Rebuilds != 1 || st.Escalations != 1 {
+		t.Fatalf("re-armed delta: repairs=%d rebuilds=%d escalations=%d, want 2/1/1", st.Repairs, st.Rebuilds, st.Escalations)
 	}
 }
 

@@ -74,9 +74,6 @@ type LiveOptions struct {
 	// Repair incrementally repairs the serving scheme for the effective
 	// graph; nil disables Repair (Refresh always rebuilds).
 	Repair RepairFunc
-	// Policy governs Refresh's repair-vs-rebuild decision; the zero value
-	// selects DefaultRepairPolicy.
-	Policy RepairPolicy
 	// Retire, when non-nil, runs exactly once after the initially-supplied
 	// scheme's generation has been swapped out AND every in-flight query
 	// on it has drained. It is how a scheme served straight off an mmap'd

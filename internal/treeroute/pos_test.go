@@ -1,8 +1,10 @@
 package treeroute
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -99,4 +101,80 @@ func checkIdx(t *testing.T, n, trial int, tr *Tree) {
 	if narrow := tr.vs[len(tr.vs)-1] <= maxNarrowID; (tr.pos16 != nil) != narrow || (tr.pos32 != nil) == narrow {
 		t.Fatalf("n=%d trial %d: largest id %d got 16-bit table %v, 32-bit table %v", n, trial, tr.vs[len(tr.vs)-1], tr.pos16 != nil, tr.pos32 != nil)
 	}
+}
+
+// TestDecodeFlatForestChargesItsHeap decodes a forest of one-vertex trees,
+// where the Tree structs are most of what the decode allocates, and
+// requires the heap bytes DecodeFlatForest allocates to stay within what it
+// charged to the snapshot's decode budget.
+func TestDecodeFlatForestChargesItsHeap(t *testing.T) {
+	const n = 4096
+	b := graph.NewBuilder(n)
+	for v := graph.Vertex(1); v < n; v++ {
+		b.AddEdge(v-1, v, 1)
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	trees := make([]*Tree, n)
+	for v := range trees {
+		if trees[v], err = New(g, []Edge{{V: graph.Vertex(v), Parent: graph.NoVertex}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := wire.New("forest-test", g.Fingerprint())
+	EncodeFlatForest(snap.AlignedSection("forest"), trees)
+	var buf bytes.Buffer
+	if _, err := snap.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	parse := func() *wire.Snapshot {
+		s, err := wire.Parse(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+
+	full := budgetLeft(t, parse())
+	s := parse()
+	d, err := s.Decoder("forest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := DecodeFlatForest(d, g)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != n {
+		t.Fatalf("decoded %d trees, want %d", len(got), n)
+	}
+	charged := full - budgetLeft(t, s)
+	heap := int64(after.TotalAlloc - before.TotalAlloc)
+	if heap > charged {
+		t.Fatalf("decoding %d one-vertex trees allocated %d heap bytes (%.1f a tree) but charged %d (%.1f a tree)",
+			n, heap, float64(heap)/n, charged, float64(charged)/n)
+	}
+}
+
+// budgetLeft drains and returns what s's decode budget still admits. A
+// failed Decoder.Alloc charges nothing, so taking each power of two that
+// still fits, largest first, sums to exactly the remainder.
+func budgetLeft(t *testing.T, s *wire.Snapshot) int64 {
+	t.Helper()
+	left := int64(0)
+	for bit := 62; bit >= 0; bit-- {
+		d, err := s.Decoder("forest")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Alloc(1 << bit) {
+			left += 1 << bit
+		}
+	}
+	return left
 }

@@ -133,8 +133,8 @@ func DecodeFlatForest(d *wire.Decoder, g *graph.Graph) ([]*Tree, error) {
 	// Tree structs and their position tables (power-of-two >= 2x size, so
 	// at most 4 slots per vertex; a slot takes 4 bytes when every id of the
 	// tree fits 16 bits and 8 otherwise) are rebuilt on the heap; charge
-	// them at the wide width.
-	if !d.Alloc(int64(ntrees)*96 + int64(totalVs)*32) {
+	// each struct at its size and the tables at the wide width.
+	if !d.Alloc(int64(ntrees)*int64(unsafe.Sizeof(Tree{})) + int64(totalVs)*32) {
 		return nil, d.Err()
 	}
 	trees := make([]*Tree, ntrees)

@@ -40,11 +40,10 @@ type (
 	BuildFunc = serve.BuildFunc
 	// RepairFunc incrementally repairs the serving scheme for the effective
 	// graph instead of rebuilding it from scratch; the result must be
-	// bit-identical to a full rebuild or error out (the engine escalates).
+	// bit-identical to a full rebuild or error out. (*LiveEngine).Refresh
+	// tries it on every overlay, whatever its size, and escalates to a full
+	// rebuild when it errors.
 	RepairFunc = serve.RepairFunc
-	// RepairPolicy decides when (*LiveEngine).Refresh repairs in place and
-	// when it escalates to a full rebuild (delta size).
-	RepairPolicy = serve.RepairPolicy
 	// RepairInfo is the dirty-set footprint of one incremental repair.
 	RepairInfo = serve.RepairInfo
 	// EdgeUpdate is one edge mutation (weight change, insertion, deletion).
