@@ -71,14 +71,17 @@ func minEdgeWeight(g *graph.Graph) float64 {
 	return minW
 }
 
+// maxBudget caps b, so that b+1 (Lemma 8) and the 2b+4 round cap of
+// Lemma 7 stay far from wrapping an int.
+const maxBudget = math.MaxInt32
+
 // budget returns b = ceil(2/eps), the per-sequence round budget of Lemma 7.
+// eps must be finite and positive with b <= maxBudget: a NaN or infinite
+// eps makes every stretch bound NaN or +Inf, which no route can exceed, and
+// a tiny one wraps when ceil(2/eps) converts to an int.
 func budget(eps float64) (int, error) {
-	if eps <= 0 {
-		return 0, fmt.Errorf("core: need eps > 0, got %v", eps)
+	if !(eps > 0) || math.IsInf(eps, 1) || math.Ceil(2/eps) > maxBudget {
+		return 0, fmt.Errorf("core: need a finite eps > 0 with ceil(2/eps) <= %d, got %v", maxBudget, eps)
 	}
-	b := int(math.Ceil(2 / eps))
-	if b < 1 {
-		b = 1
-	}
-	return b, nil
+	return int(math.Ceil(2 / eps)), nil
 }

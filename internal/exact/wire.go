@@ -39,36 +39,31 @@ func (s *Scheme) EncodeSnapshot(snap *wire.Snapshot) error {
 // rows are subslices of one array aliasing the snapshot bytes; every port is
 // still validated against its row vertex's degree before the scheme serves.
 func decodeSnapshotV2(g *graph.Graph, snap *wire.Snapshot) (simnet.Scheme, error) {
-	d, err := snap.Decoder(secPorts)
-	if err != nil {
-		return nil, err
-	}
-	n := g.N()
-	all := d.PortArray()
-	if d.Err() != nil {
-		return nil, d.Err()
-	}
-	if len(all) != n*n {
-		d.Failf("port matrix holds %d entries, want %d x %d", len(all), n, n)
-		return nil, d.Err()
-	}
-	if !d.Alloc(24 * int64(n)) { // row headers only; rows alias the snapshot
-		return nil, d.Err()
-	}
-	s := &Scheme{g: g, ports: make([][]graph.Port, n)}
-	for u := 0; u < n; u++ {
-		row := all[u*n : (u+1)*n : (u+1)*n]
-		deg := graph.Port(g.Degree(graph.Vertex(u)))
-		for v, p := range row {
-			if p != graph.NoPort && (p < 0 || p >= deg) {
-				d.Failf("port[%d][%d]=%d outside degree %d", u, v, p, deg)
-				return nil, d.Err()
-			}
+	return wire.Decode(snap, secPorts, func(d *wire.Decoder) (simnet.Scheme, error) {
+		n := g.N()
+		all := d.PortArray()
+		if d.Err() != nil {
+			return nil, d.Err()
 		}
-		s.ports[u] = row
-	}
-	if err := d.Finish(); err != nil {
-		return nil, err
-	}
-	return s, nil
+		if len(all) != n*n {
+			d.Failf("port matrix holds %d entries, want %d x %d", len(all), n, n)
+			return nil, d.Err()
+		}
+		if !d.Alloc(24 * int64(n)) { // row headers only; rows alias the snapshot
+			return nil, d.Err()
+		}
+		s := &Scheme{g: g, ports: make([][]graph.Port, n)}
+		for u := 0; u < n; u++ {
+			row := all[u*n : (u+1)*n : (u+1)*n]
+			deg := graph.Port(g.Degree(graph.Vertex(u)))
+			for v, p := range row {
+				if p != graph.NoPort && (p < 0 || p >= deg) {
+					d.Failf("port[%d][%d]=%d outside degree %d", u, v, p, deg)
+					return nil, d.Err()
+				}
+			}
+			s.ports[u] = row
+		}
+		return s, nil
+	})
 }

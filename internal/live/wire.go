@@ -43,29 +43,24 @@ func HasOverlay(snap *wire.Snapshot) bool {
 // finite, the order canonical). base must be the graph decoded from the
 // same snapshot.
 func DecodeOverlay(snap *wire.Snapshot, base *graph.Graph) (*Overlay, error) {
-	d, err := snap.Decoder(OverlaySection)
-	if err != nil {
-		return nil, err
-	}
-	version := d.Uint64()
-	c := d.Count(17) // u + v + alive + weight per entry
-	if d.Err() != nil {
-		return nil, d.Err()
-	}
-	entries := make([]Entry, c)
-	for i := range entries {
-		entries[i] = Entry{U: d.Vertex(), V: d.Vertex(), Alive: d.Bool(), W: d.Float64()}
-	}
-	if d.Err() != nil {
-		return nil, d.Err()
-	}
-	ov := NewOverlay(base)
-	if err := ov.RestoreEntries(entries, version); err != nil {
-		d.Failf("%v", err)
-		return nil, d.Err()
-	}
-	if err := d.Finish(); err != nil {
-		return nil, err
-	}
-	return ov, nil
+	return wire.Decode(snap, OverlaySection, func(d *wire.Decoder) (*Overlay, error) {
+		version := d.Uint64()
+		c := d.Count(17) // u + v + alive + weight per entry
+		if d.Err() != nil {
+			return nil, d.Err()
+		}
+		entries := make([]Entry, c)
+		for i := range entries {
+			entries[i] = Entry{U: d.Vertex(), V: d.Vertex(), Alive: d.Bool(), W: d.Float64()}
+		}
+		if d.Err() != nil {
+			return nil, d.Err()
+		}
+		ov := NewOverlay(base)
+		if err := ov.RestoreEntries(entries, version); err != nil {
+			d.Failf("%v", err)
+			return nil, d.Err()
+		}
+		return ov, nil
+	})
 }

@@ -4,12 +4,10 @@ import (
 	"fmt"
 
 	"compactroute/internal/cluster"
-	"compactroute/internal/coloring"
 	"compactroute/internal/core"
 	"compactroute/internal/graph"
 	"compactroute/internal/schemeutil"
 	"compactroute/internal/simnet"
-	"compactroute/internal/vicinity"
 	"compactroute/internal/wire"
 )
 
@@ -43,8 +41,7 @@ func (s *Scheme) EncodeSnapshot(snap *wire.Snapshot) error {
 	p.Float64(s.eps)
 	p.Uvarint(uint64(s.vc.Q))
 	p.Uvarint(uint64(s.vc.L))
-	vicinity.EncodeSetsV2(snap.AlignedSection(secVicinities), s.vc.Vics)
-	s.vc.Col.EncodeWireV2(snap.Section(secColoring))
+	s.vc.EncodeSections(snap, secVicinities, secColoring)
 	if err := s.lms.EncodeWireV2(snap.Section(secLandmarks)); err != nil {
 		return err
 	}
@@ -60,71 +57,30 @@ func decodeSnapshotV2(g *graph.Graph, snap *wire.Snapshot) (simnet.Scheme, error
 	if !g.Unit() {
 		return nil, fmt.Errorf("scheme2: snapshot graph is weighted; Theorem 10 applies to unweighted graphs")
 	}
-	pd, err := snap.Decoder(secParams)
+	var eps float64
+	var q, l int
+	if _, err := wire.Decode(snap, secParams, func(d *wire.Decoder) (struct{}, error) {
+		eps, q, l = d.Float64(), int(d.Uvarint()), int(d.Uvarint())
+		return struct{}{}, nil
+	}); err != nil {
+		return nil, err
+	}
+	vc, err := schemeutil.DecodeVicinityColoring(snap, secVicinities, secColoring, q, l, n)
 	if err != nil {
 		return nil, err
 	}
-	eps := pd.Float64()
-	q := int(pd.Uvarint())
-	l := int(pd.Uvarint())
-	if err := pd.Finish(); err != nil {
-		return nil, err
-	}
-	if q < 1 || q > n {
-		return nil, fmt.Errorf("scheme2: snapshot q=%d outside [1,%d]", q, n)
-	}
-
-	vd, err := snap.Decoder(secVicinities)
+	lms, err := wire.Decode(snap, secLandmarks, func(d *wire.Decoder) (*cluster.Landmarks, error) {
+		return cluster.DecodeWireV2(d, n)
+	})
 	if err != nil {
 		return nil, err
 	}
-	vics, err := vicinity.DecodeSetsV2(vd, n)
+	intra, err := wire.Decode(snap, secIntra, func(d *wire.Decoder) (*core.Intra, error) {
+		return core.RestoreIntraV2(core.IntraConfig{
+			Graph: g, Vics: vc.Vics, PartOf: vc.PartOf, Eps: eps,
+		}, d)
+	})
 	if err != nil {
-		return nil, err
-	}
-	if err := vd.Finish(); err != nil {
-		return nil, err
-	}
-
-	cd, err := snap.Decoder(secColoring)
-	if err != nil {
-		return nil, err
-	}
-	col, err := coloring.DecodeWireV2(cd, n)
-	if err != nil {
-		return nil, err
-	}
-	if err := cd.Finish(); err != nil {
-		return nil, err
-	}
-	vc, err := schemeutil.RestoreVicinityColoring(q, l, vics, col)
-	if err != nil {
-		return nil, err
-	}
-
-	ld, err := snap.Decoder(secLandmarks)
-	if err != nil {
-		return nil, err
-	}
-	lms, err := cluster.DecodeWireV2(ld, n)
-	if err != nil {
-		return nil, err
-	}
-	if err := ld.Finish(); err != nil {
-		return nil, err
-	}
-
-	id, err := snap.Decoder(secIntra)
-	if err != nil {
-		return nil, err
-	}
-	intra, err := core.RestoreIntraV2(core.IntraConfig{
-		Graph: g, Vics: vc.Vics, PartOf: vc.PartOf, Eps: eps,
-	}, id)
-	if err != nil {
-		return nil, err
-	}
-	if err := id.Finish(); err != nil {
 		return nil, err
 	}
 	return assemble(g, eps, vc, lms, intra)

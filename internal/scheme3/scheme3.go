@@ -63,11 +63,17 @@ func New(g *graph.Graph, paths graph.PathSource, params Params) (*Scheme, error)
 	if err != nil {
 		return nil, fmt.Errorf("scheme3: %w", err)
 	}
-	s := &Scheme{g: g, eps: params.Eps, vc: vc, intra: intra}
-	s.tally = space.NewTally(n)
+	return assemble(g, params.Eps, vc, intra), nil
+}
+
+// assemble derives the storage tally, the only state beyond the encoded
+// vicinity coloring and Lemma 7 structure; the builder and the snapshot
+// decoder both end here.
+func assemble(g *graph.Graph, eps float64, vc *schemeutil.VicinityColoring, intra *core.Intra) *Scheme {
+	s := &Scheme{g: g, eps: eps, vc: vc, intra: intra, tally: space.NewTally(g.N())}
 	vc.AddWords(s.tally)
 	intra.AddTableWords(s.tally)
-	return s, nil
+	return s
 }
 
 // phase of an in-flight packet.

@@ -83,13 +83,26 @@ func New(g *graph.Graph, paths graph.PathSource, params Params) (*Scheme, error)
 	if err != nil {
 		return nil, fmt.Errorf("scheme4k: %w", err)
 	}
-	s := &Scheme{g: g, k: params.K, eps: params.Eps, h: h, vc: vc, inter: inter,
-		labels: make([]label, n)}
+	return assemble(g, params.K, params.Eps, h, vc, inter, alphaOf)
+}
+
+// assemble derives the labels and the storage tally from the hierarchy,
+// the vicinity coloring, the Lemma 8 structure and the part index alphaOf of
+// every A_{k-2} landmark; the builder and the snapshot decoder both end
+// here. A p_{k-2}(v) outside A_{k-2}, which only a corrupt snapshot can
+// hold, fails instead of taking part 0.
+func assemble(g *graph.Graph, k int, eps float64, h *tzroute.Hierarchy, vc *schemeutil.VicinityColoring, inter *core.Inter, alphaOf map[graph.Vertex]int32) (*Scheme, error) {
+	n := g.N()
+	s := &Scheme{g: g, k: k, eps: eps, h: h, vc: vc, inter: inter,
+		labels: make([]label, n), tally: space.NewTally(n)}
 	for v := 0; v < n; v++ {
 		tl := h.LabelOf(graph.Vertex(v))
-		s.labels[v] = label{tz: tl, alpha: alphaOf[tl.P[params.K-2]]}
+		a, ok := alphaOf[tl.P[k-2]]
+		if !ok {
+			return nil, fmt.Errorf("scheme4k: snapshot p_%d(%d)=%d is not an A_%d landmark", k-2, v, tl.P[k-2], k-2)
+		}
+		s.labels[v] = label{tz: tl, alpha: a}
 	}
-	s.tally = space.NewTally(n)
 	h.AddWords(s.tally)
 	vc.AddWords(s.tally)
 	inter.AddTableWords(s.tally)

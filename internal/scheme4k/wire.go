@@ -3,14 +3,11 @@ package scheme4k
 import (
 	"fmt"
 
-	"compactroute/internal/coloring"
 	"compactroute/internal/core"
 	"compactroute/internal/graph"
 	"compactroute/internal/schemeutil"
 	"compactroute/internal/simnet"
-	"compactroute/internal/space"
 	"compactroute/internal/tzroute"
-	"compactroute/internal/vicinity"
 	"compactroute/internal/wire"
 )
 
@@ -53,8 +50,7 @@ func (s *Scheme) EncodeSnapshot(snap *wire.Snapshot) error {
 	p.Uvarint(uint64(s.vc.L))
 	s.h.EncodeWireV2(snap.Section(secLevels), snap.AlignedSection(secNearest),
 		snap.AlignedSection(secTrees), snap.AlignedSection(secBunches))
-	vicinity.EncodeSetsV2(snap.AlignedSection(secVicinities), s.vc.Vics)
-	s.vc.Col.EncodeWireV2(snap.Section(secColoring))
+	s.vc.EncodeSections(snap, secVicinities, secColoring)
 	s.inter.EncodeWireV2(snap.AlignedSection(secInter))
 	return nil
 }
@@ -66,86 +62,33 @@ func (s *Scheme) EncodeSnapshot(snap *wire.Snapshot) error {
 // corrupt snapshot could break (a p_{k-2} outside A_{k-2}) fails with an
 // error instead of indexing garbage.
 func decodeSnapshotV2(g *graph.Graph, snap *wire.Snapshot) (simnet.Scheme, error) {
-	n := g.N()
-	pd, err := snap.Decoder(secParams)
-	if err != nil {
-		return nil, err
-	}
-	k := int(pd.Uvarint())
-	eps := pd.Float64()
-	q := int(pd.Uvarint())
-	l := int(pd.Uvarint())
-	if err := pd.Finish(); err != nil {
+	var eps float64
+	var k, q, l int
+	if _, err := wire.Decode(snap, secParams, func(d *wire.Decoder) (struct{}, error) {
+		k, eps, q, l = int(d.Uvarint()), d.Float64(), int(d.Uvarint()), int(d.Uvarint())
+		return struct{}{}, nil
+	}); err != nil {
 		return nil, err
 	}
 	if k < 3 || k > 64 {
 		return nil, fmt.Errorf("scheme4k: snapshot k=%d outside [3,64]", k)
 	}
-	if q < 1 || q > n {
-		return nil, fmt.Errorf("scheme4k: snapshot q=%d outside [1,%d]", q, n)
-	}
-
 	h, err := tzroute.DecodeHierarchyV2(g, k, snap, secLevels, secNearest, secTrees, secBunches)
 	if err != nil {
 		return nil, err
 	}
-
-	vd, err := snap.Decoder(secVicinities)
+	vc, err := schemeutil.DecodeVicinityColoring(snap, secVicinities, secColoring, q, l, g.N())
 	if err != nil {
 		return nil, err
 	}
-	vics, err := vicinity.DecodeSetsV2(vd, n)
-	if err != nil {
-		return nil, err
-	}
-	if err := vd.Finish(); err != nil {
-		return nil, err
-	}
-
-	cd, err := snap.Decoder(secColoring)
-	if err != nil {
-		return nil, err
-	}
-	col, err := coloring.DecodeWireV2(cd, n)
-	if err != nil {
-		return nil, err
-	}
-	if err := cd.Finish(); err != nil {
-		return nil, err
-	}
-	vc, err := schemeutil.RestoreVicinityColoring(q, l, vics, col)
-	if err != nil {
-		return nil, err
-	}
-
 	wParts, alphaOf := landmarkParts(h.Levels[k-2], q)
-	id, err := snap.Decoder(secInter)
+	inter, err := wire.Decode(snap, secInter, func(d *wire.Decoder) (*core.Inter, error) {
+		return core.RestoreInterV2(core.InterConfig{
+			Graph: g, Vics: vc.Vics, UPartOf: vc.PartOf, Reps: vc.Reps, WParts: wParts, Eps: eps,
+		}, d)
+	})
 	if err != nil {
 		return nil, err
 	}
-	inter, err := core.RestoreInterV2(core.InterConfig{
-		Graph: g, Vics: vc.Vics, UPartOf: vc.PartOf, Reps: vc.Reps, WParts: wParts, Eps: eps,
-	}, id)
-	if err != nil {
-		return nil, err
-	}
-	if err := id.Finish(); err != nil {
-		return nil, err
-	}
-
-	s := &Scheme{g: g, k: k, eps: eps, h: h, vc: vc, inter: inter,
-		labels: make([]label, n)}
-	for v := 0; v < n; v++ {
-		tl := h.LabelOf(graph.Vertex(v))
-		a, ok := alphaOf[tl.P[k-2]]
-		if !ok {
-			return nil, fmt.Errorf("scheme4k: snapshot p_%d(%d)=%d is not an A_%d landmark", k-2, v, tl.P[k-2], k-2)
-		}
-		s.labels[v] = label{tz: tl, alpha: a}
-	}
-	s.tally = space.NewTally(n)
-	h.AddWords(s.tally)
-	vc.AddWords(s.tally)
-	inter.AddTableWords(s.tally)
-	return s, nil
+	return assemble(g, k, eps, h, vc, inter, alphaOf)
 }

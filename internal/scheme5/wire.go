@@ -4,13 +4,11 @@ import (
 	"fmt"
 
 	"compactroute/internal/cluster"
-	"compactroute/internal/coloring"
 	"compactroute/internal/core"
 	"compactroute/internal/graph"
 	"compactroute/internal/schemeutil"
 	"compactroute/internal/simnet"
 	"compactroute/internal/treeroute"
-	"compactroute/internal/vicinity"
 	"compactroute/internal/wire"
 )
 
@@ -45,8 +43,7 @@ func (s *Scheme) EncodeSnapshot(snap *wire.Snapshot) error {
 	p.Float64(s.eps)
 	p.Uvarint(uint64(s.vc.Q))
 	p.Uvarint(uint64(s.vc.L))
-	vicinity.EncodeSetsV2(snap.AlignedSection(secVicinities), s.vc.Vics)
-	s.vc.Col.EncodeWireV2(snap.Section(secColoring))
+	s.vc.EncodeSections(snap, secVicinities, secColoring)
 	if err := s.lms.EncodeWireV2(snap.Section(secLandmarks)); err != nil {
 		return err
 	}
@@ -67,118 +64,65 @@ func (s *Scheme) EncodeSnapshot(snap *wire.Snapshot) error {
 // (same roots, sizes and membership).
 func decodeSnapshotV2(g *graph.Graph, snap *wire.Snapshot) (simnet.Scheme, error) {
 	n := g.N()
-	pd, err := snap.Decoder(secParams)
+	var eps float64
+	var q, l int
+	if _, err := wire.Decode(snap, secParams, func(d *wire.Decoder) (struct{}, error) {
+		eps, q, l = d.Float64(), int(d.Uvarint()), int(d.Uvarint())
+		return struct{}{}, nil
+	}); err != nil {
+		return nil, err
+	}
+	vc, err := schemeutil.DecodeVicinityColoring(snap, secVicinities, secColoring, q, l, n)
 	if err != nil {
 		return nil, err
 	}
-	eps := pd.Float64()
-	q := int(pd.Uvarint())
-	l := int(pd.Uvarint())
-	if err := pd.Finish(); err != nil {
-		return nil, err
-	}
-	if q < 1 || q > n {
-		return nil, fmt.Errorf("scheme5: snapshot q=%d outside [1,%d]", q, n)
-	}
-
-	vd, err := snap.Decoder(secVicinities)
+	lms, err := wire.Decode(snap, secLandmarks, func(d *wire.Decoder) (*cluster.Landmarks, error) {
+		return cluster.DecodeWireV2(d, n)
+	})
 	if err != nil {
 		return nil, err
 	}
-	vics, err := vicinity.DecodeSetsV2(vd, n)
+	trees, err := wire.Decode(snap, secForest, func(d *wire.Decoder) ([]*treeroute.Tree, error) {
+		return treeroute.DecodeFlatForest(d, g)
+	})
 	if err != nil {
-		return nil, err
-	}
-	if err := vd.Finish(); err != nil {
-		return nil, err
-	}
-
-	cd, err := snap.Decoder(secColoring)
-	if err != nil {
-		return nil, err
-	}
-	col, err := coloring.DecodeWireV2(cd, n)
-	if err != nil {
-		return nil, err
-	}
-	if err := cd.Finish(); err != nil {
-		return nil, err
-	}
-	vc, err := schemeutil.RestoreVicinityColoring(q, l, vics, col)
-	if err != nil {
-		return nil, err
-	}
-
-	ld, err := snap.Decoder(secLandmarks)
-	if err != nil {
-		return nil, err
-	}
-	lms, err := cluster.DecodeWireV2(ld, n)
-	if err != nil {
-		return nil, err
-	}
-	if err := ld.Finish(); err != nil {
-		return nil, err
-	}
-
-	fd, err := snap.Decoder(secForest)
-	if err != nil {
-		return nil, err
-	}
-	trees, err := treeroute.DecodeFlatForest(fd, g)
-	if err != nil {
-		return nil, err
-	}
-	if err := fd.Finish(); err != nil {
 		return nil, err
 	}
 	fores, err := schemeutil.RestoreClusterForest(lms, trees, n)
 	if err != nil {
 		return nil, err
 	}
-
 	wParts, alphaOf := landmarkParts(lms.A, q)
-	id, err := snap.Decoder(secInter)
+	inter, err := wire.Decode(snap, secInter, func(d *wire.Decoder) (*core.Inter, error) {
+		return core.RestoreInterV2(core.InterConfig{
+			Graph: g, Vics: vc.Vics, UPartOf: vc.PartOf, Reps: vc.Reps, WParts: wParts, Eps: eps,
+		}, d)
+	})
 	if err != nil {
 		return nil, err
 	}
-	inter, err := core.RestoreInterV2(core.InterConfig{
-		Graph: g, Vics: vc.Vics, UPartOf: vc.PartOf, Reps: vc.Reps, WParts: wParts, Eps: eps,
-	}, id)
-	if err != nil {
-		return nil, err
-	}
-	if err := id.Finish(); err != nil {
-		return nil, err
-	}
-
-	lbd, err := snap.Decoder(secLabels)
-	if err != nil {
-		return nil, err
-	}
-	ports := lbd.PortArray()
-	if lbd.Err() != nil {
-		return nil, lbd.Err()
-	}
-	if len(ports) != n {
-		return nil, fmt.Errorf("scheme5: snapshot has %d label ports, want %d", len(ports), n)
-	}
-	s := &Scheme{g: g, eps: eps, vc: vc, lms: lms, fores: fores, inter: inter,
-		labels: make([]label, n)}
-	for v := 0; v < n; v++ {
-		pa := lms.P[v]
-		port := ports[v]
-		if pa == graph.Vertex(v) {
-			if port != graph.NoPort {
-				return nil, fmt.Errorf("scheme5: snapshot label of %d has a first edge at its own landmark", v)
-			}
-		} else if port < 0 || int(port) >= g.Degree(pa) {
-			return nil, fmt.Errorf("scheme5: snapshot label of %d has invalid port %d at landmark %d", v, port, pa)
+	return wire.Decode(snap, secLabels, func(d *wire.Decoder) (simnet.Scheme, error) {
+		ports := d.PortArray()
+		if d.Err() != nil {
+			return nil, d.Err()
 		}
-		s.labels[v] = label{pa: pa, alpha: alphaOf[pa], paPort: port}
-	}
-	if err := lbd.Finish(); err != nil {
-		return nil, err
-	}
-	return s, nil
+		if len(ports) != n {
+			return nil, fmt.Errorf("scheme5: snapshot has %d label ports, want %d", len(ports), n)
+		}
+		s := &Scheme{g: g, eps: eps, vc: vc, lms: lms, fores: fores, inter: inter,
+			labels: make([]label, n)}
+		for v := 0; v < n; v++ {
+			pa := lms.P[v]
+			port := ports[v]
+			if pa == graph.Vertex(v) {
+				if port != graph.NoPort {
+					return nil, fmt.Errorf("scheme5: snapshot label of %d has a first edge at its own landmark", v)
+				}
+			} else if port < 0 || int(port) >= g.Degree(pa) {
+				return nil, fmt.Errorf("scheme5: snapshot label of %d has invalid port %d at landmark %d", v, port, pa)
+			}
+			s.labels[v] = label{pa: pa, alpha: alphaOf[pa], paPort: port}
+		}
+		return s, nil
+	})
 }

@@ -74,6 +74,22 @@ type glLabel struct {
 	port  []graph.Port
 }
 
+// newLabel returns a label over levels 0..l with no landmark and no port
+// at any level; the build and decode paths fill the label levels.
+func newLabel(l int) glLabel {
+	lbl := glLabel{
+		p:     make([]graph.Vertex, l+1),
+		alpha: make([]int32, l+1),
+		dist:  make([]float64, l+1),
+		port:  make([]graph.Port, l+1),
+	}
+	for i := range lbl.port {
+		lbl.p[i] = graph.NoVertex
+		lbl.port[i] = graph.NoPort
+	}
+	return lbl
+}
+
 // Scheme is a preprocessed Theorem 13 or Theorem 15 scheme.
 type Scheme struct {
 	g      *graph.Graph
@@ -194,16 +210,7 @@ func New(g *graph.Graph, paths graph.PathSource, params Params) (*Scheme, error)
 	}
 	s.labels = make([]glLabel, n)
 	if err := parallel.ForErr(n, func(v int) error {
-		lbl := glLabel{
-			p:     make([]graph.Vertex, l+1),
-			alpha: make([]int32, l+1),
-			dist:  make([]float64, l+1),
-			port:  make([]graph.Port, l+1),
-		}
-		for i := range lbl.port {
-			lbl.p[i] = graph.NoVertex
-			lbl.port[i] = graph.NoPort
-		}
+		lbl := newLabel(l)
 		for _, j := range labelLevels {
 			pv := s.lms[j].P[v]
 			lbl.p[j] = pv

@@ -1,6 +1,7 @@
 package schemegl_test
 
 import (
+	"math"
 	"testing"
 
 	"compactroute/internal/gen"
@@ -81,6 +82,23 @@ func TestRejectsBadInputs(t *testing.T) {
 	wapsp := graph.AllPairs(wg)
 	if _, err := schemegl.New(wg, wapsp, schemegl.Params{L: 2, Variant: schemegl.Minus, Eps: 0.5}); err == nil {
 		t.Fatal("expected error for weighted graph")
+	}
+}
+
+// TestRejectsNonFiniteEps checks that eps reaches the Lemma 8 budget check
+// at every level count: both variants have an instance at every l >= 2, so
+// a NaN, infinite or wrapping eps fails the build.
+func TestRejectsNonFiniteEps(t *testing.T) {
+	g := testutil.MustGNM(t, 40, 100, 1, gen.Unit)
+	apsp := graph.AllPairs(g)
+	for _, variant := range []schemegl.Variant{schemegl.Minus, schemegl.Plus} {
+		for l := 2; l <= 4; l++ {
+			for _, eps := range []float64{math.NaN(), math.Inf(1), 1e-300} {
+				if _, err := schemegl.New(g, apsp, schemegl.Params{L: l, Variant: variant, Eps: eps}); err == nil {
+					t.Errorf("variant %d, l=%d, eps=%v: built", variant, l, eps)
+				}
+			}
+		}
 	}
 }
 

@@ -102,17 +102,10 @@ func decodeSnapshot(g *graph.Graph, snap *wire.Snapshot) (simnet.Scheme, error) 
 	if !g.Unit() {
 		return nil, fmt.Errorf("schemegl: snapshot graph is weighted; Theorems 13/15 apply to unweighted graphs")
 	}
-	pd, err := snap.Decoder(glParams)
+	params, err := wire.Decode(snap, glParams, func(d *wire.Decoder) (Params, error) {
+		return Params{L: int(d.Uvarint()), Variant: Variant(d.Uvarint()), Eps: d.Float64(), VicinityFactor: d.Float64()}, nil
+	})
 	if err != nil {
-		return nil, err
-	}
-	params := Params{
-		L:       int(pd.Uvarint()),
-		Variant: Variant(pd.Uvarint()),
-	}
-	params.Eps = pd.Float64()
-	params.VicinityFactor = pd.Float64()
-	if err := pd.Finish(); err != nil {
 		return nil, err
 	}
 	if params.L < 2 || params.L > 64 {
@@ -126,68 +119,63 @@ func decodeSnapshot(g *graph.Graph, snap *wire.Snapshot) (simnet.Scheme, error) 
 	s := &Scheme{g: g, params: params}
 	s.deriveGranularity()
 
-	ld, err := snap.Decoder(glLandmarks)
-	if err != nil {
-		return nil, err
-	}
-	s.lms = make([]*cluster.Landmarks, l+1)
-	for i := 0; i <= l; i++ {
-		s.lms[i], err = cluster.DecodeWireV2(ld, n)
-		if err != nil {
-			return nil, fmt.Errorf("schemegl: level %d landmarks: %w", i, err)
+	if s.lms, err = wire.Decode(snap, glLandmarks, func(d *wire.Decoder) ([]*cluster.Landmarks, error) {
+		lms := make([]*cluster.Landmarks, l+1)
+		for i := range lms {
+			var err error
+			if lms[i], err = cluster.DecodeWireV2(d, n); err != nil {
+				return nil, fmt.Errorf("schemegl: level %d landmarks: %w", i, err)
+			}
 		}
-	}
-	if err := ld.Finish(); err != nil {
+		return lms, nil
+	}); err != nil {
 		return nil, err
 	}
 
 	s.fores = make([]*schemeutil.ClusterForest, l+1)
 	for i := 0; i <= l; i++ {
-		fd, err := snap.Decoder(glForestSec(i))
+		trees, err := wire.Decode(snap, glForestSec(i), func(d *wire.Decoder) ([]*treeroute.Tree, error) {
+			trees, err := treeroute.DecodeFlatForest(d, g)
+			if err != nil {
+				return nil, fmt.Errorf("schemegl: level %d forest: %w", i, err)
+			}
+			return trees, nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		trees, err := treeroute.DecodeFlatForest(fd, g)
-		if err != nil {
-			return nil, fmt.Errorf("schemegl: level %d forest: %w", i, err)
-		}
-		if err := fd.Finish(); err != nil {
-			return nil, err
-		}
-		s.fores[i], err = schemeutil.RestoreClusterForest(s.lms[i], trees, n)
-		if err != nil {
+		if s.fores[i], err = schemeutil.RestoreClusterForest(s.lms[i], trees, n); err != nil {
 			return nil, fmt.Errorf("schemegl: level %d forest: %w", i, err)
 		}
 	}
 
-	vd, err := snap.Decoder(glVicinities)
-	if err != nil {
-		return nil, err
-	}
-	s.vcs = make([]*schemeutil.VicinityColoring, l+1)
-	for i := 0; i <= l; i++ {
-		q := int(vd.Uvarint())
-		vl := int(vd.Uvarint())
-		if vd.Err() != nil {
-			return nil, vd.Err()
+	// One interleaved section holds every level's (q, l), vicinities and
+	// coloring.
+	if s.vcs, err = wire.Decode(snap, glVicinities, func(d *wire.Decoder) ([]*schemeutil.VicinityColoring, error) {
+		vcs := make([]*schemeutil.VicinityColoring, l+1)
+		for i := range vcs {
+			q := int(d.Uvarint())
+			vl := int(d.Uvarint())
+			if d.Err() != nil {
+				return nil, d.Err()
+			}
+			if q < 1 || q > n {
+				return nil, fmt.Errorf("schemegl: snapshot level %d has q=%d outside [1,%d]", i, q, n)
+			}
+			vics, err := vicinity.DecodeSetsV2(d, n)
+			if err != nil {
+				return nil, fmt.Errorf("schemegl: level %d vicinities: %w", i, err)
+			}
+			col, err := coloring.DecodeWireV2(d, n)
+			if err != nil {
+				return nil, fmt.Errorf("schemegl: level %d coloring: %w", i, err)
+			}
+			if vcs[i], err = schemeutil.RestoreVicinityColoring(q, vl, vics, col); err != nil {
+				return nil, fmt.Errorf("schemegl: level %d: %w", i, err)
+			}
 		}
-		if q < 1 || q > n {
-			return nil, fmt.Errorf("schemegl: snapshot level %d has q=%d outside [1,%d]", i, q, n)
-		}
-		vics, err := vicinity.DecodeSetsV2(vd, n)
-		if err != nil {
-			return nil, fmt.Errorf("schemegl: level %d vicinities: %w", i, err)
-		}
-		col, err := coloring.DecodeWireV2(vd, n)
-		if err != nil {
-			return nil, fmt.Errorf("schemegl: level %d coloring: %w", i, err)
-		}
-		s.vcs[i], err = schemeutil.RestoreVicinityColoring(q, vl, vics, col)
-		if err != nil {
-			return nil, fmt.Errorf("schemegl: level %d: %w", i, err)
-		}
-	}
-	if err := vd.Finish(); err != nil {
+		return vcs, nil
+	}); err != nil {
 		return nil, err
 	}
 
@@ -195,25 +183,23 @@ func decodeSnapshot(g *graph.Graph, snap *wire.Snapshot) (simnet.Scheme, error) 
 	// derives them from the (decoded) landmark sets.
 	is, kOf := params.instanceLevels()
 	s.alphaOf = make([]map[graph.Vertex]int32, l+1)
-	s.inters = make([]*core.Inter, l+1)
-	id, err := snap.Decoder(glInter)
-	if err != nil {
-		return nil, err
-	}
-	for _, i := range is {
-		j := kOf(i)
-		wParts, alpha := s.partitionLandmarks(i, j)
-		s.alphaOf[j] = alpha
-		inter, err := core.RestoreInterV2(core.InterConfig{
-			Graph: g, Vics: s.vcs[i].Vics,
-			UPartOf: s.vcs[i].PartOf, Reps: s.vcs[i].Reps, WParts: wParts, Eps: params.Eps,
-		}, id)
-		if err != nil {
-			return nil, fmt.Errorf("schemegl: instance %d: %w", i, err)
+	if s.inters, err = wire.Decode(snap, glInter, func(d *wire.Decoder) ([]*core.Inter, error) {
+		inters := make([]*core.Inter, l+1)
+		for _, i := range is {
+			j := kOf(i)
+			wParts, alpha := s.partitionLandmarks(i, j)
+			s.alphaOf[j] = alpha
+			inter, err := core.RestoreInterV2(core.InterConfig{
+				Graph: g, Vics: s.vcs[i].Vics,
+				UPartOf: s.vcs[i].PartOf, Reps: s.vcs[i].Reps, WParts: wParts, Eps: params.Eps,
+			}, d)
+			if err != nil {
+				return nil, fmt.Errorf("schemegl: instance %d: %w", i, err)
+			}
+			inters[i] = inter
 		}
-		s.inters[i] = inter
-	}
-	if err := id.Finish(); err != nil {
+		return inters, nil
+	}); err != nil {
 		return nil, err
 	}
 
@@ -222,50 +208,38 @@ func decodeSnapshot(g *graph.Graph, snap *wire.Snapshot) (simnet.Scheme, error) 
 	// Labels: the landmark, part and distance halves come from the decoded
 	// landmark structures; the first-edge ports come off the aliased arrays,
 	// validated against the owning landmark's degree before serving.
-	lbd, err := snap.Decoder(glLabels)
-	if err != nil {
-		return nil, err
-	}
-	s.labels = make([]glLabel, n)
-	for v := range s.labels {
-		lbl := glLabel{
-			p:     make([]graph.Vertex, l+1),
-			alpha: make([]int32, l+1),
-			dist:  make([]float64, l+1),
-			port:  make([]graph.Port, l+1),
+	if s.labels, err = wire.Decode(snap, glLabels, func(d *wire.Decoder) ([]glLabel, error) {
+		labels := make([]glLabel, n)
+		for v := range labels {
+			labels[v] = newLabel(l)
 		}
-		for i := range lbl.port {
-			lbl.p[i] = graph.NoVertex
-			lbl.port[i] = graph.NoPort
-		}
-		s.labels[v] = lbl
-	}
-	for _, i := range is {
-		j := kOf(i)
-		ports := lbd.PortArray()
-		if lbd.Err() != nil {
-			return nil, lbd.Err()
-		}
-		if len(ports) != n {
-			return nil, fmt.Errorf("schemegl: snapshot level-%d label ports hold %d entries, want %d", j, len(ports), n)
-		}
-		for v := 0; v < n; v++ {
-			pv := s.lms[j].P[v]
-			port := ports[v]
-			if pv == graph.Vertex(v) {
-				if port != graph.NoPort {
-					return nil, fmt.Errorf("schemegl: snapshot label of %d has a first edge at its own level-%d landmark", v, j)
-				}
-			} else if port < 0 || int(port) >= g.Degree(pv) {
-				return nil, fmt.Errorf("schemegl: snapshot label of %d has invalid port %d at level-%d landmark %d", v, port, j, pv)
+		for _, i := range is {
+			j := kOf(i)
+			ports := d.PortArray()
+			if d.Err() != nil {
+				return nil, d.Err()
 			}
-			s.labels[v].p[j] = pv
-			s.labels[v].alpha[j] = s.alphaOf[j][pv]
-			s.labels[v].dist[j] = s.lms[j].DistA[v]
-			s.labels[v].port[j] = port
+			if len(ports) != n {
+				return nil, fmt.Errorf("schemegl: snapshot level-%d label ports hold %d entries, want %d", j, len(ports), n)
+			}
+			for v := 0; v < n; v++ {
+				pv := s.lms[j].P[v]
+				port := ports[v]
+				if pv == graph.Vertex(v) {
+					if port != graph.NoPort {
+						return nil, fmt.Errorf("schemegl: snapshot label of %d has a first edge at its own level-%d landmark", v, j)
+					}
+				} else if port < 0 || int(port) >= g.Degree(pv) {
+					return nil, fmt.Errorf("schemegl: snapshot label of %d has invalid port %d at level-%d landmark %d", v, port, j, pv)
+				}
+				labels[v].p[j] = pv
+				labels[v].alpha[j] = s.alphaOf[j][pv]
+				labels[v].dist[j] = s.lms[j].DistA[v]
+				labels[v].port[j] = port
+			}
 		}
-	}
-	if err := lbd.Finish(); err != nil {
+		return labels, nil
+	}); err != nil {
 		return nil, err
 	}
 

@@ -2,6 +2,8 @@
 // schemes of Sections 4 and 5: inflated vicinities with a verified Lemma 6
 // coloring and per-color representatives, and cluster forests (one routable
 // tree per cluster, plus the member labels the paper stores at each root).
+// It builds, repairs, encodes and decodes the vicinity-coloring bundle for
+// every scheme that stores one.
 package schemeutil
 
 import (
@@ -14,6 +16,7 @@ import (
 	"compactroute/internal/space"
 	"compactroute/internal/treeroute"
 	"compactroute/internal/vicinity"
+	"compactroute/internal/wire"
 )
 
 // VicinityColoring is the (B(u, q-tilde), coloring, representatives) bundle
@@ -87,6 +90,37 @@ func RestoreVicinityColoring(q, l int, vics []*vicinity.Set, col *coloring.Color
 		return nil, fmt.Errorf("schemeutil: restore: coloring has %d colors, want q=%d >= 1", col.Q(), q)
 	}
 	return assembleVicinityColoring(q, l, vics, col)
+}
+
+// EncodeSections writes the bundle's snapshot form: the vicinities into the
+// aligned section vicSec, whose member arrays alias a mapped file, and the
+// coloring into the compressed section colSec. Q and L belong in the
+// caller's params section; everything else is derived on decode.
+func (vc *VicinityColoring) EncodeSections(snap *wire.Snapshot, vicSec, colSec string) {
+	vicinity.EncodeSetsV2(snap.AlignedSection(vicSec), vc.Vics)
+	vc.Col.EncodeWireV2(snap.Section(colSec))
+}
+
+// DecodeVicinityColoring reads the two sections EncodeSections wrote and
+// restores the bundle over n vertices with the q and l decoded from the
+// caller's params section. It fails unless q lies in [1, n].
+func DecodeVicinityColoring(snap *wire.Snapshot, vicSec, colSec string, q, l, n int) (*VicinityColoring, error) {
+	if q < 1 || q > n {
+		return nil, fmt.Errorf("schemeutil: snapshot q=%d outside [1,%d]", q, n)
+	}
+	vics, err := wire.Decode(snap, vicSec, func(d *wire.Decoder) ([]*vicinity.Set, error) {
+		return vicinity.DecodeSetsV2(d, n)
+	})
+	if err != nil {
+		return nil, err
+	}
+	col, err := wire.Decode(snap, colSec, func(d *wire.Decoder) (*coloring.Coloring, error) {
+		return coloring.DecodeWireV2(d, n)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return RestoreVicinityColoring(q, l, vics, col)
 }
 
 // assembleVicinityColoring derives the part indices and representative

@@ -288,13 +288,19 @@ func New(g *graph.Graph, params Params) (*Scheme, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Scheme{h: h, k: params.K, labels: make([]Label, g.N())}
-	parallel.For(g.N(), func(v int) {
+	return assemble(h), nil
+}
+
+// assemble derives the labels and the storage tally from the hierarchy;
+// the builder and the snapshot decoder both end here.
+func assemble(h *Hierarchy) *Scheme {
+	n := h.G.N()
+	s := &Scheme{h: h, k: h.K, labels: make([]Label, n), tally: space.NewTally(n)}
+	parallel.For(n, func(v int) {
 		s.labels[v] = h.LabelOf(graph.Vertex(v))
 	})
-	s.tally = space.NewTally(g.N())
 	h.AddWords(s.tally)
-	return s, nil
+	return s
 }
 
 // Hierarchy exposes the underlying structure (used by Theorem 16).

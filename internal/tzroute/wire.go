@@ -7,7 +7,6 @@ import (
 	"compactroute/internal/graph"
 	"compactroute/internal/parallel"
 	"compactroute/internal/simnet"
-	"compactroute/internal/space"
 	"compactroute/internal/treeroute"
 	"compactroute/internal/wire"
 )
@@ -93,30 +92,20 @@ func (h *Hierarchy) EncodeWireV2(lv, nr, tr, bu *wire.Encoder) {
 // that contains its vertex, and the totals match), so the arrays are exactly
 // the transpose of the forest.
 func decodeSnapshotV2(g *graph.Graph, snap *wire.Snapshot) (simnet.Scheme, error) {
-	n := g.N()
-	pd, err := snap.Decoder(secParams)
+	k, err := wire.Decode(snap, secParams, func(d *wire.Decoder) (int, error) {
+		return int(d.Uvarint()), nil
+	})
 	if err != nil {
-		return nil, err
-	}
-	k := int(pd.Uvarint())
-	if err := pd.Finish(); err != nil {
 		return nil, err
 	}
 	if k < 2 || k > 64 {
 		return nil, fmt.Errorf("tzroute: snapshot k=%d outside [2,64]", k)
 	}
-	h, err := decodeHierarchySections(g, k, snap, secLevels, secNearest, secTrees, secBunches)
+	h, err := DecodeHierarchyV2(g, k, snap, secLevels, secNearest, secTrees, secBunches)
 	if err != nil {
 		return nil, err
 	}
-
-	s := &Scheme{h: h, k: k, labels: make([]Label, n)}
-	parallel.For(n, func(v int) {
-		s.labels[v] = h.LabelOf(graph.Vertex(v))
-	})
-	s.tally = space.NewTally(n)
-	h.AddWords(s.tally)
-	return s, nil
+	return assemble(h), nil
 }
 
 // DecodeHierarchyV2 reads a hierarchy back from the four sections
@@ -125,11 +114,7 @@ func decodeSnapshotV2(g *graph.Graph, snap *wire.Snapshot) (simnet.Scheme, error
 // cluster trees rooted correctly, and every bunch entry backed by the tree it
 // names. k must already be validated by the caller (it lives in the caller's
 // params section).
-func DecodeHierarchyV2(g *graph.Graph, k int, snap *wire.Snapshot, levels, nearest, trees, bunches string) (*Hierarchy, error) {
-	return decodeHierarchySections(g, k, snap, levels, nearest, trees, bunches)
-}
-
-func decodeHierarchySections(g *graph.Graph, k int, snap *wire.Snapshot, secLv, secNr, secTr, secBu string) (*Hierarchy, error) {
+func DecodeHierarchyV2(g *graph.Graph, k int, snap *wire.Snapshot, secLv, secNr, secTr, secBu string) (*Hierarchy, error) {
 	n := g.N()
 	h := &Hierarchy{G: g, K: k, Levels: make([][]graph.Vertex, k), level: make([]int32, n)}
 	all := make([]graph.Vertex, n)
@@ -137,39 +122,37 @@ func decodeHierarchySections(g *graph.Graph, k int, snap *wire.Snapshot, secLv, 
 		all[i] = graph.Vertex(i)
 	}
 	h.Levels[0] = all
-	lv, err := snap.Decoder(secLv)
-	if err != nil {
-		return nil, err
-	}
-	for i := 1; i < k; i++ {
-		c := int(lv.Uvarint())
-		if lv.Err() != nil {
-			return nil, lv.Err()
-		}
-		if c < 1 || c > n {
-			lv.Failf("level %d claims %d vertices (n=%d)", i, c, n)
-			return nil, lv.Err()
-		}
-		if !lv.Alloc(4 * int64(c)) {
-			return nil, lv.Err()
-		}
-		vs := make([]graph.Vertex, c)
-		prev := graph.Vertex(0)
-		for j := range vs {
-			prev += graph.Vertex(lv.Uvarint())
-			if prev < 0 || int(prev) >= n {
-				lv.Failf("level %d has out-of-range vertex %d", i, prev)
+	if _, err := wire.Decode(snap, secLv, func(lv *wire.Decoder) (*Hierarchy, error) {
+		for i := 1; i < k; i++ {
+			c := int(lv.Uvarint())
+			if lv.Err() != nil {
 				return nil, lv.Err()
 			}
-			if j > 0 && vs[j-1] >= prev {
-				lv.Failf("level %d not sorted and unique at %d", i, prev)
+			if c < 1 || c > n {
+				lv.Failf("level %d claims %d vertices (n=%d)", i, c, n)
 				return nil, lv.Err()
 			}
-			vs[j] = prev
+			if !lv.Alloc(4 * int64(c)) {
+				return nil, lv.Err()
+			}
+			vs := make([]graph.Vertex, c)
+			prev := graph.Vertex(0)
+			for j := range vs {
+				prev += graph.Vertex(lv.Uvarint())
+				if prev < 0 || int(prev) >= n {
+					lv.Failf("level %d has out-of-range vertex %d", i, prev)
+					return nil, lv.Err()
+				}
+				if j > 0 && vs[j-1] >= prev {
+					lv.Failf("level %d not sorted and unique at %d", i, prev)
+					return nil, lv.Err()
+				}
+				vs[j] = prev
+			}
+			h.Levels[i] = vs
 		}
-		h.Levels[i] = vs
-	}
-	if err := lv.Finish(); err != nil {
+		return h, nil
+	}); err != nil {
 		return nil, err
 	}
 	for i := 0; i < k; i++ {
@@ -178,50 +161,43 @@ func decodeHierarchySections(g *graph.Graph, k int, snap *wire.Snapshot, secLv, 
 		}
 	}
 
-	nr, err := snap.Decoder(secNr)
-	if err != nil {
-		return nil, err
-	}
-	h.P = make([][]graph.Vertex, k)
-	h.D = make([][]float64, k)
-	if !nr.Alloc(8 * int64(k) * int64(n)) { // D tables; P aliases the snapshot
-		return nil, nr.Err()
-	}
-	for i := 0; i < k; i++ {
-		h.P[i] = nr.VertexArray()
-		if nr.Err() != nil {
+	if _, err := wire.Decode(snap, secNr, func(nr *wire.Decoder) (*Hierarchy, error) {
+		h.P = make([][]graph.Vertex, k)
+		h.D = make([][]float64, k)
+		if !nr.Alloc(8 * int64(k) * int64(n)) { // D tables; P aliases the snapshot
 			return nil, nr.Err()
 		}
-		if len(h.P[i]) != n {
-			return nil, fmt.Errorf("tzroute: snapshot nearest table of level %d has length %d, want %d", i, len(h.P[i]), n)
-		}
-		h.D[i] = make([]float64, n)
-		nr.FloatSeq(h.D[i])
-		if nr.Err() != nil {
-			return nil, nr.Err()
-		}
-		for v := 0; v < n; v++ {
-			if h.P[i][v] < 0 || int(h.P[i][v]) >= n {
-				return nil, fmt.Errorf("tzroute: snapshot p_%d(%d)=%d out of range", i, v, h.P[i][v])
+		for i := 0; i < k; i++ {
+			h.P[i] = nr.VertexArray()
+			if nr.Err() != nil {
+				return nil, nr.Err()
 			}
-			if math.IsNaN(h.D[i][v]) || h.D[i][v] < 0 {
-				return nil, fmt.Errorf("tzroute: snapshot d(%d, A_%d)=%v invalid", v, i, h.D[i][v])
+			if len(h.P[i]) != n {
+				return nil, fmt.Errorf("tzroute: snapshot nearest table of level %d has length %d, want %d", i, len(h.P[i]), n)
+			}
+			h.D[i] = make([]float64, n)
+			nr.FloatSeq(h.D[i])
+			if nr.Err() != nil {
+				return nil, nr.Err()
+			}
+			for v := 0; v < n; v++ {
+				if h.P[i][v] < 0 || int(h.P[i][v]) >= n {
+					return nil, fmt.Errorf("tzroute: snapshot p_%d(%d)=%d out of range", i, v, h.P[i][v])
+				}
+				if math.IsNaN(h.D[i][v]) || h.D[i][v] < 0 {
+					return nil, fmt.Errorf("tzroute: snapshot d(%d, A_%d)=%v invalid", v, i, h.D[i][v])
+				}
 			}
 		}
-	}
-	if err := nr.Finish(); err != nil {
+		return h, nil
+	}); err != nil {
 		return nil, err
 	}
 
-	td, err := snap.Decoder(secTr)
+	trees, err := wire.Decode(snap, secTr, func(d *wire.Decoder) ([]*treeroute.Tree, error) {
+		return treeroute.DecodeFlatForest(d, g)
+	})
 	if err != nil {
-		return nil, err
-	}
-	trees, err := treeroute.DecodeFlatForest(td, g)
-	if err != nil {
-		return nil, err
-	}
-	if err := td.Finish(); err != nil {
 		return nil, err
 	}
 	if len(trees) != n {
@@ -239,70 +215,65 @@ func decodeHierarchySections(g *graph.Graph, k int, snap *wire.Snapshot, secLv, 
 	}
 	h.Trees = trees
 
-	bd, err := snap.Decoder(secBu)
-	if err != nil {
-		return nil, err
-	}
-	offs := bd.Uint32Array()
-	bunchW := bd.VertexArray()
-	bunchD := bd.Float64Array()
-	if bd.Err() != nil {
-		return nil, bd.Err()
-	}
-	if len(offs) != n+1 {
-		bd.Failf("bunch offsets hold %d entries, want %d", len(offs), n+1)
-		return nil, bd.Err()
-	}
-	if n > 0 && offs[0] != 0 {
-		bd.Failf("bunch offsets do not start at 0")
-		return nil, bd.Err()
-	}
-	for u := 0; u < n; u++ {
-		if offs[u+1] < offs[u] {
-			bd.Failf("bunch offsets not monotone at %d", u)
+	return wire.Decode(snap, secBu, func(bd *wire.Decoder) (*Hierarchy, error) {
+		offs := bd.Uint32Array()
+		bunchW := bd.VertexArray()
+		bunchD := bd.Float64Array()
+		if bd.Err() != nil {
 			return nil, bd.Err()
 		}
-	}
-	if len(bunchW) != totalMembers || len(bunchD) != totalMembers || (n > 0 && int(offs[n]) != totalMembers) {
-		bd.Failf("bunch arrays hold %d/%d entries with end offset %d, forest has %d members",
-			len(bunchW), len(bunchD), offs[len(offs)-1], totalMembers)
-		return nil, bd.Err()
-	}
-	if !bd.Alloc(48 * int64(n)) { // per-vertex slice headers; data aliases the snapshot
-		return nil, bd.Err()
-	}
-	h.bunch = make([][]graph.Vertex, n)
-	h.bunchD = make([][]float64, n)
-	if err := parallel.ForErr(n, func(u int) error {
-		lo, hi := int(offs[u]), int(offs[u+1])
-		b := bunchW[lo:hi:hi]
-		ds := bunchD[lo:hi:hi]
-		for i, w := range b {
-			if w < 0 || int(w) >= n {
-				return fmt.Errorf("tzroute: snapshot bunch of %d has out-of-range root %d", u, w)
-			}
-			if i > 0 && b[i-1] >= w {
-				return fmt.Errorf("tzroute: snapshot bunch of %d not sorted and unique at %d", u, w)
-			}
-			// Every bunch entry must be backed by the tree it names: the
-			// routing step descends Trees[w] whenever InBunch(u, w) holds.
-			// Combined with the total-count match this makes the aliased
-			// arrays exactly the transpose of the forest.
-			if !trees[w].Contains(graph.Vertex(u)) {
-				return fmt.Errorf("tzroute: snapshot bunch of %d names root %d whose tree does not contain it", u, w)
-			}
-			if math.IsNaN(ds[i]) || ds[i] < 0 {
-				return fmt.Errorf("tzroute: snapshot bunch of %d has invalid distance %v at root %d", u, ds[i], w)
+		if len(offs) != n+1 {
+			bd.Failf("bunch offsets hold %d entries, want %d", len(offs), n+1)
+			return nil, bd.Err()
+		}
+		if n > 0 && offs[0] != 0 {
+			bd.Failf("bunch offsets do not start at 0")
+			return nil, bd.Err()
+		}
+		for u := 0; u < n; u++ {
+			if offs[u+1] < offs[u] {
+				bd.Failf("bunch offsets not monotone at %d", u)
+				return nil, bd.Err()
 			}
 		}
-		h.bunch[u] = b
-		h.bunchD[u] = ds
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	if err := bd.Finish(); err != nil {
-		return nil, err
-	}
-	return h, nil
+		if len(bunchW) != totalMembers || len(bunchD) != totalMembers || (n > 0 && int(offs[n]) != totalMembers) {
+			bd.Failf("bunch arrays hold %d/%d entries with end offset %d, forest has %d members",
+				len(bunchW), len(bunchD), offs[len(offs)-1], totalMembers)
+			return nil, bd.Err()
+		}
+		if !bd.Alloc(48 * int64(n)) { // per-vertex slice headers; data aliases the snapshot
+			return nil, bd.Err()
+		}
+		h.bunch = make([][]graph.Vertex, n)
+		h.bunchD = make([][]float64, n)
+		if err := parallel.ForErr(n, func(u int) error {
+			lo, hi := int(offs[u]), int(offs[u+1])
+			b := bunchW[lo:hi:hi]
+			ds := bunchD[lo:hi:hi]
+			for i, w := range b {
+				if w < 0 || int(w) >= n {
+					return fmt.Errorf("tzroute: snapshot bunch of %d has out-of-range root %d", u, w)
+				}
+				if i > 0 && b[i-1] >= w {
+					return fmt.Errorf("tzroute: snapshot bunch of %d not sorted and unique at %d", u, w)
+				}
+				// Every bunch entry must be backed by the tree it names: the
+				// routing step descends Trees[w] whenever InBunch(u, w) holds.
+				// Combined with the total-count match this makes the aliased
+				// arrays exactly the transpose of the forest.
+				if !trees[w].Contains(graph.Vertex(u)) {
+					return fmt.Errorf("tzroute: snapshot bunch of %d names root %d whose tree does not contain it", u, w)
+				}
+				if math.IsNaN(ds[i]) || ds[i] < 0 {
+					return fmt.Errorf("tzroute: snapshot bunch of %d has invalid distance %v at root %d", u, ds[i], w)
+				}
+			}
+			h.bunch[u] = b
+			h.bunchD[u] = ds
+			return nil
+		}); err != nil {
+			return nil, err
+		}
+		return h, nil
+	})
 }

@@ -50,59 +50,58 @@ func EncodeGraph(s *Snapshot, g *graph.Graph) {
 // so the decoded graph is bit-identical to the encoded one (and the caller
 // can verify that via graph.Fingerprint against the snapshot header).
 func DecodeGraph(s *Snapshot) (*graph.Graph, error) {
-	d, err := s.Decoder(GraphSection)
-	if err != nil {
-		return nil, err
-	}
-	n := int(d.Uvarint())
-	m := int(d.Uvarint())
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	if n < 0 || n > math.MaxInt32 || m < 0 || int64(m)*2 > int64(d.Remaining()) {
-		d.Failf("vertex count %d / edge count %d exceed remaining %d bytes", n, m, d.Remaining())
-		return nil, d.Err()
-	}
-	// The builder and the CSR arrays cost ~24 bytes per vertex and ~56 bytes
-	// per edge; charge them (plus the decoded weight slice) before allocating.
-	if !d.Alloc(24*int64(n) + 64*int64(m)) {
-		return nil, d.Err()
-	}
-	us := make([]graph.Vertex, m)
-	vs := make([]graph.Vertex, m)
-	prevU, prevV := graph.Vertex(0), graph.Vertex(0)
-	for i := 0; i < m; i++ {
-		du := d.Uvarint()
-		if du > 0 {
-			prevU += graph.Vertex(du)
-			prevV = prevU
+	b, err := Decode(s, GraphSection, func(d *Decoder) (*graph.Builder, error) {
+		n := int(d.Uvarint())
+		m := int(d.Uvarint())
+		if err := d.Err(); err != nil {
+			return nil, err
 		}
-		prevV += graph.Vertex(d.Uvarint())
+		if n < 0 || n > math.MaxInt32 || m < 0 || int64(m)*2 > int64(d.Remaining()) {
+			d.Failf("vertex count %d / edge count %d exceed remaining %d bytes", n, m, d.Remaining())
+			return nil, d.Err()
+		}
+		// The builder and the CSR arrays cost ~24 bytes per vertex and ~56 bytes
+		// per edge; charge them (plus the decoded weight slice) before allocating.
+		if !d.Alloc(24*int64(n) + 64*int64(m)) {
+			return nil, d.Err()
+		}
+		us := make([]graph.Vertex, m)
+		vs := make([]graph.Vertex, m)
+		prevU, prevV := graph.Vertex(0), graph.Vertex(0)
+		for i := 0; i < m; i++ {
+			du := d.Uvarint()
+			if du > 0 {
+				prevU += graph.Vertex(du)
+				prevV = prevU
+			}
+			prevV += graph.Vertex(d.Uvarint())
+			if d.Err() != nil {
+				return nil, d.Err()
+			}
+			if int(prevU) >= n || int(prevV) >= n || prevU >= prevV {
+				d.Failf("edge %d {%d,%d} out of canonical order for n=%d", i, prevU, prevV, n)
+				return nil, d.Err()
+			}
+			us[i], vs[i] = prevU, prevV
+		}
+		ws := make([]float64, m)
+		d.FloatSeq(ws)
 		if d.Err() != nil {
 			return nil, d.Err()
 		}
-		if int(prevU) >= n || int(prevV) >= n || prevU >= prevV {
-			d.Failf("edge %d {%d,%d} out of canonical order for n=%d", i, prevU, prevV, n)
-			return nil, d.Err()
+		b := graph.NewBuilder(n)
+		b.Grow(m)
+		for i := 0; i < m; i++ {
+			w := ws[i]
+			if !(w > 0) || math.IsInf(w, 1) {
+				d.Failf("edge {%d,%d} has invalid weight %v", us[i], vs[i], w)
+				return nil, d.Err()
+			}
+			b.AddEdge(us[i], vs[i], w)
 		}
-		us[i], vs[i] = prevU, prevV
-	}
-	ws := make([]float64, m)
-	d.FloatSeq(ws)
-	if d.Err() != nil {
-		return nil, d.Err()
-	}
-	b := graph.NewBuilder(n)
-	b.Grow(m)
-	for i := 0; i < m; i++ {
-		w := ws[i]
-		if !(w > 0) || math.IsInf(w, 1) {
-			d.Failf("edge {%d,%d} has invalid weight %v", us[i], vs[i], w)
-			return nil, d.Err()
-		}
-		b.AddEdge(us[i], vs[i], w)
-	}
-	if err := d.Finish(); err != nil {
+		return b, nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	g, err := b.Build()

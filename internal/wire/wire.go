@@ -33,8 +33,8 @@
 //
 // Scheme packages register a decoder for their kind in an init function
 // (wire.Register); encoding is the wire.Encodable interface implemented by
-// the scheme type. The registry is how the remaining schemes gain snapshot
-// support incrementally: a new scheme adds one wire.go file and appears in
+// the scheme type. A registered decoder reads each of its sections through
+// wire.Decode. A new scheme adds one wire.go file and appears in
 // SaveScheme/LoadScheme without any change here.
 //
 // # Robustness
@@ -44,7 +44,9 @@
 // against the bytes that remain before a slice is made, and allocations that
 // are not proportional to consumed input (graph arrays, n-sized tables) are
 // charged against a budget of allocFactor bytes per input byte via
-// Decoder.Alloc.
+// Decoder.Alloc. Decoders read sections only through Decode, which rejects a
+// section that is not consumed exactly, so no trailing or unread byte of a
+// section goes unnoticed.
 package wire
 
 import (
@@ -165,7 +167,7 @@ type Decoder struct {
 
 // NewDecoder wraps raw bytes for decoding, with no allocation budget. It is
 // the entry point for unit tests of individual structures; snapshot decoding
-// uses Snapshot.Decoder, which shares the snapshot's budget.
+// uses Decode, whose decoder shares the snapshot's budget.
 func NewDecoder(name string, data []byte) *Decoder {
 	return &Decoder{section: name, buf: data}
 }
@@ -437,7 +439,7 @@ func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
 
 // Read parses and verifies a snapshot stream: magic, version, checksum and
 // section framing. Section payloads are not interpreted here; scheme
-// decoders pull them via Decoder.
+// decoders read them through Decode.
 func Read(r io.Reader) (*Snapshot, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -557,7 +559,8 @@ func parseV2(data []byte) (*Snapshot, error) {
 }
 
 // Decoder opens the named section for decoding. The returned decoder shares
-// the snapshot's allocation budget.
+// the snapshot's allocation budget. Scheme decoders use Decode instead;
+// Decoder is for tools that inspect a section without consuming it.
 func (s *Snapshot) Decoder(name string) (*Decoder, error) {
 	for _, sec := range s.sections {
 		if sec.name == name {
@@ -565,6 +568,26 @@ func (s *Snapshot) Decoder(name string) (*Decoder, error) {
 		}
 	}
 	return nil, fmt.Errorf("wire: snapshot has no %q section", name)
+}
+
+// Decode opens the named section, runs fn on its decoder and requires the
+// section to be consumed exactly (Finish). It returns fn's value, or the
+// first error unchanged: the missing section, fn's own error, or the
+// decoder's sticky error or trailing bytes.
+func Decode[T any](s *Snapshot, name string, fn func(d *Decoder) (T, error)) (T, error) {
+	var zero T
+	d, err := s.Decoder(name)
+	if err != nil {
+		return zero, err
+	}
+	v, err := fn(d)
+	if err == nil {
+		err = d.Finish()
+	}
+	if err != nil {
+		return zero, err
+	}
+	return v, nil
 }
 
 // Encodable is implemented by scheme types that can be persisted. WireKind

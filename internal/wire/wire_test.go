@@ -3,6 +3,7 @@ package wire_test
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"reflect"
@@ -95,5 +96,52 @@ func TestWriteToParseRoundTrip(t *testing.T) {
 	}
 	if kind, err := wire.PeekKind(data[:64]); err != nil || kind != "test/v2" {
 		t.Fatalf("PeekKind = %q, %v", kind, err)
+	}
+}
+
+// TestDecode: Decode returns fn's value for a section fn consumes exactly.
+// A missing section, an error from fn, a sticky decoder error and one
+// unread byte each fail with an error naming the section, and fn's own
+// error comes back unchanged.
+func TestDecode(t *testing.T) {
+	snap, err := wire.Parse(v2Stream(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if x, err := wire.Decode(snap, "plain", func(d *wire.Decoder) (uint64, error) {
+		return d.Uvarint(), nil
+	}); err != nil || x != 300 {
+		t.Fatalf("Decode(plain) = %d, %v; want 300", x, err)
+	}
+	boom := errors.New("boom")
+	if x, err := wire.Decode(snap, "plain", func(d *wire.Decoder) (uint64, error) {
+		return d.Uvarint(), boom
+	}); err != boom || x != 0 {
+		t.Fatalf("Decode with a failing fn = %d, %v; want 0, fn's error", x, err)
+	}
+	for _, tc := range []struct {
+		name, section, want string
+		fn                  func(d *wire.Decoder) (uint64, error)
+	}{
+		{"missing section", "absent", "no \"absent\" section", func(d *wire.Decoder) (uint64, error) {
+			t.Error("fn ran on a missing section")
+			return 1, nil
+		}},
+		{"error from fn", "plain", "value 300 rejected", func(d *wire.Decoder) (uint64, error) {
+			x := d.Uvarint()
+			d.Failf("value %d rejected", x)
+			return x, d.Err()
+		}},
+		{"sticky decoder error", "plain", "truncated", func(d *wire.Decoder) (uint64, error) {
+			return d.Uvarint() + d.Uint64(), nil
+		}},
+		{"one unread byte", "plain", "1 trailing bytes", func(d *wire.Decoder) (uint64, error) {
+			return uint64(d.Byte()), nil
+		}},
+	} {
+		x, err := wire.Decode(snap, tc.section, tc.fn)
+		if err == nil || x != 0 || !strings.Contains(err.Error(), fmt.Sprintf("%q", tc.section)) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Decode = %d, %v; want 0 and an error naming %q with %q", tc.name, x, err, tc.section, tc.want)
+		}
 	}
 }

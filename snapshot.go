@@ -10,9 +10,10 @@ import (
 )
 
 // SnapshotKind returns the registered wire kind of a scheme, or "" if the
-// scheme does not support snapshots yet. Snapshot support is added per
-// scheme (see internal/wire); currently the Theorem 10 and 11 schemes, the
-// Thorup-Zwick baseline and the exact baseline are snapshottable.
+// scheme does not support snapshots. Every scheme this package constructs
+// registers one (see internal/wire): the exact and Thorup-Zwick baselines,
+// Theorems 10, 11 and 16, the generalized Theorems 13 and 15, the warm-up
+// scheme and the name-independent extension.
 func SnapshotKind(s Scheme) string {
 	if es, ok := s.(wire.Encodable); ok {
 		return es.WireKind()

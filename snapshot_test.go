@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"reflect"
 	"sort"
 	"strings"
@@ -459,5 +460,52 @@ func TestSnapshotVicinityErrorIndependentOfWorkers(t *testing.T) {
 	}
 	if errs[0] != errs[1] || !strings.Contains(errs[0], "member 1 of B(17) out of range") {
 		t.Fatalf("decode errors %q (1 worker) and %q (4 workers), want B(17)'s for both", errs[0], errs[1])
+	}
+}
+
+// TestSnapshotRejectsNonFiniteEps requires a NaN or infinite eps to fail,
+// both when a Theorem 11 scheme is built and when a snapshot carrying one
+// is loaded: with such an eps the stretch bound is NaN or +Inf, and no
+// route can violate it.
+func TestSnapshotRejectsNonFiniteEps(t *testing.T) {
+	g, err := compactroute.GNM(120, 480, benchSeed, true, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := compactroute.AllPairs(g)
+	bad := []float64{math.NaN(), math.Inf(1)}
+	for _, eps := range bad {
+		if _, err := compactroute.NewTheorem11(g, ps, compactroute.Options{Eps: eps, Seed: benchSeed}); err == nil {
+			t.Errorf("eps=%v: NewTheorem11 succeeded", eps)
+		}
+	}
+	s, err := compactroute.NewTheorem11(g, ps, compactroute.Options{Eps: 0.5, Seed: benchSeed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := compactroute.SaveScheme(&buf, s); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	// The params payload (unaligned, so unpadded) follows its section name,
+	// flags, payload length and pad length, and starts with eps.
+	name := []byte("thm11/params")
+	at := bytes.Index(data, name)
+	if at < 0 {
+		t.Fatal("no params section")
+	}
+	at += len(name) + 4 + 8 + 4
+	if eps := math.Float64frombits(binary.LittleEndian.Uint64(data[at:])); eps != 0.5 {
+		t.Fatalf("params eps reads %v, want 0.5", eps)
+	}
+	for _, eps := range bad {
+		patched := append([]byte(nil), data...)
+		binary.LittleEndian.PutUint64(patched[at:], math.Float64bits(eps))
+		if _, err := compactroute.LoadScheme(bytes.NewReader(reseal(patched))); err == nil {
+			t.Errorf("eps=%v: patched snapshot loaded", eps)
+		} else if !strings.Contains(err.Error(), "eps") {
+			t.Errorf("eps=%v: load error %q does not name eps", eps, err)
+		}
 	}
 }
